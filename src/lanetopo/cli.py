@@ -114,7 +114,11 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     scene = load_scene(args.gt)
     cfg = _load_config(args.config)
-    report = evaluate_prediction_file(args.pred, scene, cfg)
+    try:
+        report = evaluate_prediction_file(args.pred, scene, cfg)
+    except ValueError as exc:
+        print(f"invalid prediction file: {exc}", file=sys.stderr)
+        return 2
     report.save(_out_path(args.out))
     print(
         f"DET_l={report.det_l:.4f} TOP_ll={report.top_ll:.4f} AP_l={report.ap_l:.4f}"

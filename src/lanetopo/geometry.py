@@ -104,26 +104,51 @@ def resample_points_2d(points: np.ndarray, k: int) -> np.ndarray:
     return _resample(points, k)
 
 
-def discrete_frechet(a: Polyline, b: Polyline) -> float:
-    """Discrete Frechet distance via the standard dynamic program.
+def frechet_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Discrete Frechet distance between every curve of ``a`` (P, n, d) and
+    every curve of ``b`` (G, m, d), as a (P, G) array.
 
-    Minimum over all order-preserving couplings of the two vertex sequences
-    of the maximum paired point distance. Symmetric and non-negative; zero
-    exactly when the point sequences are equal.
+    The Eiter-Mannila dynamic program
+    ``f[i, j] = max(d[i, j], min(f[i-1, j], f[i-1, j-1], f[i, j-1]))``
+    is swept along anti-diagonals ``i + j = k``: each of the n + m - 1 steps
+    updates one diagonal of all P * G pairs at once. Only the two previous
+    diagonals are kept, and the point distances of a diagonal are computed
+    when it is reached, so the working set is O(P * G * n). ``max``/``min``
+    are exact, so the result equals the scalar recurrence bit for bit.
     """
-    d = np.linalg.norm(a.pts[:, None, :] - b.pts[None, :, :], axis=2)
-    n, m = d.shape
-    f = np.empty((n, m), dtype=np.float64)
-    f[0, 0] = d[0, 0]
-    for j in range(1, m):
-        f[0, j] = max(f[0, j - 1], d[0, j])
-    for i in range(1, n):
-        f[i, 0] = max(f[i - 1, 0], d[i, 0])
-        row = f[i]
-        prev = f[i - 1]
-        for j in range(1, m):
-            row[j] = max(d[i, j], min(prev[j], prev[j - 1], row[j - 1]))
-    return float(f[-1, -1])
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[2] != b.shape[2]:
+        raise ValueError(f"need (P, n, d) and (G, m, d) curve stacks, got {a.shape} and {b.shape}")
+    n, m = a.shape[1], b.shape[1]
+    if n == 0 or m == 0:
+        raise ValueError("curves need at least one point")
+    # diagonal buffers indexed by row i + 1; slot 0 is a permanent +inf for
+    # the missing row -1, and rows a diagonal does not reach stay +inf
+    shape = (a.shape[0], b.shape[0], n + 1)
+    prev2, prev1, cur = (np.full(shape, np.inf) for _ in range(3))
+    a = a[:, None]
+    b = b[None, :]
+    cur[..., 1] = np.linalg.norm(a[:, :, 0] - b[:, :, 0], axis=-1)
+    for k in range(1, n + m - 1):
+        prev2, prev1, cur = prev1, cur, prev2
+        lo, hi = max(0, k - m + 1), min(k, n - 1)
+        # cells (i, k - i) for i = lo..hi, so j runs from k - lo down to k - hi
+        d = np.linalg.norm(a[:, :, lo:hi + 1] - b[:, :, k - hi:k - lo + 1][:, :, ::-1], axis=-1)
+        out = cur[..., lo + 1:hi + 2]
+        np.minimum(prev1[..., lo:hi + 1], prev1[..., lo + 1:hi + 2], out=out)  # up, left
+        np.minimum(out, prev2[..., lo:hi + 1], out=out)  # diagonal
+        np.maximum(out, d, out=out)
+    return cur[..., n].copy()
+
+
+def discrete_frechet(a: Polyline, b: Polyline) -> float:
+    """Discrete Frechet distance: the minimum over all order-preserving
+    couplings of the two vertex sequences of the maximum paired point
+    distance. Symmetric and non-negative; zero exactly when the point
+    sequences are equal.
+    """
+    return float(frechet_matrix(a.pts[None], b.pts[None])[0, 0])
 
 
 def filter_outliers(pts: PointSet2, threshold: float) -> PointSet2:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import sigmoid
-from .geometry import Polyline, discrete_frechet, resample_polyline
+from .geometry import Polyline, frechet_matrix, resample_polyline
 
 # polylines are resampled to a common density before the Frechet coupling;
 # otherwise a sparse prediction of the exact lane geometry would still sit
@@ -57,36 +57,30 @@ def _rank_by_score(scores: np.ndarray) -> np.ndarray:
 def _frechet_matrix(
     preds: list[Polyline], gts: list[Polyline], n_eval: int = FRECHET_EVAL_POINTS
 ) -> np.ndarray:
-    """Pairwise Frechet distances on density-aligned resamplings."""
-    pre = [resample_polyline(p, n_eval) for p in preds]
-    gre = [resample_polyline(g, n_eval) for g in gts]
-    dist = np.empty((len(pre), len(gre)))
-    for i, p in enumerate(pre):
-        for j, g in enumerate(gre):
-            dist[i, j] = discrete_frechet(p, g)
-    return dist
+    """Pairwise Frechet distances on density-aligned resamplings, (P, G)."""
+
+    def stack(lines: list[Polyline]) -> np.ndarray:
+        return np.array([resample_polyline(p, n_eval).pts for p in lines]).reshape(-1, n_eval, 3)
+
+    return frechet_matrix(stack(preds), stack(gts))
 
 
-def _greedy_tp_flags(order, dist, threshold, larger_is_better=False):
-    """Score-ordered greedy matching: each prediction takes the best
-    still-unmatched ground truth within the threshold."""
+def _greedy_match(order, dist, threshold, larger_is_better=False) -> list[int]:
+    """Score-ordered greedy matching: each prediction, in ``order``, takes the
+    best still-unmatched ground truth within the threshold. Returns the
+    matched ground-truth index per ranked prediction, -1 for none."""
     n_gt = dist.shape[1]
     taken = np.zeros(n_gt, dtype=bool)
-    flags = []
+    matched = []
     for i in order:
         row = dist[i].copy()
         row[taken] = -np.inf if larger_is_better else np.inf
-        if n_gt == 0:
-            flags.append(False)
-            continue
         j = int(np.argmax(row)) if larger_is_better else int(np.argmin(row))
         hit = row[j] >= threshold if larger_is_better else row[j] <= threshold
         if hit:
             taken[j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+        matched.append(j if hit else -1)
+    return matched
 
 
 @dataclass
@@ -109,8 +103,14 @@ def det_l(
     scores: np.ndarray,
     gts: list[Polyline],
     thresholds: tuple[float, ...] = (1.0, 2.0, 3.0),
+    *,
+    dist: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Detection mAP over Frechet distance thresholds."""
+    """Detection mAP over Frechet distance thresholds.
+
+    ``dist`` is the prediction-by-ground-truth Frechet matrix of
+    :func:`_frechet_matrix`; it is computed when not given.
+    """
     thresholds = tuple(sorted(thresholds))
     if not gts and not preds:
         per = {f"{t:g}": 1.0 for t in thresholds}
@@ -118,12 +118,12 @@ def det_l(
     if not gts or not preds:
         per = {f"{t:g}": 0.0 for t in thresholds}
         return 0.0, per
-    scores = np.asarray(scores, dtype=np.float64)
-    dist = _frechet_matrix(preds, gts)
+    if dist is None:
+        dist = _frechet_matrix(preds, gts)
     order = _rank_by_score(scores)
     per = {}
     for t in thresholds:
-        flags = _greedy_tp_flags(order, dist, t)
+        flags = [j >= 0 for j in _greedy_match(order, dist, t)]
         per[f"{t:g}"] = average_precision(flags, len(gts))
     return float(np.mean(list(per.values()))), per
 
@@ -135,6 +135,8 @@ def top_ll(
     gt_lines: list[Polyline],
     gt_adj: np.ndarray,
     match_threshold: float = 1.0,
+    *,
+    dist: np.ndarray | None = None,
 ) -> float:
     """Connectivity AP after projecting predicted adjacency onto ground truth.
 
@@ -142,7 +144,7 @@ def top_ll(
     threshold. A ground-truth lane pair with both endpoints matched and a
     projected probability above 0.5 becomes a ranked candidate edge; pairs at
     or below 0.5 assert "no edge", and pairs touching unmatched lanes stay
-    unreachable (missed).
+    unreachable (missed). ``dist`` is as in :func:`det_l`.
     """
     gt_adj = np.asarray(gt_adj)
     n_gt = len(gt_lines)
@@ -150,15 +152,11 @@ def top_ll(
     # lane matching, greedy by score
     gt_to_pred: dict[int, int] = {}
     if pred_lines and gt_lines:
-        dist = _frechet_matrix(pred_lines, gt_lines)
-        taken = np.zeros(n_gt, dtype=bool)
-        for i in _rank_by_score(np.asarray(pred_scores, dtype=np.float64)):
-            row = dist[i].copy()
-            row[taken] = np.inf
-            j = int(np.argmin(row))
-            if row[j] <= match_threshold:
-                taken[j] = True
-                gt_to_pred[j] = int(i)
+        if dist is None:
+            dist = _frechet_matrix(pred_lines, gt_lines)
+        order = _rank_by_score(pred_scores)
+        matched = _greedy_match(order, dist, match_threshold)
+        gt_to_pred = {j: int(i) for i, j in zip(order, matched) if j >= 0}
     # candidate edges: matched lane pairs asserting a connection
     cand = []
     for a in range(n_gt):
@@ -209,9 +207,9 @@ def mask_ap(
     for i, p in enumerate(bin_preds):
         for j, g in enumerate(bin_gts):
             iou[i, j] = mask_iou(p, g)
-    order = _rank_by_score(np.asarray(scores, dtype=np.float64))
+    order = _rank_by_score(scores)
     per = {}
     for t in iou_thresholds:
-        flags = _greedy_tp_flags(order, iou, t, larger_is_better=True)
+        flags = [j >= 0 for j in _greedy_match(order, iou, t, larger_is_better=True)]
         per[f"{t:g}"] = average_precision(flags, len(bin_gts))
     return float(np.mean(list(per.values()))), per

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import BevGrid, mlp_forward, sigmoid, sinusoidal_pe_2d
+from .bev import BevGrid, GridSpec, mlp_forward, sigmoid, sinusoidal_pe_2d
 from .config import ConfigError, PipelineConfig
 from .decoder import CenterlinePrediction, QuerySet, decoder_forward, instance_mask_logits
 from .geometry import Polyline
 from .losses import ModelOutputs
-from .metrics import EvalReport, det_l, mask_ap, top_ll
+from .metrics import EvalReport, _frechet_matrix, det_l, mask_ap, top_ll
 from .points_mask import (
     AXIS_COLUMNS,
     AXIS_ROWS,
@@ -141,24 +141,47 @@ def run_pipeline(
     return PipelineResult(outputs=outputs, report=report, bev=bev)
 
 
-def evaluate_outputs(outputs: ModelOutputs, scene: Scene, cfg: PipelineConfig) -> EvalReport:
-    """Score predictions against the scene's ground truth."""
-    preds = outputs.predictions
-    scores = np.array([p.score for p in preds])
-    lines = [p.points for p in preds]
-    det, det_per = det_l(lines, scores, scene.centerlines, cfg.det_thresholds)
+def score_predictions(
+    lines: list[Polyline],
+    scores: np.ndarray,
+    adjacency: np.ndarray,
+    pred_masks: list[np.ndarray] | None,
+    scene: Scene,
+    cfg: PipelineConfig,
+    grid: GridSpec,
+) -> EvalReport:
+    """DET_l, TOP_ll and AP_l of predictions against the scene's ground truth.
+
+    The Frechet matrix is built once and shared by DET_l and TOP_ll. Masks
+    are logits or booleans on ``grid``; without them AP_l is 0.
+    """
+    gts = scene.centerlines
+    dist = _frechet_matrix(lines, gts)
+    det, det_per = det_l(lines, scores, gts, cfg.det_thresholds, dist=dist)
     top = top_ll(
-        lines, scores, outputs.adjacency, scene.centerlines, scene.adjacency,
-        cfg.top_match_threshold,
+        lines, scores, adjacency, gts, scene.adjacency, cfg.top_match_threshold, dist=dist
     )
-    if outputs.mask_logits is not None:
-        gt_masks = list(render_gt_masks(scene, outputs.grid))
-        pred_masks = list(outputs.mask_logits)
+    ap, ap_per = 0.0, {}
+    if pred_masks is not None:
+        gt_masks = list(render_gt_masks(scene, grid))
         ap, ap_per = mask_ap(pred_masks, scores, gt_masks, cfg.mask_iou_thresholds)
-    else:
-        ap, ap_per = 0.0, {}
     return EvalReport(
         det_l=det, top_ll=top, ap_l=ap, det_per_threshold=det_per, ap_per_threshold=ap_per
+    )
+
+
+def evaluate_outputs(outputs: ModelOutputs, scene: Scene, cfg: PipelineConfig) -> EvalReport:
+    """Score in-memory predictions against the scene's ground truth."""
+    preds = outputs.predictions
+    masks = None if outputs.mask_logits is None else list(outputs.mask_logits)
+    return score_predictions(
+        [p.points for p in preds],
+        np.array([p.score for p in preds]),
+        outputs.adjacency,
+        masks,
+        scene,
+        cfg,
+        outputs.grid,
     )
 
 
@@ -225,33 +248,53 @@ def save_predictions(outputs: ModelOutputs, path: str | Path) -> None:
     Path(path).write_text(dump_predictions_json(outputs))
 
 
+def _numeric_field(values, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a finite float64 array of ``shape``, or a ValueError
+    naming ``field``."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must hold numbers") from None
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)  # an empty matrix is written as []
+    if arr.shape != shape:
+        raise ValueError(f"{field} must have shape {shape}, got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{field} must be finite, got {arr[at]} at index {list(at)}")
+    return arr
+
+
 def evaluate_prediction_file(
     pred_path: str | Path, scene: Scene, cfg: PipelineConfig
 ) -> EvalReport:
-    """Score a saved prediction document against a scene."""
+    """Score a saved prediction document against a scene.
+
+    A malformed document raises one ``ValueError`` naming the bad field.
+    """
     doc = json.loads(Path(pred_path).read_text())
     if doc.get("kind") != "lanetopo-predictions":
         raise ValueError("not a recognized predictions document")
-    lines = [Polyline(np.array(p["points"])) for p in doc["predictions"]]
-    scores = np.array([p["score"] for p in doc["predictions"]])
-    adjacency = np.array(doc["adjacency"], dtype=np.float64)
-    det, det_per = det_l(lines, scores, scene.centerlines, cfg.det_thresholds)
-    top = top_ll(
-        lines, scores, adjacency, scene.centerlines, scene.adjacency,
-        cfg.top_match_threshold,
-    )
-    ap, ap_per = 0.0, {}
+    lines = []
+    for i, p in enumerate(doc["predictions"]):
+        try:
+            lines.append(Polyline(np.array(p["points"])))
+        except ValueError as exc:
+            raise ValueError(f"predictions[{i}].points: {exc}") from None
+    n = len(lines)
+    scores = _numeric_field([p["score"] for p in doc["predictions"]], "predictions[].score", (n,))
+    adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
+    pred_masks = None
+    grid = cfg.grid
     if "masks" in doc:
         h, w = doc["masks"]["h"], doc["masks"]["w"]
-        pred_masks = [_mask_from_rle(runs, h, w) for runs in doc["masks"]["instances"]]
-        grid = cfg.grid
         if (grid.h, grid.w) != (h, w):
             raise ValueError("prediction masks do not match the configured grid")
-        gt_masks = list(render_gt_masks(scene, grid))
-        ap, ap_per = mask_ap(pred_masks, scores, gt_masks, cfg.mask_iou_thresholds)
-    return EvalReport(
-        det_l=det, top_ll=top, ap_l=ap, det_per_threshold=det_per, ap_per_threshold=ap_per
-    )
+        if len(doc["masks"]["instances"]) != n:
+            raise ValueError(f"masks.instances must hold {n} masks, one per prediction")
+        pred_masks = [_mask_from_rle(runs, h, w) for runs in doc["masks"]["instances"]]
+    return score_predictions(lines, scores, adjacency, pred_masks, scene, cfg, grid)
 
 
 # --- ablation harness -----------------------------------------------------------

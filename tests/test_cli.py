@@ -151,3 +151,32 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert main(["synth", "--out", "nested/scene.json"]) == 0
     doc = json.loads((tmp_path / "nested" / "scene.json").read_text())
     assert doc["seed"] == 17
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(adjacency=[[0.0]]), "adjacency must have shape"),
+        (lambda doc: doc["predictions"][0].update(score=float("nan")), "score must be finite"),
+        (lambda doc: doc["adjacency"][0].__setitem__(0, float("inf")), "adjacency must be finite"),
+    ],
+)
+def test_eval_rejects_malformed_prediction_file(tmp_path, desk_config_path, capsys, edit, message):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    doc = json.loads(pred.read_text())
+    edit(doc)
+    pred.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    code = main(
+        ["eval", "--pred", str(pred), "--gt", str(scene), "--config", desk_config_path,
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid prediction file: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -12,6 +12,7 @@ from lanetopo.geometry import (
     arc_length,
     discrete_frechet,
     filter_outliers,
+    frechet_matrix,
     resample_polyline,
 )
 
@@ -37,6 +38,33 @@ def frechet_by_coupling_enumeration(a: np.ndarray, b: np.ndarray) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def frechet_by_row_dp(a: np.ndarray, b: np.ndarray) -> float:
+    """Reference: the Eiter-Mannila dynamic program as a scalar row sweep.
+
+    Unlike the enumeration oracle it reaches 50-point curves."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    n, m = d.shape
+    f = np.empty((n, m), dtype=np.float64)
+    f[0, 0] = d[0, 0]
+    for j in range(1, m):
+        f[0, j] = max(f[0, j - 1], d[0, j])
+    for i in range(1, n):
+        f[i, 0] = max(f[i - 1, 0], d[i, 0])
+        row = f[i]
+        prev = f[i - 1]
+        for j in range(1, m):
+            row[j] = max(d[i, j], min(prev[j], prev[j - 1], row[j - 1]))
+    return float(f[-1, -1])
+
+
+def reference_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty((len(a), len(b)))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i, j] = frechet_by_row_dp(x, y)
+    return out
 
 
 class TestPolyline:
@@ -154,6 +182,64 @@ class TestDiscreteFrechet:
             assert discrete_frechet(a, b) == discrete_frechet(b, a)
             assert discrete_frechet(a, b) > 0.0
             assert discrete_frechet(a, a) == 0.0
+
+
+class TestFrechetMatrix:
+    @staticmethod
+    def resampled(rng, count: int, k: int = 50) -> np.ndarray:
+        lines = []
+        for _ in range(count):
+            n = int(rng.integers(2, 12))
+            pts = np.cumsum(rng.normal(scale=2.0, size=(n, 3)), axis=0)
+            lines.append(resample_polyline(Polyline(pts), k).pts)
+        return np.array(lines).reshape(count, k, 3)
+
+    @pytest.mark.parametrize("p_count", [1, 3, 7])
+    @pytest.mark.parametrize("g_count", [1, 3, 7])
+    def test_equals_row_dp_on_50_point_curves(self, p_count, g_count):
+        rng = np.random.default_rng(1000 + 10 * p_count + g_count)
+        a = self.resampled(rng, p_count)
+        b = self.resampled(rng, g_count)
+        out = frechet_matrix(a, b)
+        assert out.shape == (p_count, g_count)
+        assert np.array_equal(out, reference_matrix(a, b))
+
+    def test_unequal_lengths(self):
+        rng = np.random.default_rng(61)
+        for n, m in [(1, 5), (5, 1), (2, 9), (13, 4), (50, 17)]:
+            a = rng.normal(size=(3, n, 3))
+            b = rng.normal(size=(2, m, 3))
+            assert np.array_equal(frechet_matrix(a, b), reference_matrix(a, b))
+            assert np.array_equal(frechet_matrix(b, a), reference_matrix(a, b).T)
+
+    def test_zero_length_and_repeated_points(self):
+        rng = np.random.default_rng(62)
+        point = rng.normal(size=3)
+        zero = np.tile(point, (50, 1))
+        repeated = np.repeat(rng.normal(size=(5, 3)), 10, axis=0)
+        line = self.resampled(rng, 1)[0]
+        a = np.stack([zero, repeated, line])
+        out = frechet_matrix(a, a)
+        assert np.array_equal(out, reference_matrix(a, a))
+        assert np.all(np.diag(out) == 0.0)
+        # a curve against a single location: its farthest point
+        far = np.max(np.linalg.norm(line - point, axis=1))
+        assert out[2, 0] == far
+
+    def test_empty_sets(self):
+        a = np.zeros((0, 50, 3))
+        b = np.ones((4, 30, 3))
+        assert frechet_matrix(a, b).shape == (0, 4)
+        assert frechet_matrix(b, a).shape == (4, 0)
+        assert frechet_matrix(a, a).shape == (0, 0)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            frechet_matrix(np.zeros((2, 5, 3)), np.zeros((2, 5, 2)))
+        with pytest.raises(ValueError):
+            frechet_matrix(np.zeros((5, 3)), np.zeros((2, 5, 3)))
+        with pytest.raises(ValueError):
+            frechet_matrix(np.zeros((2, 0, 3)), np.zeros((2, 5, 3)))
 
 
 finite_points = arrays(

@@ -1,6 +1,8 @@
 """End-to-end pipeline behavior: toggles, determinism, file formats, and an
 oracle-weight run that must reach perfect detection."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import logit
@@ -12,6 +14,7 @@ from lanetopo.losses import total_loss
 from lanetopo.pipeline import (
     ablation_grid,
     dump_predictions_json,
+    evaluate_outputs,
     evaluate_prediction_file,
     run_pipeline,
     save_predictions,
@@ -160,6 +163,18 @@ class TestPredictionFiles:
         assert report.top_ll == pytest.approx(result.report.top_ll, abs=1e-12)
         assert report.ap_l == pytest.approx(result.report.ap_l, abs=1e-12)
 
+    def test_file_and_in_memory_scores_agree_exactly(self, tmp_path):
+        cfg = desk_cfg(pgm=False, pmf=False)
+        scene = synth_scene(33)
+        result = run_pipeline(scene, cfg, init_model_weights(cfg))
+        outputs = result.outputs
+        outputs.mask_logits = None  # masks are thresholded on the way to disk
+        pred_path = tmp_path / "pred.json"
+        save_predictions(outputs, pred_path)
+        from_file = evaluate_prediction_file(pred_path, scene, cfg)
+        assert from_file == evaluate_outputs(outputs, scene, cfg)
+        assert from_file.ap_l == 0.0 and from_file.ap_per_threshold == {}
+
     def test_scene_file_round_trip_through_pipeline(self, tmp_path):
         scene = synth_scene(30)
         path = tmp_path / "scene.json"
@@ -170,6 +185,99 @@ class TestPredictionFiles:
         a = dump_predictions_json(run_pipeline(scene, cfg, w).outputs)
         b = dump_predictions_json(run_pipeline(loaded, cfg, w).outputs)
         assert a == b
+
+
+class TestPredictionFileValidation:
+    """A malformed prediction document fails with one ValueError naming the
+    field, before any scoring."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        cfg = desk_cfg()
+        scene = synth_scene(34)
+        result = run_pipeline(scene, cfg, init_model_weights(cfg))
+        path = tmp_path_factory.mktemp("pred") / "pred.json"
+        save_predictions(result.outputs, path)
+        return json.loads(path.read_text()), scene, cfg
+
+    def evaluate_edited(self, saved, tmp_path, edit):
+        doc, scene, cfg = saved
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return evaluate_prediction_file(path, scene, cfg)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_small_adjacency_rejected(self, saved, tmp_path, size):
+        def edit(doc):
+            doc["adjacency"] = [row[:size] for row in doc["adjacency"][:size]]
+
+        with pytest.raises(ValueError, match=r"adjacency must have shape \(\d+, \d+\)"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_non_square_adjacency_rejected(self, saved, tmp_path):
+        def edit(doc):
+            doc["adjacency"] = [row[:-1] for row in doc["adjacency"]]
+
+        with pytest.raises(ValueError, match="adjacency must have shape"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_ragged_adjacency_rejected(self, saved, tmp_path):
+        def edit(doc):
+            doc["adjacency"][1] = doc["adjacency"][1][:-1]
+
+        with pytest.raises(ValueError, match="adjacency must hold numbers"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_adjacency_rejected(self, saved, tmp_path, value):
+        def edit(doc):
+            doc["adjacency"][0][1] = value
+
+        with pytest.raises(ValueError, match=r"adjacency must be finite, got .* at index \[0, 1\]"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_score_rejected(self, saved, tmp_path, value):
+        def edit(doc):
+            doc["predictions"][2]["score"] = value
+
+        with pytest.raises(ValueError, match=r"predictions\[\]\.score must be finite.*\[2\]"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_non_numeric_score_rejected(self, saved, tmp_path):
+        def edit(doc):
+            doc["predictions"][0]["score"] = "high"
+
+        with pytest.raises(ValueError, match=r"predictions\[\]\.score must hold numbers"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_short_polyline_names_the_prediction(self, saved, tmp_path):
+        def edit(doc):
+            doc["predictions"][1]["points"] = doc["predictions"][1]["points"][:1]
+
+        with pytest.raises(ValueError, match=r"predictions\[1\]\.points"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_mask_count_must_match_predictions(self, saved, tmp_path):
+        def edit(doc):
+            doc["masks"]["instances"].pop()
+
+        with pytest.raises(ValueError, match="masks.instances"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_unedited_document_scores(self, saved, tmp_path):
+        report = self.evaluate_edited(saved, tmp_path, lambda doc: None)
+        assert np.isfinite([report.det_l, report.top_ll, report.ap_l]).all()
+
+    def test_empty_prediction_set_is_valid(self, saved, tmp_path):
+        def edit(doc):
+            doc["predictions"], doc["adjacency"] = [], []
+            doc["masks"]["instances"] = []
+
+        report = self.evaluate_edited(saved, tmp_path, edit)
+        assert (report.det_l, report.top_ll, report.ap_l) == (0.0, 0.0, 0.0)
 
 
 class TestWeightsFile:
