@@ -189,16 +189,25 @@ def layer_norm(x: np.ndarray, ln: LayerNormWeights, eps: float = LN_EPS) -> np.n
     return (x - mean) / np.sqrt(var + eps) * ln.scale + ln.shift
 
 
-def bilinear_sample_batch(g: BevGrid, locs: np.ndarray) -> np.ndarray:
+def bilinear_sample_batch(g: BevGrid, locs: np.ndarray, heads: int = 1) -> np.ndarray:
     """Bilinear interpolation of grid features at fractional (row, col) locations.
 
-    ``locs`` has shape (..., 2); the result has shape (..., c). Locations
-    outside [0, h-1] x [0, w-1] return the zero vector (zero padding).
+    ``locs`` has shape (..., 2); the result has shape (..., c // heads).
+    Locations outside [0, h-1] x [0, w-1] return the zero vector (zero padding).
+
+    With ``heads`` > 1 the channels split into ``heads`` equal contiguous
+    slices and ``locs`` has shape (..., heads, points, 2): the locations of
+    head k read only slice k, so the result has shape
+    (..., heads, points, c // heads). This is Deformable DETR's per-head value
+    split. Each corner is one gather from the grid viewed as
+    (h * w * heads, c // heads) rows at row ``(r * w + col) * heads + k``.
     """
     locs = np.asarray(locs, dtype=np.float64)
+    h, w = g.h, g.w
+    head = np.arange(heads)[:, None] if heads > 1 else 0
+    table = g.data.reshape(h * w * heads, g.c // heads)
     r = locs[..., 0]
     c = locs[..., 1]
-    h, w = g.h, g.w
     inside = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
     r0 = np.floor(r).astype(np.int64)
     c0 = np.floor(c).astype(np.int64)
@@ -212,19 +221,20 @@ def bilinear_sample_batch(g: BevGrid, locs: np.ndarray) -> np.ndarray:
     w01 = (1 - fr) * fc
     w10 = fr * (1 - fc)
     w11 = fr * fc
+    row0 = r0c * w
+    row1 = r1c * w
+
+    def corner(row, col):
+        return np.take(table, (row + col) * heads + head, axis=0)
+
     out = (
-        w00[..., None] * g.data[r0c, c0c]
-        + w01[..., None] * g.data[r0c, c1c]
-        + w10[..., None] * g.data[r1c, c0c]
-        + w11[..., None] * g.data[r1c, c1c]
+        w00[..., None] * corner(row0, c0c)
+        + w01[..., None] * corner(row0, c1c)
+        + w10[..., None] * corner(row1, c0c)
+        + w11[..., None] * corner(row1, c1c)
     )
     out[~inside] = 0.0
     return out
-
-
-def bilinear_sample(g: BevGrid, loc: tuple[float, float] | np.ndarray) -> np.ndarray:
-    """Single-location convenience wrapper around :func:`bilinear_sample_batch`."""
-    return bilinear_sample_batch(g, np.asarray(loc, dtype=np.float64))
 
 
 def sinusoidal_pe_2d(h: int, w: int, c: int, spec: GridSpec | None = None) -> BevGrid:

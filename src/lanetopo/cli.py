@@ -91,11 +91,22 @@ def _cmd_render_bev(args) -> int:
     return 0
 
 
+def _invalid_input(what: str, exc: ValueError) -> int:
+    print(f"invalid {what}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    scene = load_scene(args.scene)
+    try:
+        scene = load_scene(args.scene)
+    except ValueError as exc:
+        return _invalid_input("scene file", exc)
     cfg = _apply_toggles(_load_config(args.config), args)
     weights = load_model_weights(args.weights) if args.weights else init_model_weights(cfg)
-    bev = load_bev(args.bev, cfg.grid) if args.bev else None
+    try:
+        bev = load_bev(args.bev, cfg.grid) if args.bev else None
+    except ValueError as exc:
+        return _invalid_input("BEV file", exc)
     try:
         result = run_pipeline(scene, cfg, weights, bev=bev)
     except ConfigError as exc:
@@ -112,13 +123,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scene = load_scene(args.gt)
+    try:
+        scene = load_scene(args.gt)
+    except ValueError as exc:
+        return _invalid_input("scene file", exc)
     cfg = _load_config(args.config)
     try:
         report = evaluate_prediction_file(args.pred, scene, cfg)
     except ValueError as exc:
-        print(f"invalid prediction file: {exc}", file=sys.stderr)
-        return 2
+        return _invalid_input("prediction file", exc)
     report.save(_out_path(args.out))
     print(
         f"DET_l={report.det_l:.4f} TOP_ll={report.top_ll:.4f} AP_l={report.ap_l:.4f}"

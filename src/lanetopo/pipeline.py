@@ -191,12 +191,8 @@ def evaluate_outputs(outputs: ModelOutputs, scene: Scene, cfg: PipelineConfig) -
 def _mask_rle(mask_bool: np.ndarray) -> list[list[int]]:
     """Runs of set cells over the row-major flattened mask: [start, stop)."""
     flat = np.asarray(mask_bool, dtype=bool).reshape(-1)
-    runs = []
     padded = np.concatenate([[False], flat, [False]])
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    for start, stop in zip(edges[::2], edges[1::2]):
-        runs.append([int(start), int(stop)])
-    return runs
+    return np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).tolist()
 
 
 def _mask_from_rle(runs: list[list[int]], h: int, w: int) -> np.ndarray:
@@ -241,7 +237,8 @@ def predictions_to_dict(outputs: ModelOutputs) -> dict:
 
 
 def dump_predictions_json(outputs: ModelOutputs) -> str:
-    return json.dumps(predictions_to_dict(outputs), indent=1, sort_keys=True) + "\n"
+    """Canonical compact JSON: sorted keys and no whitespace, one line."""
+    return json.dumps(predictions_to_dict(outputs), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_predictions(outputs: ModelOutputs, path: str | Path) -> None:

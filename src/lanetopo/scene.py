@@ -51,12 +51,6 @@ class Scene:
     def n_lanes(self) -> int:
         return len(self.centerlines)
 
-    def real_centerlines(self) -> list[Polyline]:
-        return [c for c, r in zip(self.centerlines, self.is_real) if r]
-
-    def virtual_centerlines(self) -> list[Polyline]:
-        return [c for c, r in zip(self.centerlines, self.is_real) if not r]
-
 
 @dataclass
 class SceneParams:
@@ -86,6 +80,8 @@ def validate_scene(scene: Scene) -> None:
     n = scene.n_lanes
     if scene.adjacency.shape != (n, n):
         raise ValueError("adjacency shape mismatch")
+    if not np.isin(scene.adjacency, (0, 1)).all():
+        raise ValueError("adjacency entries must be 0 or 1")
     for idx, lane in enumerate(scene.centerlines):
         if len(lane) != GT_POINTS:
             raise ValueError(f"lane {idx} has {len(lane)} points, expected {GT_POINTS}")
@@ -360,7 +356,7 @@ def scene_to_dict(scene: Scene) -> dict:
 def scene_from_dict(d: dict) -> Scene:
     if d.get("schema_version") != SCENE_SCHEMA_VERSION or d.get("kind") != "lanetopo-scene":
         raise ValueError("not a recognized scene document")
-    return Scene(
+    scene = Scene(
         centerlines=[Polyline(np.array(c["points"])) for c in d["centerlines"]],
         is_real=[bool(c["is_real"]) for c in d["centerlines"]],
         adjacency=np.array(d["adjacency"], dtype=np.int64),
@@ -370,6 +366,8 @@ def scene_from_dict(d: dict) -> Scene:
         ],
         seed=int(d["seed"]),
     )
+    validate_scene(scene)
+    return scene
 
 
 def dump_scene_json(scene: Scene) -> str:
@@ -386,6 +384,8 @@ def load_scene(path: str | Path) -> Scene:
 
 # --- BEV feature binary container --------------------------------------------
 
+_BEV_HEADER_BYTES = 12  # h, w, c as little-endian int32
+
 
 def save_bev(grid: BevGrid, path: str | Path) -> None:
     """Binary container: header h, w, c (little-endian int32), then row-major
@@ -396,9 +396,23 @@ def save_bev(grid: BevGrid, path: str | Path) -> None:
 
 
 def load_bev(path: str | Path, spec: GridSpec) -> BevGrid:
+    """Read a :func:`save_bev` container; a short header, non-positive dims or a
+    payload of the wrong length raise one ValueError."""
     raw = Path(path).read_bytes()
-    h, w, c = np.frombuffer(raw[:12], dtype="<i4")
-    data = np.frombuffer(raw[12:], dtype="<f8").reshape(h, w, c).astype(np.float64)
+    if len(raw) < _BEV_HEADER_BYTES:
+        raise ValueError(
+            f"BEV file has {len(raw)} bytes, fewer than the {_BEV_HEADER_BYTES}-byte header"
+        )
+    h, w, c = (int(v) for v in np.frombuffer(raw[:_BEV_HEADER_BYTES], dtype="<i4"))
+    if min(h, w, c) < 1:
+        raise ValueError(f"BEV header dims must be positive, got {h}x{w}x{c}")
+    expected = h * w * c * 8
+    actual = len(raw) - _BEV_HEADER_BYTES
+    if actual != expected:
+        raise ValueError(
+            f"BEV payload for {h}x{w}x{c} must be {expected} bytes, got {actual} bytes"
+        )
+    data = np.frombuffer(raw[_BEV_HEADER_BYTES:], dtype="<f8").reshape(h, w, c).astype(np.float64)
     if (h, w) != (spec.h, spec.w):
         raise ValueError(f"BEV file is {h}x{w}, grid spec expects {spec.h}x{spec.w}")
     return BevGrid(data, spec)

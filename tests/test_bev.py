@@ -9,7 +9,6 @@ from lanetopo.bev import (
     GridSpec,
     LayerNormWeights,
     MlpWeights,
-    bilinear_sample,
     bilinear_sample_batch,
     finite_diff_grad,
     layer_norm,
@@ -99,12 +98,12 @@ class TestMlp:
 class TestBilinear:
     def test_exact_cell(self):
         g = random_grid(np.random.default_rng(4))
-        assert np.array_equal(bilinear_sample(g, (2.0, 3.0)), g.data[2, 3])
+        assert np.array_equal(bilinear_sample_batch(g, (2.0, 3.0)), g.data[2, 3])
 
     def test_midpoint_of_two_cells(self):
         g = random_grid(np.random.default_rng(5))
         expected = 0.5 * (g.data[1, 2] + g.data[1, 3])
-        assert np.allclose(bilinear_sample(g, (1.0, 2.5)), expected, atol=1e-12)
+        assert np.allclose(bilinear_sample_batch(g, (1.0, 2.5)), expected, atol=1e-12)
 
     def test_matches_four_corner_oracle(self):
         rng = np.random.default_rng(6)
@@ -121,12 +120,12 @@ class TestBilinear:
                 + fr * (1 - fc) * g.data[r1, c0]
                 + fr * fc * g.data[r1, c1]
             )
-            assert np.max(np.abs(bilinear_sample(g, (r, c)) - expected)) < 1e-12
+            assert np.max(np.abs(bilinear_sample_batch(g, (r, c)) - expected)) < 1e-12
 
     def test_out_of_bounds_returns_zero(self):
         g = random_grid(np.random.default_rng(7))
         for loc in [(-0.1, 0.0), (0.0, -0.1), (g.h - 0.9, 0.0), (0.0, g.w - 0.9), (100, 100)]:
-            assert np.array_equal(bilinear_sample(g, loc), np.zeros(g.c))
+            assert np.array_equal(bilinear_sample_batch(g, loc), np.zeros(g.c))
 
     def test_batch_shapes(self):
         g = random_grid(np.random.default_rng(8))
@@ -141,9 +140,82 @@ class TestBilinear:
         for _ in range(20):
             loc = rng.uniform(0.5, 2.5, size=2)
             delta = 1e-6
-            a = bilinear_sample(g, loc)
-            b = bilinear_sample(g, loc + delta)
+            a = bilinear_sample_batch(g, loc)
+            b = bilinear_sample_batch(g, loc + delta)
             assert np.max(np.abs(a - b)) <= bound * 2 * delta + 1e-12
+
+
+def sample_all_channels_then_slice(g: BevGrid, locs: np.ndarray, heads: int) -> np.ndarray:
+    """Reference for the per-head gather: bilinear samples of every channel at
+    every location, of which head k keeps only its channel slice k.
+
+    ``locs`` has shape (n, heads, points, 2); the result (n, heads, points, c // heads).
+    """
+    locs = np.asarray(locs, dtype=np.float64)
+    r, c = locs[..., 0], locs[..., 1]
+    h, w = g.h, g.w
+    inside = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
+    r0 = np.floor(r).astype(np.int64)
+    c0 = np.floor(c).astype(np.int64)
+    fr, fc = r - r0, c - c0
+    r0c, r1c = np.clip(r0, 0, h - 1), np.clip(r0 + 1, 0, h - 1)
+    c0c, c1c = np.clip(c0, 0, w - 1), np.clip(c0 + 1, 0, w - 1)
+    samples = (
+        ((1 - fr) * (1 - fc))[..., None] * g.data[r0c, c0c]
+        + ((1 - fr) * fc)[..., None] * g.data[r0c, c1c]
+        + (fr * (1 - fc))[..., None] * g.data[r1c, c0c]
+        + (fr * fc)[..., None] * g.data[r1c, c1c]
+    )
+    samples[~inside] = 0.0
+    n, _, points = locs.shape[:3]
+    per_head = samples.reshape(n, heads, points, heads, g.c // heads)
+    idx = np.arange(heads)
+    return per_head[:, idx, :, idx, :].transpose(1, 0, 2, 3)
+
+
+class TestPerHeadGather:
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_equals_all_channel_reference(self, heads):
+        rng = np.random.default_rng(20 + heads)
+        g = random_grid(rng, h=5, w=7, c=16)
+        locs = np.concatenate(
+            [
+                rng.uniform(-0.5, [4.5, 6.5], size=(30, heads, 3, 2)),
+                # exact cell centres, including the last row and column
+                rng.integers(0, [5, 7], size=(10, heads, 3, 2)).astype(np.float64),
+                np.broadcast_to([4.0, 6.0], (2, heads, 3, 2)),
+                np.broadcast_to([4.0, 0.0], (1, heads, 3, 2)),
+                np.broadcast_to([0.0, 6.0], (1, heads, 3, 2)),
+            ]
+        )
+        out = bilinear_sample_batch(g, locs, heads)
+        assert out.shape == (locs.shape[0], heads, 3, 16 // heads)
+        assert np.array_equal(out, sample_all_channels_then_slice(g, locs, heads))
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_cell_centres_read_the_head_slice(self, heads):
+        g = random_grid(np.random.default_rng(30), h=5, w=7, c=16)
+        hd = 16 // heads
+        for r, c in [(0, 0), (2, 3), (4, 6), (4, 0), (0, 6)]:
+            out = bilinear_sample_batch(g, np.full((1, heads, 1, 2), [r, c], dtype=float), heads)
+            for k in range(heads):
+                assert np.array_equal(out[0, k, 0], g.data[r, c, k * hd : (k + 1) * hd])
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_just_outside_the_grid_is_zero(self, heads):
+        g = random_grid(np.random.default_rng(31), h=5, w=7, c=16)
+        eps = 1e-9
+        outside = [
+            (-eps, 0.0),
+            (0.0, -eps),
+            (4.0 + eps, 3.0),
+            (2.0, 6.0 + eps),
+            (4.0 + eps, 6.0 + eps),
+        ]
+        locs = np.broadcast_to(np.array(outside)[:, None, None, :], (5, heads, 2, 2))
+        out = bilinear_sample_batch(g, locs, heads)
+        assert np.array_equal(out, np.zeros((5, heads, 2, 16 // heads)))
+        assert np.array_equal(out, sample_all_channels_then_slice(g, locs, heads))
 
 
 class TestSinusoidalPe:

@@ -180,3 +180,43 @@ def test_eval_rejects_malformed_prediction_file(tmp_path, desk_config_path, caps
     assert err.startswith("invalid prediction file: ") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_run_rejects_a_truncated_bev_file(tmp_path, desk_config_path, capsys):
+    scene = tmp_path / "scene.json"
+    bev = tmp_path / "bev.bin"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    main(["render-bev", "--scene", str(scene), "--config", desk_config_path, "--out", str(bev)])
+    bev.write_bytes(bev.read_bytes()[:-1])
+    capsys.readouterr()
+    pred = tmp_path / "pred.json"
+    code = main(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--bev", str(bev),
+         "--out", str(pred)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid BEV file: ") and "bytes, got" in err
+    assert err.count("\n") == 1
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_scene_with_a_non_binary_adjacency_exits_2(tmp_path, desk_config_path, capsys, command):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    doc = json.loads(scene.read_text())
+    doc["adjacency"][0][0] = 7
+    scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    if command == "run":
+        argv = ["run", "--scene", str(scene), "--out", str(out)]
+    else:
+        argv = ["eval", "--pred", str(pred), "--gt", str(scene), "--out", str(out)]
+    assert main(argv + ["--config", desk_config_path]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid scene file: adjacency entries must be 0 or 1\n"
+    assert not out.exists()

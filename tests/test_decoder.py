@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from lanetopo.bev import BevGrid, GridSpec, LayerNormWeights, layer_norm, mlp_forward, sigmoid
+from lanetopo.bev import (
+    BevGrid,
+    GridSpec,
+    LayerNormWeights,
+    bilinear_sample_batch,
+    layer_norm,
+    mlp_forward,
+    sigmoid,
+    softmax,
+)
 from lanetopo.config import PipelineConfig
 from lanetopo.decoder import (
     QuerySet,
@@ -162,10 +171,8 @@ class TestDeformableAttention:
         w.b_out = rng.normal(size=4)
         refs = np.array([[0.5, 1.5], [2.0, 3.0], [1.2, 0.7]])
         out = deformable_attention_core(q, g, refs, w)
-        from lanetopo.bev import bilinear_sample
-
         for i in range(3):
-            expected = w.w_out @ bilinear_sample(g, refs[i]) + w.b_out
+            expected = w.w_out @ bilinear_sample_batch(g, refs[i]) + w.b_out
             assert np.max(np.abs(out[i] - expected)) < 1e-12
 
     def test_far_refs_zero_contribution(self):
@@ -186,14 +193,12 @@ class TestDeformableAttention:
         w = plain_deform_weights(c, heads=1, points=points, rng=rng)
         refs = rng.uniform(0, 2, size=(2, 2))
         out = deformable_attention_core(q, g, refs, w)
-        from lanetopo.bev import bilinear_sample
-
         for i in range(2):
             off = w.w_offset[0] @ q[i] + w.b_offset[0]
             att = hand_softmax(w.w_attn[0] @ q[i] + w.b_attn[0])
             acc = np.zeros(c)
             for p in range(points):
-                acc += att[p] * bilinear_sample(g, refs[i] + off[2 * p : 2 * p + 2])
+                acc += att[p] * bilinear_sample_batch(g, refs[i] + off[2 * p : 2 * p + 2])
             expected = w.w_out @ acc + w.b_out
             assert np.max(np.abs(out[i] - expected)) < 1e-12
 
@@ -207,6 +212,27 @@ class TestDeformableAttention:
         out = deformable_cross_attention(q, g, refs, w, ln)
         expected = layer_norm(q + deformable_attention_core(q, g, refs, w), ln)
         assert np.array_equal(out, expected)
+
+    def test_blocked_per_head_gather_equals_all_channel_reference(self):
+        # more queries than one block, so the blocking loop runs, with a partial last block
+        rng = np.random.default_rng(12)
+        c, heads, points, n = 16, 8, 3, 4096 + 37
+        g = BevGrid(rng.normal(size=(6, 9, c)), GridSpec(6, 9, 0.0, 0.0, 1.0))
+        q = rng.normal(size=(n, c))
+        w = plain_deform_weights(c, heads=heads, points=points, rng=rng)
+        refs = rng.uniform(-0.5, [5.5, 8.5], size=(n, 2))
+        # the decoder's deformable block as it was before the per-head gather:
+        # sample every channel at every head's points, then keep each head's slice
+        offsets = (np.einsum("hoc,nc->nho", w.w_offset, q) + w.b_offset[None]).reshape(
+            n, heads, points, 2
+        )
+        attn = softmax(np.einsum("hpc,nc->nhp", w.w_attn, q) + w.b_attn[None], axis=-1)
+        samples = bilinear_sample_batch(g, refs[:, None, None, :] + offsets)
+        idx = np.arange(heads)
+        sliced = samples.reshape(n, heads, points, heads, c // heads)[:, idx, :, idx, :]
+        head_out = np.einsum("hnp,hnpd->nhd", attn.transpose(1, 0, 2), sliced)
+        expected = head_out.reshape(n, c) @ w.w_out.T + w.b_out
+        assert np.array_equal(deformable_attention_core(q, g, refs, w), expected)
 
 
 class TestAttentionMaskBuilder:

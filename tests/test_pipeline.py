@@ -12,6 +12,8 @@ from lanetopo.config import ConfigError, PipelineConfig
 from lanetopo.geometry import resample_polyline
 from lanetopo.losses import total_loss
 from lanetopo.pipeline import (
+    _mask_from_rle,
+    _mask_rle,
     ablation_grid,
     dump_predictions_json,
     evaluate_outputs,
@@ -185,6 +187,40 @@ class TestPredictionFiles:
         a = dump_predictions_json(run_pipeline(scene, cfg, w).outputs)
         b = dump_predictions_json(run_pipeline(loaded, cfg, w).outputs)
         assert a == b
+
+    def test_written_document_is_compact_canonical_json(self):
+        cfg = desk_cfg()
+        outputs = run_pipeline(synth_scene(31), cfg, init_model_weights(cfg)).outputs
+        text = dump_predictions_json(outputs)
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert ", " not in text and ": " not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def mask_rle_loop(mask_bool):
+    """Reference run-length encoder: one Python step per run."""
+    flat = np.asarray(mask_bool, dtype=bool).reshape(-1)
+    padded = np.concatenate([[False], flat, [False]])
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [[int(start), int(stop)] for start, stop in zip(edges[::2], edges[1::2])]
+
+
+class TestMaskRle:
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.zeros((3, 4), dtype=bool),
+            np.ones((3, 4), dtype=bool),
+            np.eye(4, dtype=bool),
+            np.arange(12).reshape(3, 4) % 3 == 0,
+            np.random.default_rng(0).uniform(size=(20, 30)) < 0.4,
+        ],
+    )
+    def test_matches_loop_reference_and_round_trips(self, mask):
+        runs = _mask_rle(mask)
+        assert runs == mask_rle_loop(mask)
+        assert all(type(v) is int for run in runs for v in run)
+        assert np.array_equal(_mask_from_rle(runs, *mask.shape), mask)
 
 
 class TestPredictionFileValidation:

@@ -107,6 +107,13 @@ class TestSceneJson:
         with pytest.raises(ValueError):
             scene_from_dict({"schema_version": 1, "kind": "something-else"})
 
+    def test_rejects_adjacency_outside_zero_one(self):
+        doc = scene_to_dict(synth_scene(14, SceneParams(n_lanes=1, intersections=0)))
+        assert doc["adjacency"] == [[0]]
+        doc["adjacency"] = [[7]]
+        with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+            scene_from_dict(doc)
+
 
 class TestRenderBev:
     def test_empty_scene_all_zero(self):
@@ -187,3 +194,28 @@ class TestBevContainer:
         other = PipelineConfig.desk(grid_h=20, grid_w=40).grid
         with pytest.raises(ValueError):
             load_bev(path, other)
+
+    def test_truncated_payload_names_both_byte_counts(self, tmp_path):
+        cfg = PipelineConfig.desk()
+        grid = render_bev_features(synth_scene(20, SceneParams(intersections=0)), cfg, 0.0)
+        path = tmp_path / "bev.bin"
+        save_bev(grid, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        expected = grid.h * grid.w * grid.c * 8
+        with pytest.raises(ValueError, match=f"must be {expected} bytes, got {expected - 1} bytes"):
+            load_bev(path, cfg.grid)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"", "fewer than the 12-byte header"),
+            (np.array([50, 100], dtype="<i4").tobytes(), "fewer than the 12-byte header"),
+            (np.array([50, 0, 32], dtype="<i4").tobytes(), "dims must be positive"),
+            (np.array([50, -100, 32], dtype="<i4").tobytes(), "dims must be positive"),
+        ],
+    )
+    def test_short_or_bad_header_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "bev.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=message):
+            load_bev(path, PipelineConfig.desk().grid)
