@@ -34,7 +34,7 @@ from .scene import (
     synth_scene,
 )
 from .viz import render_svg
-from .weights import init_model_weights, load_model_weights
+from .weights import check_weights, init_model_weights, load_model_weights
 
 
 def _default_seed() -> int:
@@ -91,7 +91,7 @@ def _cmd_render_bev(args) -> int:
     return 0
 
 
-def _invalid_input(what: str, exc: ValueError) -> int:
+def _invalid_input(what: str, exc: OSError | ValueError) -> int:
     print(f"invalid {what}: {exc}", file=sys.stderr)
     return 2
 
@@ -99,13 +99,20 @@ def _invalid_input(what: str, exc: ValueError) -> int:
 def _cmd_run(args) -> int:
     try:
         scene = load_scene(args.scene)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _invalid_input("scene file", exc)
     cfg = _apply_toggles(_load_config(args.config), args)
-    weights = load_model_weights(args.weights) if args.weights else init_model_weights(cfg)
+    if args.weights:
+        try:
+            weights = load_model_weights(args.weights)
+            check_weights(cfg, weights)
+        except (OSError, ValueError) as exc:
+            return _invalid_input("weights file", exc)
+    else:
+        weights = init_model_weights(cfg)
     try:
         bev = load_bev(args.bev, cfg.grid) if args.bev else None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _invalid_input("BEV file", exc)
     try:
         result = run_pipeline(scene, cfg, weights, bev=bev)
@@ -125,12 +132,12 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     try:
         scene = load_scene(args.gt)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _invalid_input("scene file", exc)
     cfg = _load_config(args.config)
     try:
         report = evaluate_prediction_file(args.pred, scene, cfg)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _invalid_input("prediction file", exc)
     report.save(_out_path(args.out))
     print(

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .points_mask import (
 from .scene import Scene, render_bev_features, render_gt_masks
 from .sdmap import SemanticEmbeddingTable, rasterize_sdmap, sd_interact
 from .topology import enhance_queries, predict_topology
-from .weights import ModelWeights
+from .weights import ModelWeights, check_weights
 
 PREDICTIONS_SCHEMA_VERSION = 1
 
@@ -76,6 +76,65 @@ def _readouts(
     return cols, rows
 
 
+def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
+    """BEV features augmented with the scene's SD map: rasterize it, add the
+    position encoding, and run the SD interaction."""
+    table = SemanticEmbeddingTable(weights.semantic_table)
+    e_s = rasterize_sdmap(scene.sd_instances, b.spec, table)
+    e_p = sinusoidal_pe_2d(b.h, b.w, b.c, b.spec)
+    return sd_interact(b, e_s, e_p, weights.sd)
+
+
+def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutputs:
+    """Decoder, topology, mask logits and readouts on a feature grid.
+
+    Stops before fusion. Reads the ``pgm``, ``hybrid_attention`` and
+    ``rvs_self_attention`` toggles, not ``sd`` or ``pmf``: an SD-map run
+    passes the grid from :func:`sd_features`.
+    """
+    queries = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
+    preds, _ = decoder_forward(queries, b, weights, cfg)
+    q = np.stack([p.query for p in preds])
+
+    decoder_points = np.stack([p.points.pts for p in preds])
+    enhanced = enhance_queries(
+        q, decoder_points, weights.topology.query_mlp, weights.topology.points_mlp
+    )
+    adjacency = predict_topology(enhanced, weights.topology.classifier)
+
+    mask_logits = instance_mask_logits(q, decoder_points, b, weights, cfg.pgm)
+    col_readouts, row_readouts = _readouts(q, mask_logits, preds, weights, cfg)
+    return ModelOutputs(
+        predictions=preds,
+        adjacency=adjacency,
+        grid=b.spec,
+        mask_logits=mask_logits,
+        col_readouts=col_readouts,
+        row_readouts=row_readouts,
+    )
+
+
+def fuse(outputs: ModelOutputs, cfg: PipelineConfig) -> ModelOutputs:
+    """Points-mask fusion: each real prediction's points refined by its
+    selected mask readout. Returns new predictions; ``outputs`` is unchanged,
+    so one :func:`infer` result serves both a fused and an unfused run."""
+    preds = []
+    for pred, col, row in zip(outputs.predictions, outputs.col_readouts, outputs.row_readouts):
+        if pred.is_real:
+            readout = select_point_set(col, row, cfg.validity_threshold)
+            points = fuse_points(
+                pred.points,
+                readout,
+                outputs.grid,
+                cfg.k,
+                outlier_threshold=cfg.outlier_threshold,
+                validity_threshold=cfg.validity_threshold,
+            )
+            pred = replace(pred, points=points)
+        preds.append(pred)
+    return replace(outputs, predictions=preds)
+
+
 def run_pipeline(
     scene: Scene,
     cfg: PipelineConfig,
@@ -88,55 +147,16 @@ def run_pipeline(
     ``sd`` augments features with the SD map, ``pgm`` switches mask queries to
     points-guided encoding, ``pmf`` fuses mask readouts into real centerlines
     (requires ``pgm``), ``hybrid_attention``/``rvs_self_attention`` select the
-    decoder's attention paths.
+    decoder's attention paths. The run is :func:`sd_features` (with ``sd``),
+    :func:`infer`, :func:`fuse` (with ``pmf``) and :func:`evaluate_outputs`.
     """
+    check_weights(cfg, weights)
     cfg.check_runnable()
     if bev is None:
         bev = render_bev_features(scene, cfg, cfg.noise_sigma)
-    b = bev
-    if cfg.sd:
-        table = SemanticEmbeddingTable(weights.semantic_table)
-        e_s = rasterize_sdmap(scene.sd_instances, b.spec, table)
-        e_p = sinusoidal_pe_2d(b.h, b.w, b.c, b.spec)
-        b = sd_interact(b, e_s, e_p, weights.sd)
-
-    queries = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
-    preds, final_q = decoder_forward(queries, b, weights, cfg)
-    q = np.stack([p.query for p in preds])
-
-    decoder_points = np.stack([p.points.pts for p in preds])
-    enhanced = enhance_queries(
-        q, decoder_points, weights.topology.query_mlp, weights.topology.points_mlp
-    )
-    adjacency = predict_topology(enhanced, weights.topology.classifier)
-
-    mask_logits = instance_mask_logits(q, decoder_points, b, weights, cfg.pgm)
-    col_readouts, row_readouts = _readouts(q, mask_logits, preds, weights, cfg)
-
+    outputs = infer(sd_features(bev, scene, weights) if cfg.sd else bev, cfg, weights)
     if cfg.pmf:
-        for i, pred in enumerate(preds):
-            if not pred.is_real:
-                continue
-            readout = select_point_set(
-                col_readouts[i], row_readouts[i], cfg.validity_threshold
-            )
-            pred.points = fuse_points(
-                pred.points,
-                readout,
-                b.spec,
-                cfg.k,
-                outlier_threshold=cfg.outlier_threshold,
-                validity_threshold=cfg.validity_threshold,
-            )
-
-    outputs = ModelOutputs(
-        predictions=preds,
-        adjacency=adjacency,
-        grid=b.spec,
-        mask_logits=mask_logits,
-        col_readouts=col_readouts,
-        row_readouts=row_readouts,
-    )
+        outputs = fuse(outputs, cfg)
     report = evaluate_outputs(outputs, scene, cfg)
     return PipelineResult(outputs=outputs, report=report, bev=bev)
 
@@ -146,14 +166,15 @@ def score_predictions(
     scores: np.ndarray,
     adjacency: np.ndarray,
     pred_masks: list[np.ndarray] | None,
+    gt_masks: list[np.ndarray] | None,
     scene: Scene,
     cfg: PipelineConfig,
-    grid: GridSpec,
 ) -> EvalReport:
     """DET_l, TOP_ll and AP_l of predictions against the scene's ground truth.
 
     The Frechet matrix is built once and shared by DET_l and TOP_ll. Masks
-    are logits or booleans on ``grid``; without them AP_l is 0.
+    are logits or booleans on one grid, ``gt_masks`` being the scene's
+    :func:`render_gt_masks`; without ``pred_masks`` AP_l is 0.
     """
     gts = scene.centerlines
     dist = _frechet_matrix(lines, gts)
@@ -163,25 +184,37 @@ def score_predictions(
     )
     ap, ap_per = 0.0, {}
     if pred_masks is not None:
-        gt_masks = list(render_gt_masks(scene, grid))
         ap, ap_per = mask_ap(pred_masks, scores, gt_masks, cfg.mask_iou_thresholds)
     return EvalReport(
         det_l=det, top_ll=top, ap_l=ap, det_per_threshold=det_per, ap_per_threshold=ap_per
     )
 
 
-def evaluate_outputs(outputs: ModelOutputs, scene: Scene, cfg: PipelineConfig) -> EvalReport:
-    """Score in-memory predictions against the scene's ground truth."""
+def evaluate_outputs(
+    outputs: ModelOutputs,
+    scene: Scene,
+    cfg: PipelineConfig,
+    gt_masks: list[np.ndarray] | None = None,
+) -> EvalReport:
+    """Score in-memory predictions against the scene's ground truth.
+
+    ``gt_masks`` are the scene's masks on ``outputs.grid``; they are rendered
+    here when the outputs carry masks and none are given.
+    """
     preds = outputs.predictions
-    masks = None if outputs.mask_logits is None else list(outputs.mask_logits)
+    masks = None
+    if outputs.mask_logits is not None:
+        masks = list(outputs.mask_logits)
+        if gt_masks is None:
+            gt_masks = list(render_gt_masks(scene, outputs.grid))
     return score_predictions(
         [p.points for p in preds],
         np.array([p.score for p in preds]),
         outputs.adjacency,
         masks,
+        gt_masks,
         scene,
         cfg,
-        outputs.grid,
     )
 
 
@@ -263,16 +296,9 @@ def _numeric_field(values, field: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def evaluate_prediction_file(
-    pred_path: str | Path, scene: Scene, cfg: PipelineConfig
-) -> EvalReport:
-    """Score a saved prediction document against a scene.
-
-    A malformed document raises one ``ValueError`` naming the bad field.
-    """
-    doc = json.loads(Path(pred_path).read_text())
-    if doc.get("kind") != "lanetopo-predictions":
-        raise ValueError("not a recognized predictions document")
+def _parse_predictions(doc: dict, grid: GridSpec):
+    """Lines, scores, adjacency and masks (None when the document has none)
+    of a predictions document, or a ValueError naming the bad field."""
     lines = []
     for i, p in enumerate(doc["predictions"]):
         try:
@@ -283,7 +309,6 @@ def evaluate_prediction_file(
     scores = _numeric_field([p["score"] for p in doc["predictions"]], "predictions[].score", (n,))
     adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
     pred_masks = None
-    grid = cfg.grid
     if "masks" in doc:
         h, w = doc["masks"]["h"], doc["masks"]["w"]
         if (grid.h, grid.w) != (h, w):
@@ -291,7 +316,26 @@ def evaluate_prediction_file(
         if len(doc["masks"]["instances"]) != n:
             raise ValueError(f"masks.instances must hold {n} masks, one per prediction")
         pred_masks = [_mask_from_rle(runs, h, w) for runs in doc["masks"]["instances"]]
-    return score_predictions(lines, scores, adjacency, pred_masks, scene, cfg, grid)
+    return lines, scores, adjacency, pred_masks
+
+
+def evaluate_prediction_file(
+    pred_path: str | Path, scene: Scene, cfg: PipelineConfig
+) -> EvalReport:
+    """Score a saved prediction document against a scene.
+
+    An unreadable path raises ``OSError``; a malformed document raises one
+    ``ValueError`` naming the bad field or the missing key.
+    """
+    doc = json.loads(Path(pred_path).read_text())
+    if not isinstance(doc, dict) or doc.get("kind") != "lanetopo-predictions":
+        raise ValueError("not a recognized predictions document")
+    try:
+        lines, scores, adjacency, pred_masks = _parse_predictions(doc, cfg.grid)
+    except KeyError as exc:
+        raise ValueError(f"prediction document lacks key {exc.args[0]!r}") from None
+    gt_masks = None if pred_masks is None else list(render_gt_masks(scene, cfg.grid))
+    return score_predictions(lines, scores, adjacency, pred_masks, gt_masks, scene, cfg)
 
 
 # --- ablation harness -----------------------------------------------------------
@@ -305,8 +349,15 @@ def ablation_grid(
     Valid combinations produce metric rows; the invalid fusion-without-masks
     combinations are reported with an error marker. The row layout mirrors a
     module-ablation table: one toggle triple plus the metric columns.
+
+    The rows share stages: the BEV features, the SD interaction and the GT
+    masks are computed once, and :func:`infer` runs once per ``(pgm, sd)``
+    pair, since ``pmf`` changes only fusion. Each row equals its own
+    :func:`run_pipeline` run exactly.
     """
-    rows = []
+    check_weights(cfg, weights)
+    rows: dict[tuple[bool, bool, bool], dict] = {}
+    run_cfgs = {}
     for pgm in (False, True):
         for pmf in (False, True):
             for sd in (False, True):
@@ -315,12 +366,26 @@ def ablation_grid(
                     {**cfg.to_dict(), "pgm": pgm, "pmf": pmf, "sd": sd}
                 )
                 try:
-                    result = run_pipeline(scene, run_cfg, weights)
+                    run_cfg.check_runnable()
                 except ConfigError as exc:
                     row["error"] = str(exc)
                 else:
-                    row["det_l"] = result.report.det_l
-                    row["top_ll"] = result.report.top_ll
-                    row["ap_l"] = result.report.ap_l
-                rows.append(row)
-    return rows
+                    run_cfgs[pgm, pmf, sd] = run_cfg
+                rows[pgm, pmf, sd] = row
+
+    bev = render_bev_features(scene, cfg, cfg.noise_sigma)
+    grids = {False: bev, True: sd_features(bev, scene, weights)}
+    gt_masks = list(render_gt_masks(scene, cfg.grid))
+    for pgm in (False, True):
+        for sd in (False, True):
+            inferred = infer(grids[sd], run_cfgs[pgm, False, sd], weights)
+            for pmf in (False, True):
+                run_cfg = run_cfgs.get((pgm, pmf, sd))
+                if run_cfg is None:
+                    continue
+                outputs = fuse(inferred, run_cfg) if pmf else inferred
+                report = evaluate_outputs(outputs, scene, run_cfg, gt_masks)
+                rows[pgm, pmf, sd].update(
+                    det_l=report.det_l, top_ll=report.top_ll, ap_l=report.ap_l
+                )
+    return list(rows.values())

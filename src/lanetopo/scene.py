@@ -353,19 +353,50 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _integral(value, field: str) -> int:
+    """A whole JSON number as an int, or a ValueError naming ``field``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _adjacency_from_doc(raw) -> np.ndarray:
+    """The adjacency as int64, checked to hold only 0 and 1 before the cast."""
+    adjacency = np.asarray(raw)
+    if adjacency.dtype.kind not in "biuf":
+        raise ValueError("adjacency must hold numbers")
+    if not np.isin(adjacency, (0, 1)).all():
+        raise ValueError("adjacency entries must be 0 or 1")
+    return adjacency.astype(np.int64)
+
+
 def scene_from_dict(d: dict) -> Scene:
-    if d.get("schema_version") != SCENE_SCHEMA_VERSION or d.get("kind") != "lanetopo-scene":
+    """A scene from its document. Raw values are checked before any cast, and
+    a malformed document or a missing key raises one ValueError."""
+    if (
+        not isinstance(d, dict)
+        or d.get("schema_version") != SCENE_SCHEMA_VERSION
+        or d.get("kind") != "lanetopo-scene"
+    ):
         raise ValueError("not a recognized scene document")
-    scene = Scene(
-        centerlines=[Polyline(np.array(c["points"])) for c in d["centerlines"]],
-        is_real=[bool(c["is_real"]) for c in d["centerlines"]],
-        adjacency=np.array(d["adjacency"], dtype=np.int64),
-        sd_instances=[
-            SdMapInstance(Polyline(np.array(s["points"])), int(s["semantic_type"]))
-            for s in d["sd_instances"]
-        ],
-        seed=int(d["seed"]),
-    )
+    try:
+        scene = Scene(
+            centerlines=[Polyline(np.array(c["points"])) for c in d["centerlines"]],
+            is_real=[bool(c["is_real"]) for c in d["centerlines"]],
+            adjacency=_adjacency_from_doc(d["adjacency"]),
+            sd_instances=[
+                SdMapInstance(
+                    Polyline(np.array(s["points"])),
+                    _integral(s["semantic_type"], f"sd_instances[{i}].semantic_type"),
+                )
+                for i, s in enumerate(d["sd_instances"])
+            ],
+            seed=_integral(d["seed"], "seed"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"scene document lacks key {exc.args[0]!r}") from None
     validate_scene(scene)
     return scene
 

@@ -197,6 +197,97 @@ def init_model_weights(cfg: PipelineConfig, seed: int | None = None) -> ModelWei
     )
 
 
+# --- what the configuration fixes of the weights ------------------------------
+
+
+def _ln_shapes(prefix: str, c: int) -> dict[str, tuple[int, ...]]:
+    return {f"{prefix}.scale": (c,), f"{prefix}.shift": (c,)}
+
+
+def _deform_shapes(prefix: str, c: int, heads: int, points: int) -> dict[str, tuple[int, ...]]:
+    return {
+        f"{prefix}.w_offset": (heads, 2 * points, c),
+        f"{prefix}.b_offset": (heads, 2 * points),
+        f"{prefix}.w_attn": (heads, points, c),
+        f"{prefix}.b_attn": (heads, points),
+        f"{prefix}.w_out": (c, c),
+        f"{prefix}.b_out": (c,),
+    }
+
+
+def weight_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
+    """What ``cfg`` fixes of each weight, keyed by its name in the weights
+    file: a tensor's shape, and an MLP's ``(in_dim, out_dim)``. An MLP's
+    depth and hidden widths are the weights' own."""
+    c, k, hw = cfg.channels, cfg.k, cfg.grid_h * cfg.grid_w
+    shapes = {
+        "decoder.real_queries": (cfg.n_real, c),
+        "decoder.virtual_queries": (cfg.n_virtual, c),
+        "decoder.init_ref_logits": (cfg.n_queries, 2),
+        "decoder.points_head": (c, 3 * k),
+        "decoder.score_head": (c, 1),
+        "mask_head.point_mlp": (3, c),
+        "mask_head.concat_mlp": (k * c, c),
+        "mask_head.query_mlp": (c, c),
+        "mask_head.exist_col": (hw, cfg.grid_w),
+        "mask_head.exist_row": (hw, cfg.grid_h),
+        "mask_head.dir_col": (c, 1),
+        "mask_head.dir_row": (c, 1),
+        "topology.query_mlp": (c, c),
+        "topology.points_mlp": (3 * k, c),
+        "topology.classifier": (2 * c, 1),
+        "semantic_table": (cfg.n_semantic_types + 1, c),
+    }
+    for i in range(cfg.layers):
+        p = f"decoder.layers.{i}"
+        for ln in ("masked_ln", "deform_ln", "self_ln", "ffn_ln"):
+            shapes.update(_ln_shapes(f"{p}.{ln}", c))
+        shapes.update(_deform_shapes(f"{p}.deform", c, cfg.heads, cfg.sample_points))
+        shapes[f"{p}.ffn"] = (c, c)
+    for i in range(cfg.sd_layers):
+        p = f"sd.layers.{i}"
+        for ln in ("self_ln", "cross_ln", "ffn_ln"):
+            shapes.update(_ln_shapes(f"{p}.{ln}", c))
+        for deform in ("self_deform", "cross_deform"):
+            shapes.update(
+                _deform_shapes(f"{p}.{deform}", c, cfg.sd_heads, cfg.sd_sample_points)
+            )
+        shapes[f"{p}.ffn"] = (c, c)
+    return shapes
+
+
+def _weight_dims(w: ModelWeights) -> tuple[dict[str, tuple[int, ...]], set[str]]:
+    """The :func:`weight_shapes` view of ``w``, and the names that are MLPs."""
+    tensors, meta = model_weights_to_tensors(w)
+    mlps = meta["mlp_activations"]
+    dims = {}
+    for prefix, acts in mlps.items():
+        first, last = tensors[f"{prefix}.0.w"], tensors[f"{prefix}.{len(acts) - 1}.w"]
+        dims[prefix] = (first.shape[1], last.shape[0])
+        for i in range(len(acts)):
+            del tensors[f"{prefix}.{i}.w"], tensors[f"{prefix}.{i}.b"]
+    dims.update((name, tuple(np.shape(t))) for name, t in tensors.items())
+    return dims, set(mlps)
+
+
+def check_weights(cfg: PipelineConfig, w: ModelWeights) -> None:
+    """Raise one ValueError naming the first weight (by file name) that does
+    not fit ``cfg``: a tensor shape or MLP in/out dims that differ from
+    :func:`weight_shapes`, or a weight that one side lacks."""
+    found, mlps = _weight_dims(w)
+    expected = weight_shapes(cfg)
+    for name in sorted(found.keys() | expected.keys()):
+        what = "in/out dims" if name in mlps else "shape"
+        if name not in found:
+            raise ValueError(f"weights lack {name}, config expects {what} {expected[name]}")
+        if name not in expected:
+            raise ValueError(f"weights {name} has {what} {found[name]}, config expects none")
+        if found[name] != expected[name]:
+            raise ValueError(
+                f"weights {name} has {what} {found[name]}, config expects {expected[name]}"
+            )
+
+
 # --- flat named-tensor serialization ---------------------------------------
 
 
@@ -368,11 +459,17 @@ def save_model_weights(w: ModelWeights, path: str | Path) -> None:
 
 
 def load_model_weights(path: str | Path) -> ModelWeights:
+    """Read a :func:`save_model_weights` file; an unreadable path raises
+    OSError, a malformed document one ValueError."""
     blob = json.loads(Path(path).read_text())
-    if blob.get("format") != WEIGHTS_FORMAT:
-        raise ValueError(f"unsupported weights format: {blob.get('format')!r}")
-    tensors = {}
-    for name, entry in blob["tensors"].items():
-        raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-        tensors[name] = raw.reshape(entry["shape"]).astype(np.float64)
-    return model_weights_from_tensors(tensors, blob["meta"])
+    fmt = blob.get("format") if isinstance(blob, dict) else None
+    if fmt != WEIGHTS_FORMAT:
+        raise ValueError(f"unsupported weights format: {fmt!r}")
+    try:
+        tensors = {}
+        for name, entry in blob["tensors"].items():
+            raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+            tensors[name] = raw.reshape(entry["shape"]).astype(np.float64)
+        return model_weights_from_tensors(tensors, blob["meta"])
+    except KeyError as exc:
+        raise ValueError(f"weights document lacks key {exc.args[0]!r}") from None

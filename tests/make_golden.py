@@ -1,0 +1,75 @@
+"""Write ``tests/data/golden_desk.npz``, the behaviour pin of the desk pipeline.
+
+For each seed in :data:`SEEDS` and each valid ``{pgm, pmf, sd}`` combination,
+the desk configuration (with that seed) runs once on ``synth_scene(seed)``
+with ``init_model_weights(cfg)``. The file stores, per run, the prediction
+points, scores and adjacency; the column and row readouts' coords, existence
+and direction; the per-instance row and column sums of the mask logits; and
+the report's DET_l, TOP_ll and AP_l. ``tests/test_pipeline.py`` compares a
+fresh run with it at ``atol=1e-9``.
+
+Regenerate only when a change is meant to alter these outputs, and say why
+in CHANGES.md::
+
+    PYTHONPATH=src python tests/make_golden.py
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from lanetopo.config import PipelineConfig
+from lanetopo.pipeline import run_pipeline
+from lanetopo.scene import synth_scene
+from lanetopo.weights import init_model_weights
+
+GOLDEN_PATH = Path(__file__).with_name("data") / "golden_desk.npz"
+SEEDS = (0, 5)
+COMBOS = tuple(
+    (pgm, pmf, sd)
+    for pgm in (False, True)
+    for pmf in (False, True)
+    for sd in (False, True)
+    if pgm or not pmf
+)
+
+
+def run_key(seed: int, pgm: bool, pmf: bool, sd: bool) -> str:
+    return f"s{seed}_pgm{int(pgm)}_pmf{int(pmf)}_sd{int(sd)}"
+
+
+def golden_arrays(seed: int, pgm: bool, pmf: bool, sd: bool) -> dict[str, np.ndarray]:
+    """The pinned quantities of one desk run, keyed ``<run_key>/<name>``."""
+    cfg = PipelineConfig.desk(seed=seed, pgm=pgm, pmf=pmf, sd=sd)
+    result = run_pipeline(synth_scene(seed), cfg, init_model_weights(cfg))
+    out = result.outputs
+    arrays = {
+        "points": np.stack([p.points.pts for p in out.predictions]),
+        "scores": np.array([p.score for p in out.predictions]),
+        "adjacency": np.asarray(out.adjacency),
+        "mask_row_sums": out.mask_logits.sum(axis=2),
+        "mask_col_sums": out.mask_logits.sum(axis=1),
+        "report": np.array([result.report.det_l, result.report.top_ll, result.report.ap_l]),
+    }
+    for side, readouts in (("col", out.col_readouts), ("row", out.row_readouts)):
+        arrays[f"{side}_coords"] = np.stack([r.coords for r in readouts])
+        arrays[f"{side}_existence"] = np.stack([r.existence for r in readouts])
+        arrays[f"{side}_direction"] = np.array([r.direction for r in readouts])
+    key = run_key(seed, pgm, pmf, sd)
+    return {f"{key}/{name}": np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+
+
+def main() -> None:
+    arrays = {}
+    for seed in SEEDS:
+        for combo in COMBOS:
+            arrays.update(golden_arrays(seed, *combo))
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    np.savez_compressed(GOLDEN_PATH, **arrays)
+    print(f"wrote {len(arrays)} arrays to {GOLDEN_PATH} ({GOLDEN_PATH.stat().st_size} bytes)")
+
+
+if __name__ == "__main__":
+    main()

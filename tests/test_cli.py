@@ -6,6 +6,7 @@ import pytest
 
 from lanetopo.cli import main
 from lanetopo.config import PipelineConfig
+from lanetopo.weights import init_model_weights, save_model_weights
 
 
 @pytest.fixture()
@@ -219,4 +220,126 @@ def test_scene_with_a_non_binary_adjacency_exits_2(tmp_path, desk_config_path, c
     assert main(argv + ["--config", desk_config_path]) == 2
     err = capsys.readouterr().err
     assert err == "invalid scene file: adjacency entries must be 0 or 1\n"
+    assert not out.exists()
+
+
+def _one_line_error(capsys, prefix: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"format": "x"}', "unsupported weights format: 'x'"),
+        ("{not json", "Expecting property name"),
+        ('{"format": "lanetopo-weights-v1"}', "weights document lacks key 'tensors'"),
+        (None, "No such file or directory"),
+    ],
+    ids=["foreign-format", "malformed-json", "missing-key", "missing-path"],
+)
+def test_run_rejects_a_bad_weights_file(tmp_path, desk_config_path, capsys, content, message):
+    scene = tmp_path / "scene.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    if content is not None:
+        weights.write_text(content)
+    capsys.readouterr()
+    code = main(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert code == 2
+    assert message in _one_line_error(capsys, "invalid weights file: ")
+    assert not pred.exists()
+
+
+def test_run_rejects_weights_that_do_not_fit_the_config(tmp_path, desk_config_path, capsys):
+    scene = tmp_path / "scene.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    save_model_weights(init_model_weights(PipelineConfig.desk(n_real=8)), weights)
+    capsys.readouterr()
+    code = main(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert code == 2
+    err = _one_line_error(capsys, "invalid weights file: ")
+    assert "decoder.init_ref_logits has shape (24, 2), config expects (32, 2)" in err
+    assert not pred.exists()
+
+
+def test_run_accepts_weights_that_fit_the_config(tmp_path, desk_config_path):
+    scene = tmp_path / "scene.json"
+    weights = tmp_path / "w.json"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    save_model_weights(init_model_weights(PipelineConfig.load(desk_config_path)), weights)
+    code = main(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--weights", str(weights),
+         "--out", str(tmp_path / "pred.json")]
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("key", ["predictions", "adjacency"])
+def test_eval_names_a_missing_document_key(tmp_path, desk_config_path, capsys, key):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    doc = json.loads(pred.read_text())
+    del doc[key]
+    pred.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    code = main(
+        ["eval", "--pred", str(pred), "--gt", str(scene), "--config", desk_config_path,
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = _one_line_error(capsys, "invalid prediction file: ")
+    assert f"prediction document lacks key '{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+def test_eval_rejects_an_unreadable_prediction_path(tmp_path, desk_config_path, capsys, unreadable):
+    scene = tmp_path / "scene.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    pred = tmp_path / "pred.json"
+    if unreadable == "directory":
+        pred.mkdir()
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    code = main(
+        ["eval", "--pred", str(pred), "--gt", str(scene), "--config", desk_config_path,
+         "--out", str(out)]
+    )
+    assert code == 2
+    _one_line_error(capsys, "invalid prediction file: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_scene_missing_a_key_exits_2(tmp_path, desk_config_path, capsys, command):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    doc = json.loads(scene.read_text())
+    del doc["sd_instances"]
+    scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    if command == "run":
+        argv = ["run", "--scene", str(scene), "--out", str(out)]
+    else:
+        argv = ["eval", "--pred", str(pred), "--gt", str(scene), "--out", str(out)]
+    assert main(argv + ["--config", desk_config_path]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid scene file: scene document lacks key 'sd_instances'\n"
     assert not out.exists()

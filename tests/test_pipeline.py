@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
+from lanetopo import pipeline
 from lanetopo.bev import MlpWeights
 from lanetopo.config import ConfigError, PipelineConfig
 from lanetopo.geometry import resample_polyline
@@ -18,11 +19,29 @@ from lanetopo.pipeline import (
     dump_predictions_json,
     evaluate_outputs,
     evaluate_prediction_file,
+    fuse,
+    infer,
     run_pipeline,
     save_predictions,
+    sd_features,
 )
-from lanetopo.scene import SceneParams, load_scene, save_scene, synth_scene
-from lanetopo.weights import init_model_weights, load_model_weights, save_model_weights
+from lanetopo.scene import (
+    SceneParams,
+    load_scene,
+    render_bev_features,
+    render_gt_masks,
+    save_scene,
+    synth_scene,
+)
+from lanetopo.weights import (
+    _weight_dims,
+    check_weights,
+    init_model_weights,
+    load_model_weights,
+    save_model_weights,
+    weight_shapes,
+)
+from make_golden import COMBOS, GOLDEN_PATH, SEEDS, golden_arrays, run_key
 
 
 def desk_cfg(**overrides) -> PipelineConfig:
@@ -136,6 +155,126 @@ class TestOracleWeights:
         assert result.report.det_l == 1.0
         lane_scores = [result.outputs.predictions[i].score for i in range(3)]
         assert min(lane_scores) > 0.99
+
+
+class TestGoldenFixture:
+    """Fresh desk runs against tests/data/golden_desk.npz (see make_golden.py)."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with np.load(GOLDEN_PATH) as data:
+            return dict(data)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("combo", COMBOS, ids=lambda c: "pgm%d_pmf%d_sd%d" % c)
+    def test_run_matches_fixture(self, golden, seed, combo):
+        fresh = golden_arrays(seed, *combo)
+        prefix = run_key(seed, *combo) + "/"
+        assert set(fresh) == {k for k in golden if k.startswith(prefix)}
+        for key, value in fresh.items():
+            np.testing.assert_allclose(value, golden[key], rtol=0, atol=1e-9, err_msg=key)
+
+    def test_fixture_stays_small(self):
+        assert GOLDEN_PATH.stat().st_size <= 2_000_000
+
+
+def ablation_rows_per_run(scene, cfg, weights):
+    """Reference ablation grid: one whole run_pipeline per combination."""
+    rows = []
+    for pgm in (False, True):
+        for pmf in (False, True):
+            for sd in (False, True):
+                row = {"pgm": pgm, "pmf": pmf, "sd": sd}
+                run_cfg = PipelineConfig.from_dict(
+                    {**cfg.to_dict(), "pgm": pgm, "pmf": pmf, "sd": sd}
+                )
+                try:
+                    result = run_pipeline(scene, run_cfg, weights)
+                except ConfigError as exc:
+                    row["error"] = str(exc)
+                else:
+                    row["det_l"] = result.report.det_l
+                    row["top_ll"] = result.report.top_ll
+                    row["ap_l"] = result.report.ap_l
+                rows.append(row)
+    return rows
+
+
+def assert_outputs_equal(a, b):
+    assert len(a.predictions) == len(b.predictions)
+    for p, q in zip(a.predictions, b.predictions):
+        assert np.array_equal(p.points.pts, q.points.pts)
+        assert (p.score, p.is_real) == (q.score, q.is_real)
+        assert np.array_equal(p.query, q.query)
+    assert np.array_equal(a.adjacency, b.adjacency)
+    assert np.array_equal(a.mask_logits, b.mask_logits)
+    assert a.grid == b.grid
+    for ra, rb in zip(a.col_readouts + a.row_readouts, b.col_readouts + b.row_readouts):
+        assert ra.axis == rb.axis and ra.direction == rb.direction
+        assert np.array_equal(ra.coords, rb.coords)
+        assert np.array_equal(ra.existence, rb.existence)
+
+
+class TestStages:
+    @pytest.mark.parametrize(
+        "scene_seed, shape", [(40, (1, 0)), (41, (2, 0)), (42, (1, 1))], ids=str
+    )
+    def test_ablation_grid_equals_one_run_per_row(self, monkeypatch, scene_seed, shape):
+        """Rows, and the outputs and GT masks each row is scored on, equal the
+        one-run-per-row reference. Random weights score 0 or 1 on every row,
+        so the rows alone would not show a wrong shared stage."""
+        scored = []
+        real_evaluate = pipeline.evaluate_outputs
+
+        def recording_evaluate(outputs, scene, cfg, gt_masks=None):
+            scored.append(((cfg.pgm, cfg.pmf, cfg.sd), outputs, gt_masks))
+            return real_evaluate(outputs, scene, cfg, gt_masks)
+
+        monkeypatch.setattr(pipeline, "evaluate_outputs", recording_evaluate)
+        cfg = desk_cfg()
+        scene = synth_scene(scene_seed, SceneParams(n_lanes=shape[0], intersections=shape[1]))
+        w = init_model_weights(cfg)
+        rows = ablation_grid(scene, cfg, w)
+        staged = {combo: (outputs, gt_masks) for combo, outputs, gt_masks in scored}
+        scored.clear()
+        assert rows == ablation_rows_per_run(scene, cfg, w)
+        per_run = {combo: outputs for combo, outputs, _ in scored}
+
+        assert staged.keys() == per_run.keys() and len(staged) == 6
+        assert sum(sd for _, _, sd in staged) == 3
+        gt = render_gt_masks(scene, cfg.grid)
+        for combo, (outputs, gt_masks) in staged.items():
+            assert_outputs_equal(outputs, per_run[combo])
+            assert np.array_equal(np.stack(gt_masks), gt)
+
+    @pytest.mark.parametrize("sd", [False, True])
+    def test_run_pipeline_is_fuse_of_infer(self, sd):
+        cfg = desk_cfg(sd=sd)
+        scene = synth_scene(43)
+        w = init_model_weights(cfg)
+        bev = render_bev_features(scene, cfg, cfg.noise_sigma)
+        staged = fuse(infer(sd_features(bev, scene, w) if sd else bev, cfg, w), cfg)
+        assert_outputs_equal(run_pipeline(scene, cfg, w).outputs, staged)
+
+    def test_fuse_leaves_its_input_unchanged(self):
+        cfg = desk_cfg()
+        w = init_model_weights(cfg)
+        inferred = infer(render_bev_features(synth_scene(44), cfg, cfg.noise_sigma), cfg, w)
+        before = [p.points.pts.copy() for p in inferred.predictions]
+        fused = fuse(inferred, cfg)
+        assert all(
+            np.array_equal(p.points.pts, pts) for p, pts in zip(inferred.predictions, before)
+        )
+        moved = [
+            not np.array_equal(p.points.pts, q.points.pts)
+            for p, q in zip(inferred.predictions, fused.predictions)
+        ]
+        assert any(moved), "fusion refined no prediction, so the check above is vacuous"
+
+    def test_ablation_grid_rejects_mismatched_weights_first(self):
+        cfg = desk_cfg()
+        with pytest.raises(ValueError, match="config expects"):
+            ablation_grid(synth_scene(45), cfg, init_model_weights(desk_cfg(n_real=8)))
 
 
 class TestAblationGrid:
@@ -307,6 +446,25 @@ class TestPredictionFileValidation:
         report = self.evaluate_edited(saved, tmp_path, lambda doc: None)
         assert np.isfinite([report.det_l, report.top_ll, report.ap_l]).all()
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda doc: doc.pop("predictions"), "predictions"),
+            (lambda doc: doc.pop("adjacency"), "adjacency"),
+            (lambda doc: doc["predictions"][3].pop("score"), "score"),
+            (lambda doc: doc["masks"].pop("instances"), "instances"),
+        ],
+    )
+    def test_missing_key_is_named(self, saved, tmp_path, edit, key):
+        with pytest.raises(ValueError, match=f"prediction document lacks key '{key}'"):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="not a recognized predictions document"):
+            evaluate_prediction_file(path, synth_scene(34), desk_cfg())
+
     def test_empty_prediction_set_is_valid(self, saved, tmp_path):
         def edit(doc):
             doc["predictions"], doc["adjacency"] = [], []
@@ -314,6 +472,38 @@ class TestPredictionFileValidation:
 
         report = self.evaluate_edited(saved, tmp_path, edit)
         assert (report.det_l, report.top_ll, report.ap_l) == (0.0, 0.0, 0.0)
+
+
+class TestCheckWeights:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"layers": 3, "sd_layers": 2, "k": 7}, {"n_virtual": 0, "heads": 4, "grid_h": 20}],
+    )
+    def test_shape_table_matches_initialization(self, overrides):
+        cfg = desk_cfg(**overrides)
+        w = init_model_weights(cfg)
+        assert _weight_dims(w)[0] == weight_shapes(cfg)
+        check_weights(cfg, w)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_real": 8},
+             r"decoder\.init_ref_logits has shape \(24, 2\), config expects \(32, 2\)"),
+            ({"layers": 3}, r"decoder\.layers\.2\.\S+ has shape .*, config expects none"),
+            ({"layers": 1}, r"weights lack decoder\.layers\.1\.\S+, config expects shape"),
+            ({"k": 5},
+             r"decoder\.points_head has in/out dims \(32, 15\), config expects \(32, 33\)"),
+            ({"grid_h": 40}, r"mask_head\.exist_col has in/out dims \(4000, 100\)"),
+        ],
+    )
+    def test_mismatch_names_tensor_and_both_shapes(self, overrides, message):
+        cfg = desk_cfg()
+        w = init_model_weights(desk_cfg(**overrides))
+        with pytest.raises(ValueError, match=message):
+            check_weights(cfg, w)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(synth_scene(46), cfg, w)
 
 
 class TestWeightsFile:

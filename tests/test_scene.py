@@ -114,6 +114,60 @@ class TestSceneJson:
         with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
             scene_from_dict(doc)
 
+    def test_fractional_adjacency_rejected_before_the_int_cast(self):
+        doc = scene_to_dict(synth_scene(14))
+        assert sum(map(sum, doc["adjacency"])) > 0
+        doc["adjacency"] = [[0.7 * v for v in row] for row in doc["adjacency"]]
+        with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+            scene_from_dict(doc)
+
+    def test_non_numeric_adjacency_rejected(self):
+        doc = scene_to_dict(synth_scene(14, SceneParams(n_lanes=1, intersections=0)))
+        doc["adjacency"] = [["1"]]
+        with pytest.raises(ValueError, match="adjacency must hold numbers"):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["sd_instances"][0].update(semantic_type=1.5),
+             r"sd_instances\[0\]\.semantic_type must be an integer, got 1\.5"),
+            (lambda d: d["sd_instances"][1].update(semantic_type="2"),
+             r"sd_instances\[1\]\.semantic_type must be an integer"),
+            (lambda d: d.update(seed=2.5), "seed must be an integer, got 2.5"),
+            (lambda d: d.update(seed=True), "seed must be an integer, got True"),
+        ],
+    )
+    def test_non_integral_ids_rejected(self, edit, message):
+        doc = scene_to_dict(synth_scene(15))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            scene_from_dict(doc)
+
+    def test_whole_float_ids_load_as_ints(self):
+        scene = synth_scene(15)
+        doc = scene_to_dict(scene)
+        doc["seed"] = float(doc["seed"])
+        doc["sd_instances"][0]["semantic_type"] = float(doc["sd_instances"][0]["semantic_type"])
+        assert dump_scene_json(scene_from_dict(doc)) == dump_scene_json(scene)
+
+    @pytest.mark.parametrize("key", ["centerlines", "adjacency", "sd_instances", "seed"])
+    def test_missing_key_is_named(self, key):
+        doc = scene_to_dict(synth_scene(16))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"scene document lacks key '{key}'"):
+            scene_from_dict(doc)
+
+    def test_missing_nested_key_is_named(self):
+        doc = scene_to_dict(synth_scene(16))
+        del doc["centerlines"][0]["is_real"]
+        with pytest.raises(ValueError, match="scene document lacks key 'is_real'"):
+            scene_from_dict(doc)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="not a recognized scene document"):
+            scene_from_dict([1, 2])
+
 
 class TestRenderBev:
     def test_empty_scene_all_zero(self):
