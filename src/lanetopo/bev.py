@@ -159,8 +159,10 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(v, axis=axis, keepdims=True)
     if np.any(np.isneginf(m)):
         raise ValueError("softmax over a fully masked row")
-    e = np.exp(v - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = v - m
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 @dataclass

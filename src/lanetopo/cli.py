@@ -21,6 +21,7 @@ from .pipeline import (
     ablation_grid,
     dump_predictions_json,
     evaluate_prediction_file,
+    load_predictions,
     run_pipeline,
     save_predictions,
 )
@@ -50,8 +51,25 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+class _InvalidInput(Exception):
+    """A file argument that cannot be read or parsed: (what, the error)."""
+
+
+def _read(what: str, loader, *args):
+    """``loader(*args)``, an OSError or ValueError raised as _InvalidInput."""
+    try:
+        return loader(*args)
+    except (OSError, ValueError) as exc:
+        raise _InvalidInput(what, exc) from None
+
+
+def _invalid_input(what: str, exc: OSError | ValueError) -> int:
+    print(f"invalid {what}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_config(path: str | None) -> PipelineConfig:
-    return PipelineConfig.load(path) if path else PipelineConfig()
+    return _read("config file", PipelineConfig.load, path) if path else PipelineConfig()
 
 
 def _apply_toggles(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -82,7 +100,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_render_bev(args) -> int:
-    scene = load_scene(args.scene)
+    scene = _read("scene file", load_scene, args.scene)
     cfg = _load_config(args.config)
     noise = cfg.noise_sigma if args.noise is None else args.noise
     grid = render_bev_features(scene, cfg, noise)
@@ -91,29 +109,15 @@ def _cmd_render_bev(args) -> int:
     return 0
 
 
-def _invalid_input(what: str, exc: OSError | ValueError) -> int:
-    print(f"invalid {what}: {exc}", file=sys.stderr)
-    return 2
-
-
 def _cmd_run(args) -> int:
-    try:
-        scene = load_scene(args.scene)
-    except (OSError, ValueError) as exc:
-        return _invalid_input("scene file", exc)
+    scene = _read("scene file", load_scene, args.scene)
     cfg = _apply_toggles(_load_config(args.config), args)
     if args.weights:
-        try:
-            weights = load_model_weights(args.weights)
-            check_weights(cfg, weights)
-        except (OSError, ValueError) as exc:
-            return _invalid_input("weights file", exc)
+        weights = _read("weights file", load_model_weights, args.weights)
+        _read("weights file", check_weights, cfg, weights)
     else:
         weights = init_model_weights(cfg)
-    try:
-        bev = load_bev(args.bev, cfg.grid) if args.bev else None
-    except (OSError, ValueError) as exc:
-        return _invalid_input("BEV file", exc)
+    bev = _read("BEV file", load_bev, args.bev, cfg.grid) if args.bev else None
     try:
         result = run_pipeline(scene, cfg, weights, bev=bev)
     except ConfigError as exc:
@@ -130,15 +134,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        scene = load_scene(args.gt)
-    except (OSError, ValueError) as exc:
-        return _invalid_input("scene file", exc)
+    scene = _read("scene file", load_scene, args.gt)
     cfg = _load_config(args.config)
-    try:
-        report = evaluate_prediction_file(args.pred, scene, cfg)
-    except (OSError, ValueError) as exc:
-        return _invalid_input("prediction file", exc)
+    report = _read("prediction file", evaluate_prediction_file, args.pred, scene, cfg)
     report.save(_out_path(args.out))
     print(
         f"DET_l={report.det_l:.4f} TOP_ll={report.top_ll:.4f} AP_l={report.ap_l:.4f}"
@@ -147,24 +145,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_viz(args) -> int:
-    scene = load_scene(args.scene)
+    scene = _read("scene file", load_scene, args.scene)
     predictions = None
     if args.pred:
-        import json
-
-        from .decoder import CenterlinePrediction
-        from .geometry import Polyline
-
-        doc = json.loads(Path(args.pred).read_text())
+        lines, scores, is_real, _, _ = _read("prediction file", load_predictions, args.pred)
         predictions = [
-            CenterlinePrediction(
-                points=Polyline(np.array(p["points"])),
-                score=float(p["score"]),
-                is_real=bool(p["is_real"]),
-                query=np.zeros(1),
-            )
-            for p in doc["predictions"]
-            if p["score"] >= args.min_score
+            (line, real) for line, score, real in zip(lines, scores, is_real)
+            if score >= args.min_score
         ]
     _out_path(args.out).write_text(render_svg(scene, predictions))
     print(f"wrote {args.out}")
@@ -278,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InvalidInput as bad:
+        return _invalid_input(*bad.args)
 
 
 if __name__ == "__main__":

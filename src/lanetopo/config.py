@@ -150,4 +150,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> PipelineConfig:
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        d = json.loads(Path(path).read_text())
+        if not isinstance(d, dict):
+            raise ConfigError("a config document must be a JSON object")
+        return cls.from_dict(d)

@@ -28,8 +28,6 @@ from .geometry import Polyline
 from .points_mask import encode_mask_query, generate_mask
 from .weights import DeformableWeights, ModelWeights
 
-NEG_INF = -np.inf
-
 
 @dataclass
 class QuerySet:
@@ -75,15 +73,18 @@ def masked_cross_attention(
 ):
     """Attend from each query to the BEV cells allowed by its mask row.
 
-    Scores are ``q @ cells^T + m`` with mask entries in {0, -inf}; the
-    attention output is added residually and layer-normalized.
+    ``m`` is a boolean (n_queries, h*w) keep matrix. Scores are
+    ``q @ cells^T`` where kept and -inf elsewhere; the attention output is
+    added residually and layer-normalized.
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
         raise ValueError("query and BEV channel dimensions differ")
-    if m.shape != (q.shape[0], cells.shape[0]):
-        raise ValueError(f"mask must be (n_queries, h*w), got {m.shape}")
-    weights = softmax(q @ cells.T + m, axis=-1)
+    if m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool:
+        raise ValueError(f"mask must be boolean (n_queries, h*w), got {m.dtype} {m.shape}")
+    scores = q @ cells.T
+    np.copyto(scores, -np.inf, where=~m)
+    weights = softmax(scores, axis=-1)
     out = q + weights @ cells
     if ln is not None:
         out = layer_norm(out, ln)
@@ -202,20 +203,17 @@ def deformable_cross_attention(
 def attention_mask_from_instance_masks(
     mask_logits: np.ndarray, threshold: float = 0.5
 ) -> np.ndarray:
-    """Build {0, -inf} attention masks from per-query instance mask logits.
+    """Boolean (n, h*w) keep matrix from (n, h, w) instance mask logits.
 
     Cells with sigmoid(logit) >= threshold stay attendable; a row that would
-    be fully masked falls back to attending everywhere.
+    be fully masked falls back to attending everywhere (all True).
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
     logits = np.asarray(mask_logits, dtype=np.float64)
-    n = logits.shape[0]
-    probs = sigmoid(logits).reshape(n, -1)
-    m = np.where(probs >= threshold, 0.0, NEG_INF)
-    fully_masked = ~np.any(m == 0.0, axis=1)
-    m[fully_masked] = 0.0
-    return m
+    keep = sigmoid(logits).reshape(logits.shape[0], -1) >= threshold
+    keep[~keep.any(axis=1)] = True
+    return keep
 
 
 def points_from_queries(
@@ -237,16 +235,15 @@ def instance_mask_logits(
     b: BevGrid,
     weights: ModelWeights,
     points_guided: bool,
-) -> np.ndarray:
-    """Mask logits for every query, points-guided or from the query alone."""
-    masks = np.empty((q.shape[0], b.h, b.w))
-    for i in range(q.shape[0]):
-        if points_guided:
-            q_prime = encode_mask_query(q[i], Polyline(pts[i]), weights.mask_head)
-        else:
-            q_prime = mlp_forward(weights.mask_head.query_mlp, q[i])
-        masks[i] = generate_mask(b, q_prime)
-    return masks
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mask logits (n, h, w) for the n queries ``q`` (n, c) and the mask
+    queries q' (n, c) they come from: points-guided from ``pts`` (n, k, 3),
+    or from the query alone. q' is computed in one batched MLP pass and the
+    logits in one GEMM.
+    """
+    mh = weights.mask_head
+    q_prime = encode_mask_query(q, pts, mh) if points_guided else mlp_forward(mh.query_mlp, q)
+    return generate_mask(b, q_prime), q_prime
 
 
 def decoder_forward(
@@ -271,7 +268,7 @@ def decoder_forward(
     n_r = qr.shape[0]
     hw = b.h * b.w
     refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1, b.w - 1], dtype=np.float64)
-    attn_mask = np.zeros((qr.shape[0] + qv.shape[0], hw))
+    attn_mask = np.ones((qr.shape[0] + qv.shape[0], hw), dtype=bool)
     q = None
     for li, lw in enumerate(dec.layers):
         q = np.concatenate([qr, qv], axis=0)
@@ -291,7 +288,7 @@ def decoder_forward(
         if li < cfg.layers - 1:
             centroids = pts[:, :, :2].mean(axis=1)
             refs = b.spec.metric_to_cell(centroids)
-            mask_logits = instance_mask_logits(q, pts, b, weights, cfg.pgm)
+            mask_logits, _ = instance_mask_logits(q, pts, b, weights, cfg.pgm)
             attn_mask = attention_mask_from_instance_masks(mask_logits, cfg.mask_threshold)
     scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
     preds = [

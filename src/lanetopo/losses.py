@@ -99,15 +99,6 @@ def bce_grad(pred, target) -> np.ndarray:
     return (-target / pred + (1.0 - target) / (1.0 - pred)) / pred.size
 
 
-def elementwise_loss(pred, target, kind: str) -> float:
-    """Mean L1 or mean binary cross-entropy, by name."""
-    if kind == "l1":
-        return l1_loss(pred, target)
-    if kind == "bce":
-        return bce_loss(pred, target)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 # --- bipartite matching ---------------------------------------------------------
 
 

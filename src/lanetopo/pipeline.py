@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, mlp_forward, sigmoid, sinusoidal_pe_2d
+from .bev import BevGrid, GridSpec, sigmoid, sinusoidal_pe_2d
 from .config import ConfigError, PipelineConfig
-from .decoder import CenterlinePrediction, QuerySet, decoder_forward, instance_mask_logits
+from .decoder import QuerySet, decoder_forward, instance_mask_logits
 from .geometry import Polyline
 from .losses import ModelOutputs
 from .metrics import EvalReport, _frechet_matrix, det_l, mask_ap, top_ll
@@ -20,7 +20,6 @@ from .points_mask import (
     AXIS_COLUMNS,
     AXIS_ROWS,
     MaskPointReadout,
-    encode_mask_query,
     fuse_points,
     predict_direction,
     predict_existence,
@@ -43,37 +42,24 @@ class PipelineResult:
 
 
 def _readouts(
-    q: np.ndarray,
-    mask_logits: np.ndarray,
-    preds: list[CenterlinePrediction],
-    weights: ModelWeights,
-    cfg: PipelineConfig,
+    q_prime: np.ndarray, mask_logits: np.ndarray, weights: ModelWeights
 ) -> tuple[list[MaskPointReadout], list[MaskPointReadout]]:
+    """Column and row readouts of every instance: each coordinate, existence
+    and direction head runs once over all n instances."""
     mh = weights.mask_head
-    cols, rows = [], []
-    for i, pred in enumerate(preds):
-        if cfg.pgm:
-            q_prime = encode_mask_query(q[i], pred.points, mh)
-        else:
-            q_prime = mlp_forward(mh.query_mlp, q[i])
-        m = mask_logits[i]
-        cols.append(
-            MaskPointReadout(
-                axis=AXIS_COLUMNS,
-                coords=sample_mask_points(m, AXIS_COLUMNS),
-                existence=predict_existence(m, mh.exist_col, AXIS_COLUMNS),
-                direction=predict_direction(q_prime, mh.dir_col),
-            )
-        )
-        rows.append(
-            MaskPointReadout(
-                axis=AXIS_ROWS,
-                coords=sample_mask_points(m, AXIS_ROWS),
-                existence=predict_existence(m, mh.exist_row, AXIS_ROWS),
-                direction=predict_direction(q_prime, mh.dir_row),
-            )
-        )
-    return cols, rows
+    readouts = []
+    for axis, exist, direction in (
+        (AXIS_COLUMNS, mh.exist_col, mh.dir_col),
+        (AXIS_ROWS, mh.exist_row, mh.dir_row),
+    ):
+        coords = sample_mask_points(mask_logits, axis)
+        existence = predict_existence(mask_logits, exist, axis)
+        directions = predict_direction(q_prime, direction)
+        readouts.append([
+            MaskPointReadout(axis=axis, coords=c, existence=e, direction=float(d))
+            for c, e, d in zip(coords, existence, directions)
+        ])
+    return readouts[0], readouts[1]
 
 
 def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
@@ -88,7 +74,8 @@ def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
 def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutputs:
     """Decoder, topology, mask logits and readouts on a feature grid.
 
-    Stops before fusion. Reads the ``pgm``, ``hybrid_attention`` and
+    The final layer's mask queries q' are computed once, for all queries, and
+    feed both the mask logits and the direction heads. Stops before fusion. Reads the ``pgm``, ``hybrid_attention`` and
     ``rvs_self_attention`` toggles, not ``sd`` or ``pmf``: an SD-map run
     passes the grid from :func:`sd_features`.
     """
@@ -102,8 +89,8 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
     )
     adjacency = predict_topology(enhanced, weights.topology.classifier)
 
-    mask_logits = instance_mask_logits(q, decoder_points, b, weights, cfg.pgm)
-    col_readouts, row_readouts = _readouts(q, mask_logits, preds, weights, cfg)
+    mask_logits, q_prime = instance_mask_logits(q, decoder_points, b, weights, cfg.pgm)
+    col_readouts, row_readouts = _readouts(q_prime, mask_logits, weights)
     return ModelOutputs(
         predictions=preds,
         adjacency=adjacency,
@@ -296,44 +283,55 @@ def _numeric_field(values, field: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _parse_predictions(doc: dict, grid: GridSpec):
-    """Lines, scores, adjacency and masks (None when the document has none)
-    of a predictions document, or a ValueError naming the bad field."""
-    lines = []
-    for i, p in enumerate(doc["predictions"]):
-        try:
-            lines.append(Polyline(np.array(p["points"])))
-        except ValueError as exc:
-            raise ValueError(f"predictions[{i}].points: {exc}") from None
-    n = len(lines)
-    scores = _numeric_field([p["score"] for p in doc["predictions"]], "predictions[].score", (n,))
-    adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
-    pred_masks = None
-    if "masks" in doc:
-        h, w = doc["masks"]["h"], doc["masks"]["w"]
-        if (grid.h, grid.w) != (h, w):
-            raise ValueError("prediction masks do not match the configured grid")
-        if len(doc["masks"]["instances"]) != n:
-            raise ValueError(f"masks.instances must hold {n} masks, one per prediction")
-        pred_masks = [_mask_from_rle(runs, h, w) for runs in doc["masks"]["instances"]]
-    return lines, scores, adjacency, pred_masks
+def load_predictions(pred_path: str | Path, grid: GridSpec | None = None):
+    """Lines, scores, ``is_real`` flags, adjacency and masks of a saved
+    predictions document, validated.
 
-
-def evaluate_prediction_file(
-    pred_path: str | Path, scene: Scene, cfg: PipelineConfig
-) -> EvalReport:
-    """Score a saved prediction document against a scene.
-
-    An unreadable path raises ``OSError``; a malformed document raises one
-    ``ValueError`` naming the bad field or the missing key.
+    The masks are decoded on ``grid`` and checked against it; they are None
+    when the document has none or no grid is given. An unreadable path
+    raises ``OSError``; a malformed document raises one ``ValueError`` naming
+    the bad field or the missing key.
     """
     doc = json.loads(Path(pred_path).read_text())
     if not isinstance(doc, dict) or doc.get("kind") != "lanetopo-predictions":
         raise ValueError("not a recognized predictions document")
     try:
-        lines, scores, adjacency, pred_masks = _parse_predictions(doc, cfg.grid)
+        entries = doc["predictions"]
+        if not isinstance(entries, list):
+            raise ValueError("predictions must be a list")
+        lines, is_real = [], []
+        for i, p in enumerate(entries):
+            if not isinstance(p, dict):
+                raise ValueError(f"predictions[{i}] must be an object, got {type(p).__name__}")
+            try:
+                lines.append(Polyline(np.array(p["points"])))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"predictions[{i}].points: {exc}") from None
+            if not isinstance(p["is_real"], bool):
+                raise ValueError(f"predictions[{i}].is_real must be true or false")
+            is_real.append(p["is_real"])
+        n = len(lines)
+        scores = _numeric_field([p["score"] for p in entries], "predictions[].score", (n,))
+        adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
+        pred_masks = None
+        if grid is not None and "masks" in doc:
+            h, w = doc["masks"]["h"], doc["masks"]["w"]
+            if (grid.h, grid.w) != (h, w):
+                raise ValueError("prediction masks do not match the configured grid")
+            if len(doc["masks"]["instances"]) != n:
+                raise ValueError(f"masks.instances must hold {n} masks, one per prediction")
+            pred_masks = [_mask_from_rle(runs, h, w) for runs in doc["masks"]["instances"]]
     except KeyError as exc:
         raise ValueError(f"prediction document lacks key {exc.args[0]!r}") from None
+    return lines, scores, np.array(is_real, dtype=bool), adjacency, pred_masks
+
+
+def evaluate_prediction_file(
+    pred_path: str | Path, scene: Scene, cfg: PipelineConfig
+) -> EvalReport:
+    """Score a saved prediction document against a scene; the document is
+    read and validated by :func:`load_predictions` on the configured grid."""
+    lines, scores, _, adjacency, pred_masks = load_predictions(pred_path, cfg.grid)
     gt_masks = None if pred_masks is None else list(render_gt_masks(scene, cfg.grid))
     return score_predictions(lines, scores, adjacency, pred_masks, gt_masks, scene, cfg)
 

@@ -5,7 +5,8 @@ encoding of its predicted points), a dot-product mask head produces H x W
 logits, and a soft-argmax readout regresses one sub-cell point per column
 (and, for near-vertical lanes, one per row). Valid readout points are fused
 back into the regressed polyline by outlier filtering, resampling, and
-index-wise averaging.
+index-wise averaging. Mask queries, logits and readouts take a leading
+instance axis n, so each head runs once over all instances.
 """
 
 from __future__ import annotations
@@ -53,61 +54,73 @@ class MaskPointReadout:
         return int(np.sum(self.existence > threshold))
 
 
-def encode_mask_query(q: np.ndarray, l: Polyline, w: MaskHeadWeights) -> np.ndarray:
-    """Mask query for one instance: positional encoding of its K points plus
-    an encoding of the instance query."""
-    per_point = mlp_forward(w.point_mlp, l.pts)  # (k, c)
-    positional = mlp_forward(w.concat_mlp, per_point.reshape(-1))
-    return positional + mlp_forward(w.query_mlp, np.asarray(q, dtype=np.float64))
+def encode_mask_query(q: np.ndarray, pts: np.ndarray, w: MaskHeadWeights) -> np.ndarray:
+    """Mask queries q' for a batch of instances: a positional encoding of each
+    instance's K points plus an encoding of its query.
+
+    ``q`` is (n, c) and ``pts`` (n, k, 3); the result is (n, c). The point MLP
+    runs on (n, k, 3), the concat MLP on the (n, k * c) per-point features and
+    the query MLP on (n, c). Any leading axes work the same way, none included.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    per_point = mlp_forward(w.point_mlp, pts)  # (..., k, c)
+    positional = mlp_forward(w.concat_mlp, per_point.reshape(*pts.shape[:-2], -1))
+    return positional + mlp_forward(w.query_mlp, q)
 
 
 def generate_mask(b: BevGrid, q_prime: np.ndarray) -> np.ndarray:
-    """Dot-product mask head: per-cell logit = cell feature . mask query."""
+    """Dot-product mask head: per-cell logit = cell feature . mask query.
+
+    ``q_prime`` (n, c) gives (n, h, w) logits from one (n, c) @ (c, h*w) GEMM.
+    """
     q_prime = np.asarray(q_prime, dtype=np.float64)
-    if q_prime.shape != (b.c,):
-        raise ValueError(f"mask query must be ({b.c},), got {q_prime.shape}")
-    return b.data @ q_prime
+    if q_prime.shape[-1:] != (b.c,):
+        raise ValueError(f"mask queries must be (..., {b.c}), got {q_prime.shape}")
+    return (q_prime @ b.flat().T).reshape(*q_prime.shape[:-1], b.h, b.w)
 
 
 def sample_mask_points(m: np.ndarray, axis: str) -> np.ndarray:
-    """Soft-argmax one point per column (or per row) of a mask logit map.
+    """Soft-argmax one point per column (or per row) of mask logit maps.
 
-    Columns axis: coordinate j is sum_r r * softmax(m[:, j]), giving W values
-    in [0, H-1]. Rows axis is the symmetric per-row readout.
+    ``m`` is (n, h, w). Columns axis: coordinate j of instance i is
+    sum_r r * softmax(m[i, :, j])[r], giving (n, w) values in [0, h-1]. Rows
+    axis is the symmetric per-row readout, (n, h).
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("mask must be 2D")
-    h, w = m.shape
+    if m.ndim < 2:
+        raise ValueError("mask must be at least 2D")
+    h, w = m.shape[-2:]
     if axis == AXIS_COLUMNS:
         if h < 2:
             raise ValueError("columns readout needs at least 2 rows")
-        probs = softmax(m, axis=0)
-        return np.arange(h, dtype=np.float64) @ probs
+        return np.arange(h, dtype=np.float64) @ softmax(m, axis=-2)
     if axis == AXIS_ROWS:
         if w < 2:
             raise ValueError("rows readout needs at least 2 columns")
-        probs = softmax(m, axis=1)
-        return probs @ np.arange(w, dtype=np.float64)
+        return softmax(m, axis=-1) @ np.arange(w, dtype=np.float64)
     raise ValueError(f"unknown axis {axis!r}")
 
 
 def predict_existence(m: np.ndarray, phi1, axis: str) -> np.ndarray:
-    """Per-column (or per-row) existence probabilities from the flattened mask."""
+    """Per-column (or per-row) existence probabilities from the flattened masks.
+
+    ``m`` (n, h, w) gives (n, w) for columns or (n, h) for rows: the head is
+    one GEMM over all instances.
+    """
     m = np.asarray(m, dtype=np.float64)
-    h, w = m.shape
+    h, w = m.shape[-2:]
     expected = w if axis == AXIS_COLUMNS else h
     if phi1.in_dim != h * w:
         raise ValueError(f"existence head expects input dim {h * w}, got {phi1.in_dim}")
     if phi1.out_dim != expected:
         raise ValueError(f"existence head for {axis} must output {expected} values")
-    return sigmoid(mlp_forward(phi1, m.reshape(-1)))
+    return sigmoid(mlp_forward(phi1, m.reshape(*m.shape[:-2], h * w)))
 
 
-def predict_direction(q_prime: np.ndarray, phi2) -> float:
-    """Probability that the point order follows the increasing index direction."""
-    out = mlp_forward(phi2, np.asarray(q_prime, dtype=np.float64))
-    return float(sigmoid(out.reshape(-1)[0]))
+def predict_direction(q_prime: np.ndarray, phi2) -> np.ndarray:
+    """Probability that the point order follows the increasing index
+    direction, (n,) for mask queries ``q_prime`` (n, c)."""
+    return sigmoid(mlp_forward(phi2, q_prime)[..., 0])
 
 
 def select_point_set(

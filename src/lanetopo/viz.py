@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoder import CenterlinePrediction
+from .geometry import Polyline
 from .scene import Scene, X_MAX, X_MIN, Y_MAX, Y_MIN
 
 _SCALE = 8.0  # px per meter
@@ -40,9 +40,10 @@ def _arrow(p_from: np.ndarray, p_to: np.ndarray, style: str) -> str:
     return f'<path d="{d}" fill="none" {style}/>'
 
 
-def render_svg(scene: Scene, predictions: list[CenterlinePrediction] | None = None) -> str:
+def render_svg(scene: Scene, predictions: list[tuple[Polyline, bool]] | None = None) -> str:
     """BEV vector drawing: SD strokes, ground truth (solid; virtual in its own
-    stroke), predictions (dashed), and adjacency as end-to-start arrows.
+    stroke), predictions as (line, is_real) pairs (dashed), and adjacency as
+    end-to-start arrows.
 
     Every drawable is a single <path>; the bounds frame is the only <rect>.
     Output is byte-deterministic for identical inputs.
@@ -75,12 +76,12 @@ def render_svg(scene: Scene, predictions: list[CenterlinePrediction] | None = No
                 'stroke="#555" stroke-width="1.2"',
             )
         )
-    for pred in predictions or []:
+    for line, real in predictions or []:
         style = (
             'stroke="#2ca02c" stroke-width="1.6" stroke-dasharray="6 3"'
-            if pred.is_real
+            if real
             else 'stroke="#9467bd" stroke-width="1.6" stroke-dasharray="6 3"'
         )
-        parts.append(_path(pred.points.xy, style))
+        parts.append(_path(line.xy, style))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

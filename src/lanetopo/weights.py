@@ -466,6 +466,8 @@ def load_model_weights(path: str | Path) -> ModelWeights:
     if fmt != WEIGHTS_FORMAT:
         raise ValueError(f"unsupported weights format: {fmt!r}")
     try:
+        if not isinstance(blob["tensors"], dict) or not isinstance(blob["meta"], dict):
+            raise ValueError("weights document tensors and meta must be objects")
         tensors = {}
         for name, entry in blob["tensors"].items():
             raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")

@@ -84,11 +84,11 @@ def test_masked_attention_degeneration():
         grid = BevGrid(rng.normal(size=(h, w, c)), spec)
         q = rng.normal(size=(3, c))
         ln = LayerNormWeights(rng.uniform(0.5, 1.5, c), rng.normal(size=c))
-        masked = masked_cross_attention(q, grid, np.zeros((3, h * w)), ln)
+        masked = masked_cross_attention(q, grid, np.ones((3, h * w), dtype=bool), ln)
         cells = grid.flat()
         plain = layer_norm(q + softmax(q @ cells.T, axis=-1) @ cells, ln)
         assert np.max(np.abs(masked - plain)) < 1e-9
-    report("masked cross-attention degenerates to plain attention at zero mask")
+    report("masked cross-attention degenerates to plain attention at an all-True mask")
 
 
 def test_hungarian_oracle():

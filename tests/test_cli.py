@@ -343,3 +343,103 @@ def test_scene_missing_a_key_exits_2(tmp_path, desk_config_path, capsys, command
     err = capsys.readouterr().err
     assert err == "invalid scene file: scene document lacks key 'sd_instances'\n"
     assert not out.exists()
+
+
+def _predictions_document_with_number_entries(tmp_path, desk_config_path):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    doc = json.loads(pred.read_text())
+    doc["predictions"] = [1, 2]
+    pred.write_text(json.dumps(doc))
+    return scene, pred
+
+
+def test_eval_rejects_non_object_prediction_entries(tmp_path, desk_config_path, capsys):
+    scene, pred = _predictions_document_with_number_entries(tmp_path, desk_config_path)
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    code = main(
+        ["eval", "--pred", str(pred), "--gt", str(scene), "--config", desk_config_path,
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = _one_line_error(capsys, "invalid prediction file: ")
+    assert "predictions[0] must be an object, got int" in err
+    assert not out.exists()
+
+
+def test_viz_validates_the_prediction_file(tmp_path, desk_config_path, capsys):
+    scene, pred = _predictions_document_with_number_entries(tmp_path, desk_config_path)
+    capsys.readouterr()
+    svg = tmp_path / "plot.svg"
+    code = main(["viz", "--scene", str(scene), "--pred", str(pred), "--out", str(svg)])
+    assert code == 2
+    err = _one_line_error(capsys, "invalid prediction file: ")
+    assert "predictions[0] must be an object, got int" in err
+    assert not svg.exists()
+
+
+def test_viz_draws_the_predictions_above_the_score_floor(tmp_path, desk_config_path):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    scores = [p["score"] for p in json.loads(pred.read_text())["predictions"]]
+    floor = sorted(scores)[len(scores) // 2]
+    svg = tmp_path / "plot.svg"
+    bare = tmp_path / "bare.svg"
+    assert main(["viz", "--scene", str(scene), "--out", str(bare)]) == 0
+    argv = ["viz", "--scene", str(scene), "--pred", str(pred), "--out", str(svg)]
+    assert main(argv + ["--min-score", str(floor)]) == 0
+    drawn = svg.read_text().count("stroke-dasharray")
+    assert drawn == sum(s >= floor for s in scores) > 0
+    assert bare.read_text().count("stroke-dasharray") == 0
+
+
+def test_run_rejects_a_weights_file_whose_tensors_are_a_list(tmp_path, desk_config_path, capsys):
+    scene = tmp_path / "scene.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    weights.write_text('{"format": "lanetopo-weights-v1", "tensors": [], "meta": {}}')
+    capsys.readouterr()
+    code = main(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert code == 2
+    err = _one_line_error(capsys, "invalid weights file: ")
+    assert "tensors and meta must be objects" in err
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["malformed-json", "list"])
+@pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
+def test_a_bad_config_file_exits_2(tmp_path, desk_config_path, capsys, command, content):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    config = tmp_path / "bad-config.json"
+    config.write_text(content)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {
+        "run": ["run", "--scene", str(scene)],
+        "eval": ["eval", "--pred", str(pred), "--gt", str(scene)],
+        "render-bev": ["render-bev", "--scene", str(scene)],
+    }[command]
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    _one_line_error(capsys, "invalid config file: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["viz", "render-bev"])
+def test_a_missing_scene_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out.svg"
+    code = main([command, "--scene", str(tmp_path / "missing.json"), "--out", str(out)])
+    assert code == 2
+    assert "No such file or directory" in _one_line_error(capsys, "invalid scene file: ")
+    assert not out.exists()

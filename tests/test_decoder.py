@@ -44,7 +44,7 @@ class TestMaskedCrossAttention:
         for _ in range(100):
             g = unit_grid(rng)
             q = rng.normal(size=(3, g.c))
-            m = np.zeros((3, g.h * g.w))
+            m = np.ones((3, g.h * g.w), dtype=bool)
             ln = LayerNormWeights.identity(g.c)
             masked = masked_cross_attention(q, g, m, ln)
             cells = g.flat()
@@ -58,9 +58,9 @@ class TestMaskedCrossAttention:
         rng = np.random.default_rng(1)
         g = unit_grid(rng)
         q = rng.normal(size=(2, g.c))
-        m = np.full((2, 4), -np.inf)
-        m[0, 3] = 0.0
-        m[1, 1] = 0.0
+        m = np.zeros((2, 4), dtype=bool)
+        m[0, 3] = True
+        m[1, 1] = True
         _, weights = masked_cross_attention(q, g, m, return_weights=True)
         assert np.array_equal(weights[0], [0, 0, 0, 1])
         assert np.array_equal(weights[1], [0, 1, 0, 0])
@@ -71,13 +71,13 @@ class TestMaskedCrossAttention:
         rng = np.random.default_rng(2)
         g = unit_grid(rng)
         q = rng.normal(size=(2, g.c))
-        m = np.where(rng.random((2, 4)) < 0.4, -np.inf, 0.0)
-        m[:, 0] = 0.0  # keep every row attendable
+        m = rng.random((2, 4)) >= 0.4
+        m[:, 0] = True  # keep every row attendable
         ln = LayerNormWeights(rng.uniform(0.5, 1.5, g.c), rng.normal(size=g.c))
         out = masked_cross_attention(q, g, m, ln)
         cells = g.flat()
         for i in range(2):
-            scores = q[i] @ cells.T + m[i]
+            scores = q[i] @ cells.T + np.where(m[i], 0.0, -np.inf)
             attn = hand_softmax(scores) @ cells
             x = q[i] + attn
             mean, var = x.mean(), ((x - x.mean()) ** 2).mean()
@@ -88,7 +88,7 @@ class TestMaskedCrossAttention:
         rng = np.random.default_rng(3)
         g = unit_grid(rng)
         with pytest.raises(ValueError):
-            masked_cross_attention(rng.normal(size=(2, g.c)), g, np.zeros((2, 3)))
+            masked_cross_attention(rng.normal(size=(2, g.c)), g, np.ones((2, 3), dtype=bool))
 
 
 class TestRvsSelfAttention:
@@ -238,11 +238,11 @@ class TestDeformableAttention:
 class TestAttentionMaskBuilder:
     def test_high_logits_all_attendable(self):
         m = attention_mask_from_instance_masks(np.full((2, 3, 3), 10.0))
-        assert np.array_equal(m, np.zeros((2, 9)))
+        assert np.array_equal(m, np.ones((2, 9), dtype=bool))
 
     def test_low_logits_fall_back_to_full_attention(self):
         m = attention_mask_from_instance_masks(np.full((2, 3, 3), -10.0))
-        assert np.array_equal(m, np.zeros((2, 9)))
+        assert np.array_equal(m, np.ones((2, 9), dtype=bool))
 
     def test_mixed_logits_match_per_cell_oracle(self):
         rng = np.random.default_rng(12)
@@ -252,9 +252,9 @@ class TestAttentionMaskBuilder:
             row = m[i].reshape(5, 6)
             expected_open = sigmoid(logits[i]) >= 0.5
             if not expected_open.any():
-                assert np.array_equal(row, np.zeros((5, 6)))
+                assert np.array_equal(row, np.ones((5, 6), dtype=bool))
             else:
-                assert np.array_equal(row == 0.0, expected_open)
+                assert np.array_equal(row, expected_open)
 
 
 class TestDecoderForward:
@@ -293,7 +293,7 @@ class TestDecoderForward:
         lw = weights.decoder.layers[0]
         dec = weights.decoder
         q = qs.concat()
-        m = np.zeros((cfg.n_queries, b.h * b.w))
+        m = np.ones((cfg.n_queries, b.h * b.w), dtype=bool)
         q = masked_cross_attention(q, b, m, lw.masked_ln)
         refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1.0, b.w - 1.0])
         q = deformable_cross_attention(q, b, refs, lw.deform, lw.deform_ln)

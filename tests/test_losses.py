@@ -17,7 +17,6 @@ from lanetopo.losses import (
     analytic_grad_check,
     bce_loss,
     dice_loss,
-    elementwise_loss,
     focal_loss,
     hungarian,
     l1_loss,
@@ -93,10 +92,10 @@ class TestDice:
 class TestElementwise:
     def test_l1_identity(self):
         x = np.arange(5.0)
-        assert elementwise_loss(x, x, "l1") == 0.0
+        assert l1_loss(x, x) == 0.0
 
     def test_bce_half(self):
-        assert elementwise_loss(np.array([0.5]), np.array([1.0]), "bce") == pytest.approx(
+        assert bce_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(
             math.log(2.0)
         )
 
@@ -105,13 +104,9 @@ class TestElementwise:
         a = rng.uniform(0.05, 0.95, size=10)
         b = rng.uniform(0.05, 0.95, size=10)
         t = rng.integers(0, 2, size=10).astype(float)
-        assert elementwise_loss(a, b, "l1") == pytest.approx(np.mean(np.abs(a - b)), abs=1e-12)
+        assert l1_loss(a, b) == pytest.approx(np.mean(np.abs(a - b)), abs=1e-12)
         direct = np.mean(-(t * np.log(a) + (1 - t) * np.log(1 - a)))
-        assert elementwise_loss(a, t, "bce") == pytest.approx(direct, abs=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementwise_loss(np.zeros(2), np.zeros(2), "mse")
+        assert bce_loss(a, t) == pytest.approx(direct, abs=1e-12)
 
 
 class TestHungarian:

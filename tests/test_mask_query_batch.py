@@ -1,0 +1,167 @@
+"""The batched mask-query path against the per-query loops it replaced.
+
+The loops below are the reference: mask queries q', mask logits, both soft-
+argmax readouts, the existence heads and the direction heads, one instance at
+a time. The batched path sums in another order (GEMMs in place of
+per-instance matvecs), so it is held to atol=1e-12. The boolean attention
+mask is held to exact equality with the float 0/-inf mask it replaced.
+"""
+
+import numpy as np
+import pytest
+
+from lanetopo import decoder
+from lanetopo.bev import layer_norm, mlp_forward, sigmoid, softmax
+from lanetopo.config import PipelineConfig
+from lanetopo.decoder import QuerySet, decoder_forward, instance_mask_logits
+from lanetopo.pipeline import infer
+from lanetopo.points_mask import AXIS_COLUMNS, AXIS_ROWS
+from lanetopo.scene import SceneParams, render_bev_features, synth_scene
+from lanetopo.weights import init_model_weights
+
+ATOL = 1e-12
+
+CONFIGS = {
+    "desk": lambda **kw: PipelineConfig.desk(**kw),
+    # the full-size architecture at 48 queries and 32 channels on 100 x 200
+    "full-48q-32c": lambda **kw: PipelineConfig(
+        n_real=24, n_virtual=24, channels=32, ffn_dim=64, **kw
+    ),
+}
+
+
+def mask_queries_loop(q, pts, mh, points_guided):
+    out = []
+    for qi, pi in zip(q, pts):
+        if points_guided:
+            per_point = mlp_forward(mh.point_mlp, pi)  # (k, c)
+            positional = mlp_forward(mh.concat_mlp, per_point.reshape(-1))
+            out.append(positional + mlp_forward(mh.query_mlp, qi))
+        else:
+            out.append(mlp_forward(mh.query_mlp, qi))
+    return np.stack(out)
+
+
+def logits_loop(b, q_prime):
+    return np.stack([b.data @ qp for qp in q_prime])
+
+
+def readouts_loop(mask_logits, q_prime, mh, axis):
+    exist, direction = (mh.exist_col, mh.dir_col) if axis == AXIS_COLUMNS else (
+        mh.exist_row, mh.dir_row
+    )
+    coords, existence, directions = [], [], []
+    for m, qp in zip(mask_logits, q_prime):
+        h, w = m.shape
+        if axis == AXIS_COLUMNS:
+            coords.append(np.arange(h, dtype=np.float64) @ softmax(m, axis=0))
+        else:
+            coords.append(softmax(m, axis=1) @ np.arange(w, dtype=np.float64))
+        existence.append(sigmoid(mlp_forward(exist, m.reshape(-1))))
+        directions.append(float(sigmoid(mlp_forward(direction, qp).reshape(-1)[0])))
+    return np.stack(coords), np.stack(existence), np.array(directions)
+
+
+def float_mask_attention(q, b, m, ln=None):
+    """Masked cross-attention with a float {0, -inf} mask added to the scores;
+    layer 0's all-True keep matrix becomes the all-zero mask."""
+    if m.dtype == bool:
+        m = np.where(m, 0.0, -np.inf)
+    cells = b.flat()
+    out = q + softmax(q @ cells.T + m, axis=-1) @ cells
+    return out if ln is None else layer_norm(out, ln)
+
+
+def float_attention_mask(mask_logits, threshold=0.5):
+    logits = np.asarray(mask_logits, dtype=np.float64)
+    probs = sigmoid(logits).reshape(logits.shape[0], -1)
+    m = np.where(probs >= threshold, 0.0, -np.inf)
+    m[~np.any(m == 0.0, axis=1)] = 0.0
+    return m
+
+
+def setup(name, **overrides):
+    cfg = CONFIGS[name](**overrides)
+    weights = init_model_weights(cfg)
+    scene = synth_scene(5, SceneParams(n_lanes=2, intersections=1))
+    return cfg, weights, render_bev_features(scene, cfg, cfg.noise_sigma)
+
+
+@pytest.fixture(scope="module", params=[("desk", True), ("desk", False), ("full-48q-32c", True)],
+                ids=["desk-pgm", "desk-query-only", "full-48q-32c-pgm"])
+def inferred(request):
+    name, pgm = request.param
+    cfg, weights, b = setup(name, pgm=pgm)
+    return cfg, weights, b, infer(b, cfg, weights)
+
+
+def test_mask_queries_and_logits_match_the_loops(inferred):
+    cfg, weights, b, out = inferred
+    q = np.stack([p.query for p in out.predictions])
+    pts = np.stack([p.points.pts for p in out.predictions])
+    logits, q_prime = instance_mask_logits(q, pts, b, weights, cfg.pgm)
+    q_prime_ref = mask_queries_loop(q, pts, weights.mask_head, cfg.pgm)
+    assert q_prime.shape == (cfg.n_queries, cfg.channels)
+    assert np.allclose(q_prime, q_prime_ref, rtol=0.0, atol=ATOL)
+    assert logits.shape == (cfg.n_queries, cfg.grid_h, cfg.grid_w)
+    assert np.allclose(logits, logits_loop(b, q_prime_ref), rtol=0.0, atol=ATOL)
+    assert np.array_equal(out.mask_logits, logits)
+
+
+@pytest.mark.parametrize("axis", [AXIS_COLUMNS, AXIS_ROWS])
+def test_readouts_match_the_loops(inferred, axis):
+    cfg, weights, b, out = inferred
+    q = np.stack([p.query for p in out.predictions])
+    pts = np.stack([p.points.pts for p in out.predictions])
+    q_prime = mask_queries_loop(q, pts, weights.mask_head, cfg.pgm)
+    coords, existence, directions = readouts_loop(
+        out.mask_logits, q_prime, weights.mask_head, axis
+    )
+    readouts = out.col_readouts if axis == AXIS_COLUMNS else out.row_readouts
+    assert len(readouts) == cfg.n_queries
+    assert all(r.axis == axis for r in readouts)
+    assert np.allclose(np.stack([r.coords for r in readouts]), coords, rtol=0.0, atol=ATOL)
+    assert np.allclose(
+        np.stack([r.existence for r in readouts]), existence, rtol=0.0, atol=ATOL
+    )
+    assert np.allclose([r.direction for r in readouts], directions, rtol=0.0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_decoder_matches_the_per_query_logits(monkeypatch, name):
+    cfg, weights, b = setup(name)
+    qs = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
+    preds, _ = decoder_forward(qs, b, weights, cfg)
+
+    def logits_per_query(q, pts, b, weights, points_guided):
+        q_prime = mask_queries_loop(q, pts, weights.mask_head, points_guided)
+        return logits_loop(b, q_prime), q_prime
+
+    monkeypatch.setattr(decoder, "instance_mask_logits", logits_per_query)
+    ref, _ = decoder_forward(qs, b, weights, cfg)
+    for p, r in zip(preds, ref):
+        assert np.allclose(p.points.pts, r.points.pts, rtol=0.0, atol=ATOL)
+        assert abs(p.score - r.score) <= ATOL
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_boolean_attention_mask_equals_the_float_mask(monkeypatch, name):
+    cfg, weights, b = setup(name, hybrid_attention=True)
+    qs = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
+    preds, final = decoder_forward(qs, b, weights, cfg)
+    monkeypatch.setattr(decoder, "masked_cross_attention", float_mask_attention)
+    monkeypatch.setattr(decoder, "attention_mask_from_instance_masks", float_attention_mask)
+    ref, ref_final = decoder_forward(qs, b, weights, cfg)
+    assert np.array_equal(np.stack([p.points.pts for p in preds]),
+                          np.stack([p.points.pts for p in ref]))
+    assert np.array_equal([p.score for p in preds], [p.score for p in ref])
+    assert np.array_equal(final.concat(), ref_final.concat())
+
+
+def test_keep_matrix_equals_the_float_mask():
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(6, 5, 7))
+    logits[2] = -5.0  # a fallback row
+    keep = decoder.attention_mask_from_instance_masks(logits, threshold=0.5)
+    assert keep.dtype == bool
+    assert np.array_equal(np.where(keep, 0.0, -np.inf), float_attention_mask(logits, 0.5))

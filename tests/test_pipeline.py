@@ -21,6 +21,7 @@ from lanetopo.pipeline import (
     evaluate_prediction_file,
     fuse,
     infer,
+    load_predictions,
     run_pipeline,
     save_predictions,
     sd_features,
@@ -458,6 +459,30 @@ class TestPredictionFileValidation:
     def test_missing_key_is_named(self, saved, tmp_path, edit, key):
         with pytest.raises(ValueError, match=f"prediction document lacks key '{key}'"):
             self.evaluate_edited(saved, tmp_path, edit)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(predictions=[1, 2]), r"predictions\[0\] must be an object"),
+            (lambda doc: doc.update(predictions={}), "predictions must be a list"),
+            (lambda doc: doc["predictions"][2].update(is_real=1),
+             r"predictions\[2\]\.is_real must be true or false"),
+            (lambda doc: doc["predictions"][1].update(points=None), r"predictions\[1\]\.points"),
+        ],
+        ids=["number-entries", "object-list", "numeric-is-real", "null-points"],
+    )
+    def test_malformed_entries_are_one_value_error(self, saved, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            self.evaluate_edited(saved, tmp_path, edit)
+
+    def test_load_predictions_without_a_grid_skips_the_masks(self, saved, tmp_path):
+        doc, _, _ = saved
+        path = tmp_path / "pred.json"
+        path.write_text(json.dumps(doc))
+        lines, scores, is_real, adjacency, masks = load_predictions(path)
+        assert masks is None
+        assert len(lines) == len(doc["predictions"]) == len(scores) == adjacency.shape[0]
+        assert is_real.tolist() == [p["is_real"] for p in doc["predictions"]]
 
     def test_non_object_document_rejected(self, tmp_path):
         path = tmp_path / "list.json"

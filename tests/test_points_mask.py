@@ -43,8 +43,8 @@ class TestEncodeMaskQuery:
         rng = np.random.default_rng(0)
         w = mask_head(rng, zero_positional=True)
         q = rng.normal(size=4)
-        line = Polyline(rng.normal(size=(3, 3)))
-        out = encode_mask_query(q, line, w)
+        pts = rng.normal(size=(3, 3))
+        out = encode_mask_query(q, pts, w)
         expected = w.query_mlp.layers[0][0] @ q + w.query_mlp.layers[0][1]
         assert np.array_equal(out, expected)
 
@@ -52,8 +52,8 @@ class TestEncodeMaskQuery:
         rng = np.random.default_rng(1)
         w = mask_head(rng)
         q = rng.normal(size=4)
-        a = encode_mask_query(q, Polyline(rng.normal(size=(3, 3))), w)
-        b = encode_mask_query(q, Polyline(rng.normal(size=(3, 3))), w)
+        a = encode_mask_query(q, rng.normal(size=(3, 3)), w)
+        b = encode_mask_query(q, rng.normal(size=(3, 3)), w)
         assert not np.allclose(a, b)
 
     def test_tiny_dims_oracle(self):
@@ -61,12 +61,12 @@ class TestEncodeMaskQuery:
         c, k = 4, 3
         w = mask_head(rng, c=c, k=k)
         q = rng.normal(size=c)
-        line = Polyline(rng.normal(size=(k, 3)))
-        out = encode_mask_query(q, line, w)
+        pts = rng.normal(size=(k, 3))
+        out = encode_mask_query(q, pts, w)
         wp, bp, _ = w.point_mlp.layers[0]
         wc, bc, _ = w.concat_mlp.layers[0]
         wq, bq, _ = w.query_mlp.layers[0]
-        per_point = np.concatenate([wp @ p + bp for p in line.pts])
+        per_point = np.concatenate([wp @ p + bp for p in pts])
         expected = (wc @ per_point + bc) + (wq @ q + bq)
         assert np.max(np.abs(out - expected)) < 1e-12
 

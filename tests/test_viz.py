@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from lanetopo.decoder import CenterlinePrediction
 from lanetopo.geometry import Polyline
 from lanetopo.scene import Scene, SceneParams, synth_scene
 from lanetopo.viz import render_svg
@@ -34,12 +33,7 @@ def test_byte_identical_for_identical_inputs():
 def test_element_count_oracle():
     scene = synth_scene(41, SceneParams(intersections=1))
     preds = [
-        CenterlinePrediction(
-            points=Polyline(lane.pts[:: len(lane) // 10][:11]),
-            score=0.8,
-            is_real=bool(real),
-            query=np.zeros(1),
-        )
+        (Polyline(lane.pts[:: len(lane) // 10][:11]), bool(real))
         for lane, real in zip(scene.centerlines[:4], scene.is_real[:4])
     ]
     svg = render_svg(scene, preds)
