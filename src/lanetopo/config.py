@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,6 +86,10 @@ class PipelineConfig:
             raise ConfigError("need at least one real query and n_virtual >= 0")
         if self.layers < 1:
             raise ConfigError("decoder needs at least one layer")
+        if self.heads < 1 or self.sd_heads < 1:
+            raise ConfigError("heads and sd_heads must be at least 1")
+        if self.grid_h < 1 or self.grid_w < 1 or self.resolution <= 0:
+            raise ConfigError("grid_h, grid_w and resolution must be positive")
         if self.channels % self.heads != 0:
             raise ConfigError("channels must be divisible by heads")
         if self.channels % 4 != 0:
@@ -139,10 +145,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> PipelineConfig:
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        """A config from a document's fields, each checked against its
+        declared type before any value check."""
+        _check_fields(d, cls)
         return cls(**d)
 
     def save(self, path: str | Path) -> None:
@@ -154,3 +159,42 @@ class PipelineConfig:
         if not isinstance(d, dict):
             raise ConfigError("a config document must be a JSON object")
         return cls.from_dict(d)
+
+
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    tuple[float, ...]: "a list of numbers",
+}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a document value fits a declared field type: ``bool``,
+    ``int`` (not a bool), ``float`` (an int is accepted), a tuple of floats
+    (a list or tuple) or a dataclass instance."""
+    if dataclasses.is_dataclass(kind):
+        return isinstance(value, kind)
+    if kind is bool:
+        return isinstance(value, bool)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
+    number = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
+def _check_fields(d: dict, cls: type, path: str = "") -> None:
+    """Raise ConfigError for the first key of ``d`` that is not a field of
+    the dataclass ``cls`` or whose value does not fit the field's type; a
+    dataclass-typed field also takes an object of its own fields."""
+    types = typing.get_type_hints(cls)
+    unknown = set(d) - types.keys()
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(path + k for k in unknown)}")
+    for key, value in d.items():
+        kind, name = types[key], path + key
+        if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+            _check_fields(value, kind, f"{name}.")
+        elif not _fits(value, kind):
+            what = _TYPE_NAMES.get(kind, "an object")
+            raise ConfigError(f"config field {name} must be {what}, got {value!r}")

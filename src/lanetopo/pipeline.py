@@ -26,7 +26,7 @@ from .points_mask import (
     sample_mask_points,
     select_point_set,
 )
-from .scene import Scene, render_bev_features, render_gt_masks
+from .scene import Scene, _objects, _polyline, render_bev_features, render_gt_masks
 from .sdmap import SemanticEmbeddingTable, rasterize_sdmap, sd_interact
 from .topology import enhance_queries, predict_topology
 from .weights import ModelWeights, check_weights
@@ -216,9 +216,17 @@ def _mask_rle(mask_bool: np.ndarray) -> list[list[int]]:
 
 
 def _mask_from_rle(runs: list[list[int]], h: int, w: int) -> np.ndarray:
+    """The (h, w) mask of :func:`_mask_rle`'s runs; a ValueError unless
+    ``runs`` is a list of integer pairs with 0 <= start <= stop <= h*w."""
+    if not isinstance(runs, list):
+        raise ValueError(f"must be a list of runs, got {type(runs).__name__}")
     flat = np.zeros(h * w, dtype=bool)
-    for start, stop in runs:
-        flat[start:stop] = True
+    for run in runs:
+        if not (isinstance(run, list) and len(run) == 2 and all(type(i) is int for i in run)
+                and 0 <= run[0] <= run[1] <= h * w):
+            raise ValueError(f"runs must be [start, stop] with 0 <= start <= stop <= {h * w}, "
+                             f"got {run!r}")
+        flat[run[0]:run[1]] = True
     return flat.reshape(h, w)
 
 
@@ -296,17 +304,10 @@ def load_predictions(pred_path: str | Path, grid: GridSpec | None = None):
     if not isinstance(doc, dict) or doc.get("kind") != "lanetopo-predictions":
         raise ValueError("not a recognized predictions document")
     try:
-        entries = doc["predictions"]
-        if not isinstance(entries, list):
-            raise ValueError("predictions must be a list")
+        entries = _objects(doc, "predictions")
         lines, is_real = [], []
         for i, p in enumerate(entries):
-            if not isinstance(p, dict):
-                raise ValueError(f"predictions[{i}] must be an object, got {type(p).__name__}")
-            try:
-                lines.append(Polyline(np.array(p["points"])))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"predictions[{i}].points: {exc}") from None
+            lines.append(_polyline(p["points"], f"predictions[{i}]"))
             if not isinstance(p["is_real"], bool):
                 raise ValueError(f"predictions[{i}].is_real must be true or false")
             is_real.append(p["is_real"])
@@ -315,12 +316,20 @@ def load_predictions(pred_path: str | Path, grid: GridSpec | None = None):
         adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
         pred_masks = None
         if grid is not None and "masks" in doc:
-            h, w = doc["masks"]["h"], doc["masks"]["w"]
-            if (grid.h, grid.w) != (h, w):
+            masks = doc["masks"]
+            if not isinstance(masks, dict):
+                raise ValueError(f"masks must be an object, got {type(masks).__name__}")
+            if (grid.h, grid.w) != (masks["h"], masks["w"]):
                 raise ValueError("prediction masks do not match the configured grid")
-            if len(doc["masks"]["instances"]) != n:
+            instances = masks["instances"]
+            if not isinstance(instances, list) or len(instances) != n:
                 raise ValueError(f"masks.instances must hold {n} masks, one per prediction")
-            pred_masks = [_mask_from_rle(runs, h, w) for runs in doc["masks"]["instances"]]
+            pred_masks = []
+            for i, runs in enumerate(instances):
+                try:
+                    pred_masks.append(_mask_from_rle(runs, grid.h, grid.w))
+                except ValueError as exc:
+                    raise ValueError(f"masks.instances[{i}]: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"prediction document lacks key {exc.args[0]!r}") from None
     return lines, scores, np.array(is_real, dtype=bool), adjacency, pred_masks

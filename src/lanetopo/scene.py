@@ -372,6 +372,25 @@ def _adjacency_from_doc(raw) -> np.ndarray:
     return adjacency.astype(np.int64)
 
 
+def _objects(d: dict, key: str) -> list[dict]:
+    """``d[key]``, checked to be a list of objects."""
+    entries = d[key]
+    if not isinstance(entries, list):
+        raise ValueError(f"{key} must be a list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be an object, got {type(entry).__name__}")
+    return entries
+
+
+def _polyline(raw, field: str) -> Polyline:
+    """A document's point list as a Polyline, or a ValueError naming ``field``."""
+    try:
+        return Polyline(np.array(raw))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}.points: {exc}") from None
+
+
 def scene_from_dict(d: dict) -> Scene:
     """A scene from its document. Raw values are checked before any cast, and
     a malformed document or a missing key raises one ValueError."""
@@ -382,16 +401,17 @@ def scene_from_dict(d: dict) -> Scene:
     ):
         raise ValueError("not a recognized scene document")
     try:
+        lanes, sd = _objects(d, "centerlines"), _objects(d, "sd_instances")
         scene = Scene(
-            centerlines=[Polyline(np.array(c["points"])) for c in d["centerlines"]],
-            is_real=[bool(c["is_real"]) for c in d["centerlines"]],
+            centerlines=[_polyline(c["points"], f"centerlines[{i}]") for i, c in enumerate(lanes)],
+            is_real=[bool(c["is_real"]) for c in lanes],
             adjacency=_adjacency_from_doc(d["adjacency"]),
             sd_instances=[
                 SdMapInstance(
-                    Polyline(np.array(s["points"])),
+                    _polyline(s["points"], f"sd_instances[{i}]"),
                     _integral(s["semantic_type"], f"sd_instances[{i}].semantic_type"),
                 )
-                for i, s in enumerate(d["sd_instances"])
+                for i, s in enumerate(sd)
             ],
             seed=_integral(d["seed"], "seed"),
         )

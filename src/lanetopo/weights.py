@@ -8,7 +8,11 @@ fixtures stay portable and diffable.
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
 import json
+import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,165 +112,121 @@ class ModelWeights:
     semantic_table: np.ndarray
 
 
-def _linear(rng: np.random.Generator, n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
-    return w, np.zeros(n_out)
+def _layout(cfg: PipelineConfig) -> list[tuple]:
+    """Every weight ``cfg`` asks for, named by its field path in
+    :class:`ModelWeights` (which is also its name in the weights file), in the
+    order :func:`init_model_weights` draws it.
 
+    An entry is ``("tensor", name, shape, fill)``, where ``fill`` is
+    ``normal`` (N(0, 1)), ``fan_in`` (normal with standard deviation
+    1/sqrt(shape[-1])), ``ones`` or ``zeros``; or ``("mlp", name, dims,
+    activations)``, whose layer ``i`` maps ``dims[i]`` to ``dims[i + 1]``
+    with weight ``name.i.w`` (``fan_in``) and bias ``name.i.b`` (``zeros``).
+    """
+    c, k, hw = cfg.channels, cfg.k, cfg.grid_h * cfg.grid_w
+    ffn = ((c, cfg.ffn_dim, c), ("relu", "none"))
 
-def _mlp(rng: np.random.Generator, dims: list[int], acts: list[str]) -> MlpWeights:
-    layers = []
-    for i, act in enumerate(acts):
-        w, b = _linear(rng, dims[i + 1], dims[i])
-        layers.append((w, b, act))
-    return MlpWeights(layers)
+    def layer_norm(name: str) -> list[tuple]:
+        return [
+            ("tensor", f"{name}.scale", (c,), "ones"),
+            ("tensor", f"{name}.shift", (c,), "zeros"),
+        ]
 
+    def deformable(name: str, heads: int, points: int) -> list[tuple]:
+        return [
+            ("tensor", f"{name}.w_offset", (heads, 2 * points, c), "fan_in"),
+            ("tensor", f"{name}.b_offset", (heads, 2 * points), "zeros"),
+            ("tensor", f"{name}.w_attn", (heads, points, c), "fan_in"),
+            ("tensor", f"{name}.b_attn", (heads, points), "zeros"),
+            ("tensor", f"{name}.w_out", (c, c), "fan_in"),
+            ("tensor", f"{name}.b_out", (c,), "zeros"),
+        ]
 
-def _deformable(rng: np.random.Generator, c: int, heads: int, points: int) -> DeformableWeights:
-    w_off = rng.normal(0.0, 1.0 / np.sqrt(c), size=(heads, 2 * points, c))
-    w_att = rng.normal(0.0, 1.0 / np.sqrt(c), size=(heads, points, c))
-    w_out, b_out = _linear(rng, c, c)
-    return DeformableWeights(
-        w_offset=w_off,
-        b_offset=np.zeros((heads, 2 * points)),
-        w_attn=w_att,
-        b_attn=np.zeros((heads, points)),
-        w_out=w_out,
-        b_out=b_out,
-    )
+    layout = []
+    for i in range(cfg.layers):
+        p = f"decoder.layers.{i}"
+        layout += layer_norm(f"{p}.masked_ln")
+        layout += deformable(f"{p}.deform", cfg.heads, cfg.sample_points)
+        layout += layer_norm(f"{p}.deform_ln") + layer_norm(f"{p}.self_ln")
+        layout.append(("mlp", f"{p}.ffn", *ffn))
+        layout += layer_norm(f"{p}.ffn_ln")
+    layout += [
+        ("tensor", "decoder.real_queries", (cfg.n_real, c), "normal"),
+        ("tensor", "decoder.virtual_queries", (cfg.n_virtual, c), "normal"),
+        ("tensor", "decoder.init_ref_logits", (cfg.n_queries, 2), "normal"),
+        ("mlp", "decoder.points_head", (c, c, 3 * k), ("relu", "none")),
+        ("mlp", "decoder.score_head", (c, c, 1), ("relu", "none")),
+        ("mlp", "mask_head.point_mlp", (3, c), ("relu",)),
+        ("mlp", "mask_head.concat_mlp", (k * c, c), ("none",)),
+        ("mlp", "mask_head.query_mlp", (c, c), ("none",)),
+        ("mlp", "mask_head.exist_col", (hw, cfg.grid_w), ("none",)),
+        ("mlp", "mask_head.exist_row", (hw, cfg.grid_h), ("none",)),
+        ("mlp", "mask_head.dir_col", (c, 1), ("none",)),
+        ("mlp", "mask_head.dir_row", (c, 1), ("none",)),
+        ("mlp", "topology.query_mlp", (c, c), ("none",)),
+        ("mlp", "topology.points_mlp", (3 * k, c), ("none",)),
+        ("mlp", "topology.classifier", (2 * c, c, 1), ("relu", "none")),
+    ]
+    for i in range(cfg.sd_layers):
+        p = f"sd.layers.{i}"
+        layout += layer_norm(f"{p}.self_ln")
+        layout += deformable(f"{p}.self_deform", cfg.sd_heads, cfg.sd_sample_points)
+        layout += layer_norm(f"{p}.cross_ln")
+        layout += deformable(f"{p}.cross_deform", cfg.sd_heads, cfg.sd_sample_points)
+        layout += layer_norm(f"{p}.ffn_ln")
+        layout.append(("mlp", f"{p}.ffn", *ffn))
+    layout.append(("tensor", "semantic_table", (cfg.n_semantic_types + 1, c), "normal"))
+    return layout
 
 
 def init_model_weights(cfg: PipelineConfig, seed: int | None = None) -> ModelWeights:
-    """Deterministic random initialization for every learnable tensor."""
+    """Deterministic random initialization for every learnable tensor, drawn
+    in :func:`_layout` order."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    c, k = cfg.channels, cfg.k
-    hw = cfg.grid_h * cfg.grid_w
+    tensors: dict[str, np.ndarray] = {}
+    acts: dict[str, list[str]] = {}
 
-    dec_layers = []
-    for _ in range(cfg.layers):
-        dec_layers.append(
-            DecoderLayerWeights(
-                masked_ln=LayerNormWeights.identity(c),
-                deform=_deformable(rng, c, cfg.heads, cfg.sample_points),
-                deform_ln=LayerNormWeights.identity(c),
-                self_ln=LayerNormWeights.identity(c),
-                ffn=_mlp(rng, [c, cfg.ffn_dim, c], ["relu", "none"]),
-                ffn_ln=LayerNormWeights.identity(c),
-            )
-        )
-    decoder = DecoderWeights(
-        real_queries=rng.normal(0.0, 1.0, size=(cfg.n_real, c)),
-        virtual_queries=rng.normal(0.0, 1.0, size=(cfg.n_virtual, c)),
-        init_ref_logits=rng.normal(0.0, 1.0, size=(cfg.n_queries, 2)),
-        layers=dec_layers,
-        points_head=_mlp(rng, [c, c, 3 * k], ["relu", "none"]),
-        score_head=_mlp(rng, [c, c, 1], ["relu", "none"]),
-    )
-    mask_head = MaskHeadWeights(
-        point_mlp=_mlp(rng, [3, c], ["relu"]),
-        concat_mlp=_mlp(rng, [k * c, c], ["none"]),
-        query_mlp=_mlp(rng, [c, c], ["none"]),
-        exist_col=_mlp(rng, [hw, cfg.grid_w], ["none"]),
-        exist_row=_mlp(rng, [hw, cfg.grid_h], ["none"]),
-        dir_col=_mlp(rng, [c, 1], ["none"]),
-        dir_row=_mlp(rng, [c, 1], ["none"]),
-    )
-    topology = TopologyWeights(
-        query_mlp=_mlp(rng, [c, c], ["none"]),
-        points_mlp=_mlp(rng, [3 * k, c], ["none"]),
-        classifier=_mlp(rng, [2 * c, c, 1], ["relu", "none"]),
-    )
-    sd_layers = []
-    for _ in range(cfg.sd_layers):
-        sd_layers.append(
-            SdLayerWeights(
-                self_ln=LayerNormWeights.identity(c),
-                self_deform=_deformable(rng, c, cfg.sd_heads, cfg.sd_sample_points),
-                cross_ln=LayerNormWeights.identity(c),
-                cross_deform=_deformable(rng, c, cfg.sd_heads, cfg.sd_sample_points),
-                ffn_ln=LayerNormWeights.identity(c),
-                ffn=_mlp(rng, [c, cfg.ffn_dim, c], ["relu", "none"]),
-            )
-        )
-    semantic_table = rng.normal(0.0, 1.0, size=(cfg.n_semantic_types + 1, c))
-    return ModelWeights(
-        decoder=decoder,
-        mask_head=mask_head,
-        topology=topology,
-        sd=SdInteractWeights(layers=sd_layers),
-        semantic_table=semantic_table,
-    )
+    def fill(name: str, shape: tuple[int, ...], rule: str) -> None:
+        if rule == "normal":
+            tensors[name] = rng.normal(0.0, 1.0, size=shape)
+        elif rule == "fan_in":
+            tensors[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
+        else:
+            tensors[name] = np.ones(shape) if rule == "ones" else np.zeros(shape)
+
+    for kind, name, shape, rule in _layout(cfg):
+        if kind == "tensor":
+            fill(name, shape, rule)
+            continue
+        acts[name] = list(rule)
+        for i in range(len(rule)):
+            fill(f"{name}.{i}.w", (shape[i + 1], shape[i]), "fan_in")
+            fill(f"{name}.{i}.b", (shape[i + 1],), "zeros")
+    meta = {"decoder_layers": cfg.layers, "sd_layers": cfg.sd_layers, "mlp_activations": acts}
+    return model_weights_from_tensors(tensors, meta)
 
 
 # --- what the configuration fixes of the weights ------------------------------
-
-
-def _ln_shapes(prefix: str, c: int) -> dict[str, tuple[int, ...]]:
-    return {f"{prefix}.scale": (c,), f"{prefix}.shift": (c,)}
-
-
-def _deform_shapes(prefix: str, c: int, heads: int, points: int) -> dict[str, tuple[int, ...]]:
-    return {
-        f"{prefix}.w_offset": (heads, 2 * points, c),
-        f"{prefix}.b_offset": (heads, 2 * points),
-        f"{prefix}.w_attn": (heads, points, c),
-        f"{prefix}.b_attn": (heads, points),
-        f"{prefix}.w_out": (c, c),
-        f"{prefix}.b_out": (c,),
-    }
 
 
 def weight_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
     """What ``cfg`` fixes of each weight, keyed by its name in the weights
     file: a tensor's shape, and an MLP's ``(in_dim, out_dim)``. An MLP's
     depth and hidden widths are the weights' own."""
-    c, k, hw = cfg.channels, cfg.k, cfg.grid_h * cfg.grid_w
-    shapes = {
-        "decoder.real_queries": (cfg.n_real, c),
-        "decoder.virtual_queries": (cfg.n_virtual, c),
-        "decoder.init_ref_logits": (cfg.n_queries, 2),
-        "decoder.points_head": (c, 3 * k),
-        "decoder.score_head": (c, 1),
-        "mask_head.point_mlp": (3, c),
-        "mask_head.concat_mlp": (k * c, c),
-        "mask_head.query_mlp": (c, c),
-        "mask_head.exist_col": (hw, cfg.grid_w),
-        "mask_head.exist_row": (hw, cfg.grid_h),
-        "mask_head.dir_col": (c, 1),
-        "mask_head.dir_row": (c, 1),
-        "topology.query_mlp": (c, c),
-        "topology.points_mlp": (3 * k, c),
-        "topology.classifier": (2 * c, 1),
-        "semantic_table": (cfg.n_semantic_types + 1, c),
+    return {
+        name: shape if kind == "tensor" else (shape[0], shape[-1])
+        for kind, name, shape, _ in _layout(cfg)
     }
-    for i in range(cfg.layers):
-        p = f"decoder.layers.{i}"
-        for ln in ("masked_ln", "deform_ln", "self_ln", "ffn_ln"):
-            shapes.update(_ln_shapes(f"{p}.{ln}", c))
-        shapes.update(_deform_shapes(f"{p}.deform", c, cfg.heads, cfg.sample_points))
-        shapes[f"{p}.ffn"] = (c, c)
-    for i in range(cfg.sd_layers):
-        p = f"sd.layers.{i}"
-        for ln in ("self_ln", "cross_ln", "ffn_ln"):
-            shapes.update(_ln_shapes(f"{p}.{ln}", c))
-        for deform in ("self_deform", "cross_deform"):
-            shapes.update(
-                _deform_shapes(f"{p}.{deform}", c, cfg.sd_heads, cfg.sd_sample_points)
-            )
-        shapes[f"{p}.ffn"] = (c, c)
-    return shapes
 
 
 def _weight_dims(w: ModelWeights) -> tuple[dict[str, tuple[int, ...]], set[str]]:
     """The :func:`weight_shapes` view of ``w``, and the names that are MLPs."""
     tensors, meta = model_weights_to_tensors(w)
     mlps = meta["mlp_activations"]
-    dims = {}
-    for prefix, acts in mlps.items():
-        first, last = tensors[f"{prefix}.0.w"], tensors[f"{prefix}.{len(acts) - 1}.w"]
-        dims[prefix] = (first.shape[1], last.shape[0])
-        for i in range(len(acts)):
-            del tensors[f"{prefix}.{i}.w"], tensors[f"{prefix}.{i}.b"]
-    dims.update((name, tuple(np.shape(t))) for name, t in tensors.items())
+    # An MLP layer's tensors are named ``<mlp>.<i>.w`` and ``<mlp>.<i>.b``.
+    dims = {name: t.shape for name, t in tensors.items() if name.rsplit(".", 2)[0] not in mlps}
+    for p, acts in mlps.items():
+        dims[p] = (tensors[f"{p}.0.w"].shape[1], tensors[f"{p}.{len(acts) - 1}.w"].shape[0])
     return dims, set(mlps)
 
 
@@ -291,152 +251,75 @@ def check_weights(cfg: PipelineConfig, w: ModelWeights) -> None:
 # --- flat named-tensor serialization ---------------------------------------
 
 
-def _put_mlp(tensors: dict, acts: dict, prefix: str, mlp: MlpWeights) -> None:
-    acts[prefix] = [a for _, _, a in mlp.layers]
-    for i, (w, b, _) in enumerate(mlp.layers):
-        tensors[f"{prefix}.{i}.w"] = w
-        tensors[f"{prefix}.{i}.b"] = b
-
-
-def _put_ln(tensors: dict, prefix: str, ln: LayerNormWeights) -> None:
-    tensors[f"{prefix}.scale"] = ln.scale
-    tensors[f"{prefix}.shift"] = ln.shift
-
-
-def _put_deform(tensors: dict, prefix: str, d: DeformableWeights) -> None:
-    for name in ("w_offset", "b_offset", "w_attn", "b_attn", "w_out", "b_out"):
-        tensors[f"{prefix}.{name}"] = getattr(d, name)
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
 def model_weights_to_tensors(w: ModelWeights) -> tuple[dict[str, np.ndarray], dict]:
+    """``w`` as flat tensors named by field path (an MLP's layer ``i`` as
+    ``path.i.w`` and ``path.i.b``), and the meta that rebuilds the tree: each
+    layer list's length (``decoder.layers`` as ``decoder_layers``) and each
+    MLP's activations."""
     tensors: dict[str, np.ndarray] = {}
-    acts: dict[str, list[str]] = {}
-    tensors["decoder.real_queries"] = w.decoder.real_queries
-    tensors["decoder.virtual_queries"] = w.decoder.virtual_queries
-    tensors["decoder.init_ref_logits"] = w.decoder.init_ref_logits
-    for i, layer in enumerate(w.decoder.layers):
-        p = f"decoder.layers.{i}"
-        _put_ln(tensors, f"{p}.masked_ln", layer.masked_ln)
-        _put_deform(tensors, f"{p}.deform", layer.deform)
-        _put_ln(tensors, f"{p}.deform_ln", layer.deform_ln)
-        _put_ln(tensors, f"{p}.self_ln", layer.self_ln)
-        _put_mlp(tensors, acts, f"{p}.ffn", layer.ffn)
-        _put_ln(tensors, f"{p}.ffn_ln", layer.ffn_ln)
-    _put_mlp(tensors, acts, "decoder.points_head", w.decoder.points_head)
-    _put_mlp(tensors, acts, "decoder.score_head", w.decoder.score_head)
-    for name in (
-        "point_mlp",
-        "concat_mlp",
-        "query_mlp",
-        "exist_col",
-        "exist_row",
-        "dir_col",
-        "dir_row",
-    ):
-        _put_mlp(tensors, acts, f"mask_head.{name}", getattr(w.mask_head, name))
-    for name in ("query_mlp", "points_mlp", "classifier"):
-        _put_mlp(tensors, acts, f"topology.{name}", getattr(w.topology, name))
-    for i, layer in enumerate(w.sd.layers):
-        p = f"sd.layers.{i}"
-        _put_ln(tensors, f"{p}.self_ln", layer.self_ln)
-        _put_deform(tensors, f"{p}.self_deform", layer.self_deform)
-        _put_ln(tensors, f"{p}.cross_ln", layer.cross_ln)
-        _put_deform(tensors, f"{p}.cross_deform", layer.cross_deform)
-        _put_ln(tensors, f"{p}.ffn_ln", layer.ffn_ln)
-        _put_mlp(tensors, acts, f"{p}.ffn", layer.ffn)
-    tensors["semantic_table"] = w.semantic_table
-    meta = {
-        "decoder_layers": len(w.decoder.layers),
-        "sd_layers": len(w.sd.layers),
-        "mlp_activations": acts,
-    }
+    meta: dict = {"mlp_activations": {}}
+
+    def put(path: str, value) -> None:
+        if isinstance(value, np.ndarray):
+            tensors[path] = value
+        elif isinstance(value, MlpWeights):
+            meta["mlp_activations"][path] = [act for _, _, act in value.layers]
+            for i, (weight, bias, _) in enumerate(value.layers):
+                tensors[f"{path}.{i}.w"], tensors[f"{path}.{i}.b"] = weight, bias
+        elif isinstance(value, list):
+            meta[path.replace(".", "_")] = len(value)
+            for i, item in enumerate(value):
+                put(f"{path}.{i}", item)
+        else:
+            for f in dataclasses.fields(value):
+                put(_join(path, f.name), getattr(value, f.name))
+
+    put("", w)
     return tensors, meta
 
 
-def _get_mlp(tensors: dict, acts: dict, prefix: str) -> MlpWeights:
-    layer_acts = acts[prefix]
-    layers = []
-    for i, act in enumerate(layer_acts):
-        layers.append((tensors[f"{prefix}.{i}.w"], tensors[f"{prefix}.{i}.b"], act))
-    return MlpWeights(layers)
-
-
-def _get_ln(tensors: dict, prefix: str) -> LayerNormWeights:
-    return LayerNormWeights(tensors[f"{prefix}.scale"], tensors[f"{prefix}.shift"])
-
-
-def _get_deform(tensors: dict, prefix: str) -> DeformableWeights:
-    return DeformableWeights(
-        **{
-            name: tensors[f"{prefix}.{name}"]
-            for name in ("w_offset", "b_offset", "w_attn", "b_attn", "w_out", "b_out")
-        }
-    )
+@functools.cache
+def _field_types(kind: type) -> dict[str, type]:
+    # get_type_hints evaluates the string annotations anew on every call.
+    return typing.get_type_hints(kind)
 
 
 def model_weights_from_tensors(tensors: dict[str, np.ndarray], meta: dict) -> ModelWeights:
+    """The tree :func:`model_weights_to_tensors` flattened, rebuilt from the
+    field types. A missing tensor or meta entry raises KeyError, a malformed
+    meta entry or MLP ValueError."""
     acts = meta["mlp_activations"]
-    dec_layers = []
-    for i in range(meta["decoder_layers"]):
-        p = f"decoder.layers.{i}"
-        dec_layers.append(
-            DecoderLayerWeights(
-                masked_ln=_get_ln(tensors, f"{p}.masked_ln"),
-                deform=_get_deform(tensors, f"{p}.deform"),
-                deform_ln=_get_ln(tensors, f"{p}.deform_ln"),
-                self_ln=_get_ln(tensors, f"{p}.self_ln"),
-                ffn=_get_mlp(tensors, acts, f"{p}.ffn"),
-                ffn_ln=_get_ln(tensors, f"{p}.ffn_ln"),
-            )
-        )
-    decoder = DecoderWeights(
-        real_queries=tensors["decoder.real_queries"],
-        virtual_queries=tensors["decoder.virtual_queries"],
-        init_ref_logits=tensors["decoder.init_ref_logits"],
-        layers=dec_layers,
-        points_head=_get_mlp(tensors, acts, "decoder.points_head"),
-        score_head=_get_mlp(tensors, acts, "decoder.score_head"),
-    )
-    mask_head = MaskHeadWeights(
-        **{
-            name: _get_mlp(tensors, acts, f"mask_head.{name}")
-            for name in (
-                "point_mlp",
-                "concat_mlp",
-                "query_mlp",
-                "exist_col",
-                "exist_row",
-                "dir_col",
-                "dir_row",
-            )
-        }
-    )
-    topology = TopologyWeights(
-        **{
-            name: _get_mlp(tensors, acts, f"topology.{name}")
-            for name in ("query_mlp", "points_mlp", "classifier")
-        }
-    )
-    sd_layers = []
-    for i in range(meta["sd_layers"]):
-        p = f"sd.layers.{i}"
-        sd_layers.append(
-            SdLayerWeights(
-                self_ln=_get_ln(tensors, f"{p}.self_ln"),
-                self_deform=_get_deform(tensors, f"{p}.self_deform"),
-                cross_ln=_get_ln(tensors, f"{p}.cross_ln"),
-                cross_deform=_get_deform(tensors, f"{p}.cross_deform"),
-                ffn_ln=_get_ln(tensors, f"{p}.ffn_ln"),
-                ffn=_get_mlp(tensors, acts, f"{p}.ffn"),
-            )
-        )
-    return ModelWeights(
-        decoder=decoder,
-        mask_head=mask_head,
-        topology=topology,
-        sd=SdInteractWeights(layers=sd_layers),
-        semantic_table=tensors["semantic_table"],
-    )
+    if not isinstance(acts, dict):
+        raise ValueError(f"meta.mlp_activations must be an object, got {type(acts).__name__}")
+
+    def get(path: str, kind):
+        if kind is np.ndarray:
+            return tensors[path]
+        if kind is MlpWeights:
+            layer_acts = acts[path]
+            if not isinstance(layer_acts, list):
+                raise ValueError(f"meta.mlp_activations.{path} must be a list, got {layer_acts!r}")
+            layers = [(tensors[f"{path}.{i}.w"], tensors[f"{path}.{i}.b"], act)
+                      for i, act in enumerate(layer_acts)]
+            try:
+                return MlpWeights(layers)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        if typing.get_origin(kind) is list:
+            key = path.replace(".", "_")
+            n = meta[key]
+            if type(n) is not int or n < 0:
+                raise ValueError(f"meta.{key} must be a non-negative integer, got {n!r}")
+            (item,) = typing.get_args(kind)
+            return [get(f"{path}.{i}", item) for i in range(n)]
+        types = _field_types(kind)
+        return kind(**{name: get(_join(path, name), types[name]) for name in types})
+
+    return get("", ModelWeights)
 
 
 def save_model_weights(w: ModelWeights, path: str | Path) -> None:
@@ -458,6 +341,25 @@ def save_model_weights(w: ModelWeights, path: str | Path) -> None:
     Path(path).write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
 
 
+def _decode_tensor(name: str, entry) -> np.ndarray:
+    """One ``tensors`` entry of a weights document as a float64 array."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"tensors.{name} must be an object, got {type(entry).__name__}")
+    data, shape = entry["data"], entry["shape"]
+    if not isinstance(data, str):
+        raise ValueError(f"tensors.{name}.data must be a base64 string, got {type(data).__name__}")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"tensors.{name}.shape must list non-negative integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(data)
+    except ValueError as exc:
+        raise ValueError(f"tensors.{name}.data is not base64: {exc}") from None
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ValueError(f"tensors.{name}.data has {len(raw)} bytes, shape {shape} needs {nbytes}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def load_model_weights(path: str | Path) -> ModelWeights:
     """Read a :func:`save_model_weights` file; an unreadable path raises
     OSError, a malformed document one ValueError."""
@@ -468,10 +370,7 @@ def load_model_weights(path: str | Path) -> ModelWeights:
     try:
         if not isinstance(blob["tensors"], dict) or not isinstance(blob["meta"], dict):
             raise ValueError("weights document tensors and meta must be objects")
-        tensors = {}
-        for name, entry in blob["tensors"].items():
-            raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-            tensors[name] = raw.reshape(entry["shape"]).astype(np.float64)
+        tensors = {name: _decode_tensor(name, entry) for name, entry in blob["tensors"].items()}
         return model_weights_from_tensors(tensors, blob["meta"])
     except KeyError as exc:
         raise ValueError(f"weights document lacks key {exc.args[0]!r}") from None

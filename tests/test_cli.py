@@ -236,14 +236,30 @@ def _one_line_error(capsys, prefix: str) -> str:
         ("{not json", "Expecting property name"),
         ('{"format": "lanetopo-weights-v1"}', "weights document lacks key 'tensors'"),
         (None, "No such file or directory"),
+        (lambda doc: doc["tensors"].update(semantic_table=5),
+         "tensors.semantic_table must be an object, got int"),
+        (lambda doc: doc["tensors"]["semantic_table"].update(data=5),
+         "tensors.semantic_table.data must be a base64 string, got int"),
+        (lambda doc: doc["tensors"]["semantic_table"].update(shape="x"),
+         "tensors.semantic_table.shape must list non-negative integers, got 'x'"),
+        (lambda doc: doc["meta"].update(decoder_layers="x"),
+         "meta.decoder_layers must be a non-negative integer, got 'x'"),
+        (lambda doc: doc["meta"].update(mlp_activations=[]),
+         "meta.mlp_activations must be an object, got list"),
     ],
-    ids=["foreign-format", "malformed-json", "missing-key", "missing-path"],
+    ids=["foreign-format", "malformed-json", "missing-key", "missing-path", "number-entry",
+         "number-data", "string-shape", "string-layer-count", "list-activations"],
 )
 def test_run_rejects_a_bad_weights_file(tmp_path, desk_config_path, capsys, content, message):
     scene = tmp_path / "scene.json"
     weights = tmp_path / "w.json"
     pred = tmp_path / "pred.json"
     main(["synth", "--seed", "5", "--out", str(scene)])
+    if callable(content):
+        save_model_weights(init_model_weights(PipelineConfig.load(desk_config_path)), weights)
+        doc = json.loads(weights.read_text())
+        content(doc)
+        content = json.dumps(doc)
     if content is not None:
         weights.write_text(content)
     capsys.readouterr()
@@ -415,7 +431,12 @@ def test_run_rejects_a_weights_file_whose_tensors_are_a_list(tmp_path, desk_conf
     assert not pred.exists()
 
 
-@pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["malformed-json", "list"])
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", "[1, 2]", '{"channels": "x"}', '{"pgm": "no"}', '{"loss": {"zz": 1}}',
+     '{"grid_h": 0}'],
+    ids=["malformed-json", "list", "string-int", "string-bool", "unknown-loss-key", "empty-grid"],
+)
 @pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
 def test_a_bad_config_file_exits_2(tmp_path, desk_config_path, capsys, command, content):
     scene = tmp_path / "scene.json"

@@ -47,6 +47,18 @@ def test_unknown_fields_rejected():
         {"mask_threshold": 0.0},
         {"outlier_threshold": -1.0},
         {"n_real": 0},
+        {"channels": "x"},
+        {"k": 2.5},
+        {"n_real": True},
+        {"det_thresholds": 3},
+        {"det_thresholds": [1.0, None]},
+        {"loss": {"zz": 1}},
+        {"loss": {"top": "x"}},
+        {"loss": 5},
+        {"grid_h": 0},
+        {"resolution": 0.0},
+        {"heads": 0},
+        {"pgm": "no"},
     ],
 )
 def test_invalid_values_rejected(overrides):

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: toggles, determinism, file formats, and an
 oracle-weight run that must reach perfect detection."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -468,8 +469,16 @@ class TestPredictionFileValidation:
             (lambda doc: doc["predictions"][2].update(is_real=1),
              r"predictions\[2\]\.is_real must be true or false"),
             (lambda doc: doc["predictions"][1].update(points=None), r"predictions\[1\]\.points"),
+            (lambda doc: doc.update(masks=[1]), "masks must be an object, got list"),
+            (lambda doc: doc["masks"]["instances"].__setitem__(0, 5),
+             r"masks\.instances\[0\]: must be a list of runs, got int"),
+            (lambda doc: doc["masks"]["instances"].__setitem__(1, [[0.5, 2]]),
+             r"masks\.instances\[1\]: runs must be \[start, stop\]"),
+            (lambda doc: doc["masks"]["instances"].__setitem__(2, [[0, 10**6]]),
+             r"masks\.instances\[2\]: runs must be .* <= 5000, got \[0, 1000000\]"),
         ],
-        ids=["number-entries", "object-list", "numeric-is-real", "null-points"],
+        ids=["number-entries", "object-list", "numeric-is-real", "null-points", "list-masks",
+             "number-instance", "fractional-run", "run-past-the-grid"],
     )
     def test_malformed_entries_are_one_value_error(self, saved, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
@@ -532,6 +541,26 @@ class TestCheckWeights:
 
 
 class TestWeightsFile:
+    @pytest.mark.parametrize(
+        "cfg, seed, digest",
+        [
+            (PipelineConfig.desk(), 0,
+             "385f438d03fb9355b0985854d7fda7db742db1fefdc658b8fdcb776d50f8b714"),
+            (PipelineConfig.desk(layers=3, sd_layers=2, k=7, n_virtual=0), 5,
+             "7da8048eac075bd85c9a5d78219b81296e5ef75ae6ddd1fd9c61fec01bde71fb"),
+        ],
+        ids=["desk", "desk-variant"],
+    )
+    def test_saved_file_bytes_are_pinned(self, tmp_path, cfg, seed, digest):
+        """The draw order, the tensor names and the encoding make up the file
+        format, so one config and seed always give the same bytes, and a
+        loaded file saves back to them."""
+        path, again = tmp_path / "weights.json", tmp_path / "again.json"
+        save_model_weights(init_model_weights(cfg, seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_model_weights(load_model_weights(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_unrecognized_format_rejected(self, tmp_path):
         path = tmp_path / "weights.json"
         path.write_text('{"format": "something-else", "tensors": {}}')

@@ -144,6 +144,22 @@ class TestSceneJson:
         with pytest.raises(ValueError, match=message):
             scene_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(centerlines=None), "centerlines must be a list, got NoneType"),
+            (lambda d: d["centerlines"].__setitem__(0, 5),
+             r"centerlines\[0\] must be an object, got int"),
+            (lambda d: d["sd_instances"][0].update(points={}), r"sd_instances\[0\]\.points: "),
+        ],
+        ids=["null-list", "number-entry", "object-points"],
+    )
+    def test_malformed_entries_are_one_value_error(self, edit, message):
+        doc = scene_to_dict(synth_scene(15))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            scene_from_dict(doc)
+
     def test_whole_float_ids_load_as_ints(self):
         scene = synth_scene(15)
         doc = scene_to_dict(scene)
