@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -80,6 +81,11 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
+        loss = {f"loss.{k}": v for k, v in vars(self.loss).items()}
+        for name, value in {**vars(self), **loss}.items():
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.k < 2:
             raise ConfigError("k must be at least 2")
         if self.n_real < 1 or self.n_virtual < 0:
@@ -90,6 +96,10 @@ class PipelineConfig:
             raise ConfigError("heads and sd_heads must be at least 1")
         if self.grid_h < 1 or self.grid_w < 1 or self.resolution <= 0:
             raise ConfigError("grid_h, grid_w and resolution must be positive")
+        if self.sample_points < 1 or self.sd_sample_points < 1:
+            raise ConfigError("sample_points and sd_sample_points must be at least 1")
+        if not self.det_thresholds or not self.mask_iou_thresholds:
+            raise ConfigError("det_thresholds and mask_iou_thresholds must not be empty")
         if self.channels % self.heads != 0:
             raise ConfigError("channels must be divisible by heads")
         if self.channels % 4 != 0:

@@ -4,7 +4,9 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,12 +28,14 @@ from .points_mask import (
     sample_mask_points,
     select_point_set,
 )
-from .scene import Scene, _objects, _polyline, render_bev_features, render_gt_masks
+from .scene import Scene, _flag, _objects, _polyline, render_bev_features, render_gt_masks
 from .sdmap import SemanticEmbeddingTable, rasterize_sdmap, sd_interact
 from .topology import enhance_queries, predict_topology
 from .weights import ModelWeights, check_weights
 
-PREDICTIONS_SCHEMA_VERSION = 1
+PREDICTIONS_SCHEMA_VERSION = 2
+MASK_ENCODING = "bits-zlib-b64"
+MASK_ZLIB_LEVEL = 6
 
 
 @dataclass
@@ -208,26 +212,33 @@ def evaluate_outputs(
 # --- prediction file format ---------------------------------------------------
 
 
-def _mask_rle(mask_bool: np.ndarray) -> list[list[int]]:
-    """Runs of set cells over the row-major flattened mask: [start, stop)."""
-    flat = np.asarray(mask_bool, dtype=bool).reshape(-1)
-    padded = np.concatenate([[False], flat, [False]])
-    return np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).tolist()
+def _masks_from_doc(doc: dict, n: int, grid: GridSpec) -> np.ndarray:
+    """The (n, h, w) boolean masks of a predictions document on ``grid``.
 
-
-def _mask_from_rle(runs: list[list[int]], h: int, w: int) -> np.ndarray:
-    """The (h, w) mask of :func:`_mask_rle`'s runs; a ValueError unless
-    ``runs`` is a list of integer pairs with 0 <= start <= stop <= h*w."""
-    if not isinstance(runs, list):
-        raise ValueError(f"must be a list of runs, got {type(runs).__name__}")
-    flat = np.zeros(h * w, dtype=bool)
-    for run in runs:
-        if not (isinstance(run, list) and len(run) == 2 and all(type(i) is int for i in run)
-                and 0 <= run[0] <= run[1] <= h * w):
-            raise ValueError(f"runs must be [start, stop] with 0 <= start <= stop <= {h * w}, "
-                             f"got {run!r}")
-        flat[run[0]:run[1]] = True
-    return flat.reshape(h, w)
+    Inflation stops at the size of n packed masks, so a document cannot make
+    the reader allocate more than the masks it claims.
+    """
+    doc_grid, masks = doc["grid"], doc["masks"]
+    if not isinstance(doc_grid, dict) or (doc_grid["h"], doc_grid["w"]) != (grid.h, grid.w):
+        raise ValueError(f"masks: the document's grid is not the configured {grid.h}x{grid.w}")
+    if not isinstance(masks, dict):
+        raise ValueError(f"masks must be an object, got {type(masks).__name__}")
+    if masks["encoding"] != MASK_ENCODING:
+        raise ValueError(f"masks.encoding must be {MASK_ENCODING!r}, got {masks['encoding']!r}")
+    if not isinstance(masks["data"], str):
+        raise ValueError(f"masks.data must be a string, got {type(masks['data']).__name__}")
+    cells = n * grid.h * grid.w
+    size = -(-cells // 8)
+    inflate = zlib.decompressobj()
+    try:
+        packed = inflate.decompress(base64.b64decode(masks["data"], validate=True), max(size, 1))
+    except (ValueError, zlib.error) as exc:
+        raise ValueError(f"masks.data: {exc}") from None
+    if len(packed) != size or not inflate.eof or inflate.unconsumed_tail or inflate.unused_data:
+        raise ValueError(f"masks.data must inflate to exactly {size} bytes: {n} masks of "
+                         f"{grid.h}x{grid.w} cells")
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=cells)
+    return bits.reshape(n, grid.h, grid.w).view(bool)
 
 
 def predictions_to_dict(outputs: ModelOutputs) -> dict:
@@ -253,14 +264,9 @@ def predictions_to_dict(outputs: ModelOutputs) -> dict:
         },
     }
     if outputs.mask_logits is not None:
-        doc["masks"] = {
-            "h": outputs.grid.h,
-            "w": outputs.grid.w,
-            "encoding": "rle-0.5",
-            "instances": [
-                _mask_rle(sigmoid(m) >= 0.5) for m in outputs.mask_logits
-            ],
-        }
+        bits = np.packbits(sigmoid(outputs.mask_logits) >= 0.5)
+        data = base64.b64encode(zlib.compress(bits.tobytes(), MASK_ZLIB_LEVEL))
+        doc["masks"] = {"encoding": MASK_ENCODING, "data": data.decode("ascii")}
     return doc
 
 
@@ -297,39 +303,27 @@ def load_predictions(pred_path: str | Path, grid: GridSpec | None = None):
 
     The masks are decoded on ``grid`` and checked against it; they are None
     when the document has none or no grid is given. An unreadable path
-    raises ``OSError``; a malformed document raises one ``ValueError`` naming
-    the bad field or the missing key.
+    raises ``OSError``; a malformed document, or one of another schema
+    version, raises one ``ValueError`` naming the bad field or the missing
+    key.
     """
     doc = json.loads(Path(pred_path).read_text())
     if not isinstance(doc, dict) or doc.get("kind") != "lanetopo-predictions":
         raise ValueError("not a recognized predictions document")
+    version = doc.get("schema_version")
+    if version != PREDICTIONS_SCHEMA_VERSION:
+        raise ValueError(f"predictions schema_version must be {PREDICTIONS_SCHEMA_VERSION}, "
+                         f"got {version!r}")
     try:
         entries = _objects(doc, "predictions")
-        lines, is_real = [], []
-        for i, p in enumerate(entries):
-            lines.append(_polyline(p["points"], f"predictions[{i}]"))
-            if not isinstance(p["is_real"], bool):
-                raise ValueError(f"predictions[{i}].is_real must be true or false")
-            is_real.append(p["is_real"])
+        lines = [_polyline(p["points"], f"predictions[{i}]") for i, p in enumerate(entries)]
+        is_real = [_flag(p["is_real"], f"predictions[{i}].is_real") for i, p in enumerate(entries)]
         n = len(lines)
         scores = _numeric_field([p["score"] for p in entries], "predictions[].score", (n,))
         adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
         pred_masks = None
         if grid is not None and "masks" in doc:
-            masks = doc["masks"]
-            if not isinstance(masks, dict):
-                raise ValueError(f"masks must be an object, got {type(masks).__name__}")
-            if (grid.h, grid.w) != (masks["h"], masks["w"]):
-                raise ValueError("prediction masks do not match the configured grid")
-            instances = masks["instances"]
-            if not isinstance(instances, list) or len(instances) != n:
-                raise ValueError(f"masks.instances must hold {n} masks, one per prediction")
-            pred_masks = []
-            for i, runs in enumerate(instances):
-                try:
-                    pred_masks.append(_mask_from_rle(runs, grid.h, grid.w))
-                except ValueError as exc:
-                    raise ValueError(f"masks.instances[{i}]: {exc}") from None
+            pred_masks = list(_masks_from_doc(doc, n, grid))
     except KeyError as exc:
         raise ValueError(f"prediction document lacks key {exc.args[0]!r}") from None
     return lines, scores, np.array(is_real, dtype=bool), adjacency, pred_masks

@@ -362,6 +362,13 @@ def _integral(value, field: str) -> int:
     return int(value)
 
 
+def _flag(value, field: str) -> bool:
+    """A JSON boolean, or a ValueError naming ``field``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false")
+    return value
+
+
 def _adjacency_from_doc(raw) -> np.ndarray:
     """The adjacency as int64, checked to hold only 0 and 1 before the cast."""
     adjacency = np.asarray(raw)
@@ -404,7 +411,7 @@ def scene_from_dict(d: dict) -> Scene:
         lanes, sd = _objects(d, "centerlines"), _objects(d, "sd_instances")
         scene = Scene(
             centerlines=[_polyline(c["points"], f"centerlines[{i}]") for i, c in enumerate(lanes)],
-            is_real=[bool(c["is_real"]) for c in lanes],
+            is_real=[_flag(c["is_real"], f"centerlines[{i}].is_real") for i, c in enumerate(lanes)],
             adjacency=_adjacency_from_doc(d["adjacency"]),
             sd_instances=[
                 SdMapInstance(

@@ -160,6 +160,10 @@ def test_env_overrides(tmp_path, monkeypatch):
         (lambda doc: doc.update(adjacency=[[0.0]]), "adjacency must have shape"),
         (lambda doc: doc["predictions"][0].update(score=float("nan")), "score must be finite"),
         (lambda doc: doc["adjacency"][0].__setitem__(0, float("inf")), "adjacency must be finite"),
+        (lambda doc: doc.update(
+            schema_version=1,
+            masks={"h": 50, "w": 100, "encoding": "rle-0.5", "instances": [[]] * 32},
+        ), "predictions schema_version must be 2, got 1"),
     ],
 )
 def test_eval_rejects_malformed_prediction_file(tmp_path, desk_config_path, capsys, edit, message):
@@ -434,8 +438,11 @@ def test_run_rejects_a_weights_file_whose_tensors_are_a_list(tmp_path, desk_conf
 @pytest.mark.parametrize(
     "content",
     ["{not json", "[1, 2]", '{"channels": "x"}', '{"pgm": "no"}', '{"loss": {"zz": 1}}',
-     '{"grid_h": 0}'],
-    ids=["malformed-json", "list", "string-int", "string-bool", "unknown-loss-key", "empty-grid"],
+     '{"grid_h": 0}', '{"resolution": NaN}', '{"x_min": NaN}', '{"sample_points": 0}',
+     '{"sd_sample_points": 0, "sd": true}', '{"det_thresholds": []}'],
+    ids=["malformed-json", "list", "string-int", "string-bool", "unknown-loss-key", "empty-grid",
+         "nan-resolution", "nan-x-min", "no-sample-points", "no-sd-sample-points",
+         "no-det-thresholds"],
 )
 @pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
 def test_a_bad_config_file_exits_2(tmp_path, desk_config_path, capsys, command, content):

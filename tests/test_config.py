@@ -59,6 +59,15 @@ def test_unknown_fields_rejected():
         {"resolution": 0.0},
         {"heads": 0},
         {"pgm": "no"},
+        {"resolution": float("nan")},
+        {"x_min": float("nan")},
+        {"z_max": float("inf")},
+        {"det_thresholds": [1.0, float("nan")]},
+        {"loss": {"top": float("-inf")}},
+        {"sample_points": 0},
+        {"sd_sample_points": 0, "sd": True},
+        {"det_thresholds": []},
+        {"mask_iou_thresholds": []},
     ],
 )
 def test_invalid_values_rejected(overrides):

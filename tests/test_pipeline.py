@@ -1,21 +1,23 @@
 """End-to-end pipeline behavior: toggles, determinism, file formats, and an
 oracle-weight run that must reach perfect detection."""
 
+import base64
 import hashlib
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from scipy.special import logit
 
 from lanetopo import pipeline
-from lanetopo.bev import MlpWeights
+from lanetopo.bev import GridSpec, MlpWeights, sigmoid
 from lanetopo.config import ConfigError, PipelineConfig
-from lanetopo.geometry import resample_polyline
-from lanetopo.losses import total_loss
+from lanetopo.decoder import CenterlinePrediction
+from lanetopo.geometry import Polyline, resample_polyline
+from lanetopo.losses import ModelOutputs, total_loss
 from lanetopo.pipeline import (
-    _mask_from_rle,
-    _mask_rle,
     ablation_grid,
     dump_predictions_json,
     evaluate_outputs,
@@ -338,30 +340,63 @@ class TestPredictionFiles:
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def mask_rle_loop(mask_bool):
-    """Reference run-length encoder: one Python step per run."""
-    flat = np.asarray(mask_bool, dtype=bool).reshape(-1)
-    padded = np.concatenate([[False], flat, [False]])
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return [[int(start), int(stop)] for start, stop in zip(edges[::2], edges[1::2])]
-
-
-class TestMaskRle:
-    @pytest.mark.parametrize(
-        "mask",
-        [
-            np.zeros((3, 4), dtype=bool),
-            np.ones((3, 4), dtype=bool),
-            np.eye(4, dtype=bool),
-            np.arange(12).reshape(3, 4) % 3 == 0,
-            np.random.default_rng(0).uniform(size=(20, 30)) < 0.4,
-        ],
+def outputs_with_masks(mask_logits: np.ndarray) -> ModelOutputs:
+    """Outputs of n identical predictions carrying ``mask_logits`` (n, h, w)."""
+    n, h, w = mask_logits.shape
+    line = Polyline(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    pred = CenterlinePrediction(points=line, score=0.5, is_real=True, query=np.zeros(1))
+    return ModelOutputs(
+        predictions=[pred] * n,
+        adjacency=np.zeros((n, n)),
+        grid=GridSpec(h=h, w=w, x_min=0.0, y_min=0.0, resolution=1.0),
+        mask_logits=mask_logits,
     )
-    def test_matches_loop_reference_and_round_trips(self, mask):
-        runs = _mask_rle(mask)
-        assert runs == mask_rle_loop(mask)
-        assert all(type(v) is int for run in runs for v in run)
-        assert np.array_equal(_mask_from_rle(runs, *mask.shape), mask)
+
+
+def encoded(payload: bytes) -> str:
+    return base64.b64encode(zlib.compress(payload)).decode("ascii")
+
+
+class TestPackedMasks:
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (1, 1, 1), (2, 3, 4), (0, 4, 6)],
+                             ids=["105-bits", "one-bit", "24-bits", "no-masks"])
+    def test_round_trip_is_exact(self, tmp_path, shape):
+        logits = np.random.default_rng(0).normal(size=shape)
+        logits.flat[: min(logits.size, 2)] = 0.0  # sigmoid(0) = 0.5 is set
+        outputs = outputs_with_masks(logits)
+        path = tmp_path / "pred.json"
+        save_predictions(outputs, path)
+        expected = sigmoid(logits) >= 0.5
+        masks = load_predictions(path, outputs.grid)[4]
+        assert np.array_equal(np.reshape(masks, shape), expected)
+        assert all(m.dtype == bool for m in masks)
+
+        doc = json.loads(path.read_text())
+        assert doc["masks"].keys() == {"encoding", "data"}
+        assert doc["masks"]["encoding"] == "bits-zlib-b64"
+        packed = zlib.decompress(base64.b64decode(doc["masks"]["data"]))
+        assert len(packed) == -(-expected.size // 8)
+        assert np.array_equal(np.unpackbits(np.frombuffer(packed, np.uint8))[: expected.size],
+                              expected.reshape(-1))  # row-major, most significant bit first
+
+    @pytest.mark.parametrize("shape, size", [((3, 5, 7), 14), ((0, 4, 6), 0)])
+    def test_a_zlib_bomb_is_refused_within_the_claimed_size(self, tmp_path, shape, size):
+        outputs = outputs_with_masks(np.zeros(shape))
+        path = tmp_path / "pred.json"
+        save_predictions(outputs, path)
+        doc = json.loads(path.read_text())
+        deflate = zlib.compressobj()
+        zeros = [deflate.compress(bytes(1 << 20)) for _ in range(64)]  # 64 MiB
+        doc["masks"]["data"] = base64.b64encode(b"".join(zeros) + deflate.flush()).decode()
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"must inflate to exactly {size} bytes"):
+                load_predictions(path, outputs.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPredictionFileValidation:
@@ -439,9 +474,10 @@ class TestPredictionFileValidation:
 
     def test_mask_count_must_match_predictions(self, saved, tmp_path):
         def edit(doc):
-            doc["masks"]["instances"].pop()
+            doc["predictions"].pop()
+            doc["adjacency"] = [row[:-1] for row in doc["adjacency"][:-1]]
 
-        with pytest.raises(ValueError, match="masks.instances"):
+        with pytest.raises(ValueError, match=r"masks\.data must inflate to exactly 19375 bytes"):
             self.evaluate_edited(saved, tmp_path, edit)
 
     def test_unedited_document_scores(self, saved, tmp_path):
@@ -454,7 +490,8 @@ class TestPredictionFileValidation:
             (lambda doc: doc.pop("predictions"), "predictions"),
             (lambda doc: doc.pop("adjacency"), "adjacency"),
             (lambda doc: doc["predictions"][3].pop("score"), "score"),
-            (lambda doc: doc["masks"].pop("instances"), "instances"),
+            (lambda doc: doc["masks"].pop("data"), "data"),
+            (lambda doc: doc.pop("grid"), "grid"),
         ],
     )
     def test_missing_key_is_named(self, saved, tmp_path, edit, key):
@@ -470,15 +507,29 @@ class TestPredictionFileValidation:
              r"predictions\[2\]\.is_real must be true or false"),
             (lambda doc: doc["predictions"][1].update(points=None), r"predictions\[1\]\.points"),
             (lambda doc: doc.update(masks=[1]), "masks must be an object, got list"),
-            (lambda doc: doc["masks"]["instances"].__setitem__(0, 5),
-             r"masks\.instances\[0\]: must be a list of runs, got int"),
-            (lambda doc: doc["masks"]["instances"].__setitem__(1, [[0.5, 2]]),
-             r"masks\.instances\[1\]: runs must be \[start, stop\]"),
-            (lambda doc: doc["masks"]["instances"].__setitem__(2, [[0, 10**6]]),
-             r"masks\.instances\[2\]: runs must be .* <= 5000, got \[0, 1000000\]"),
+            (lambda doc: doc["masks"].update(encoding="rle-0.5"),
+             "masks.encoding must be 'bits-zlib-b64', got 'rle-0.5'"),
+            (lambda doc: doc["masks"].update(data=5), "masks.data must be a string, got int"),
+            (lambda doc: doc["masks"].update(data="not base64!"), r"masks\.data: "),
+            (lambda doc: doc["masks"].update(data="AAAA"), r"masks\.data: Error -3"),
+            (lambda doc: doc["masks"].update(data=encoded(bytes(20000) + b"x")),
+             r"masks\.data must inflate to exactly 20000 bytes"),
+            (lambda doc: doc["masks"].update(data=doc["masks"]["data"][:-8]),
+             r"masks\.data"),
+            (lambda doc: doc["grid"].update(w=99), "masks: the document's grid is not the "
+             "configured 50x100"),
+            (lambda doc: doc.update(grid=[50, 100]), "masks: the document's grid"),
+            (lambda doc: doc.update(
+                schema_version=1,
+                masks={"h": 50, "w": 100, "encoding": "rle-0.5", "instances": [[]] * 32},
+            ), "predictions schema_version must be 2, got 1"),
+            (lambda doc: doc.pop("schema_version"), "schema_version must be 2, got None"),
+            (lambda doc: doc.update(schema_version=99), "schema_version must be 2, got 99"),
         ],
         ids=["number-entries", "object-list", "numeric-is-real", "null-points", "list-masks",
-             "number-instance", "fractional-run", "run-past-the-grid"],
+             "rle-encoding", "number-data", "not-base64", "not-zlib", "one-byte-too-many",
+             "truncated-stream", "another-grid", "list-grid", "v1-document", "no-version",
+             "version-99"],
     )
     def test_malformed_entries_are_one_value_error(self, saved, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
@@ -502,7 +553,7 @@ class TestPredictionFileValidation:
     def test_empty_prediction_set_is_valid(self, saved, tmp_path):
         def edit(doc):
             doc["predictions"], doc["adjacency"] = [], []
-            doc["masks"]["instances"] = []
+            doc["masks"]["data"] = encoded(b"")
 
         report = self.evaluate_edited(saved, tmp_path, edit)
         assert (report.det_l, report.top_ll, report.ap_l) == (0.0, 0.0, 0.0)

@@ -151,8 +151,10 @@ class TestSceneJson:
             (lambda d: d["centerlines"].__setitem__(0, 5),
              r"centerlines\[0\] must be an object, got int"),
             (lambda d: d["sd_instances"][0].update(points={}), r"sd_instances\[0\]\.points: "),
+            (lambda d: d["centerlines"][1].update(is_real="no"),
+             r"centerlines\[1\]\.is_real must be true or false"),
         ],
-        ids=["null-list", "number-entry", "object-points"],
+        ids=["null-list", "number-entry", "object-points", "string-is-real"],
     )
     def test_malformed_entries_are_one_value_error(self, edit, message):
         doc = scene_to_dict(synth_scene(15))
