@@ -76,16 +76,16 @@ class PipelineConfig:
     def __post_init__(self):
         if isinstance(self.loss, dict):
             self.loss = LossCoefficients(**self.loss)
+        self.validate()
         self.det_thresholds = tuple(float(t) for t in self.det_thresholds)
         self.mask_iou_thresholds = tuple(float(t) for t in self.mask_iou_thresholds)
-        self.validate()
 
     def validate(self) -> None:
         loss = {f"loss.{k}": v for k, v in vars(self.loss).items()}
         for name, value in {**vars(self), **loss}.items():
-            entries = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            entries = value if isinstance(value, (list, tuple)) else (value,)
+            if not all(_finite(v) for v in entries):
+                raise ConfigError(f"{name} must be a finite number")
         if self.k < 2:
             raise ConfigError("k must be at least 2")
         if self.n_real < 1 or self.n_virtual < 0:
@@ -169,6 +169,17 @@ class PipelineConfig:
         if not isinstance(d, dict):
             raise ConfigError("a config document must be a JSON object")
         return cls.from_dict(d)
+
+
+def _finite(value) -> bool:
+    """False for a NaN or infinite float and for an int beyond the float
+    range; True for every other value, numbers or not."""
+    if not isinstance(value, numbers.Real):
+        return True
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _TYPE_NAMES = {

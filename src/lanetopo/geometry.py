@@ -104,6 +104,23 @@ def resample_points_2d(points: np.ndarray, k: int) -> np.ndarray:
     return _resample(points, k)
 
 
+def integer_crossings(x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every integer k in [lo, hi] that a segment x[s] -> x[s + 1] of the 1-D
+    sequence ``x`` reaches, endpoints included: the segment indices, the
+    integers (as floats) and the parameters t = (k - x[s]) / (x[s + 1] - x[s])
+    in [0, 1], ordered by segment and then by k. Constant segments have none.
+    The work is bounded by the segment count times hi - lo + 1, whatever x's
+    range.
+    """
+    a, b = x[:-1], x[1:]
+    first = np.maximum(np.ceil(np.minimum(a, b)), lo)
+    last = np.minimum(np.floor(np.maximum(a, b)), hi)
+    count = np.where(a == b, 0, np.maximum(last - first + 1, 0)).astype(np.int64)
+    seg = np.repeat(np.arange(len(a)), count)
+    k = first[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count))
+    return seg, k, (k - a[seg]) / (b[seg] - a[seg])
+
+
 def frechet_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Discrete Frechet distance between every curve of ``a`` (P, n, d) and
     every curve of ``b`` (G, m, d), as a (P, G) array.

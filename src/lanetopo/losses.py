@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from .bev import GridSpec, finite_diff_grad, sigmoid, softmax
 from .config import LossCoefficients
 from .decoder import CenterlinePrediction
-from .geometry import Polyline, resample_polyline
+from .geometry import Polyline, integer_crossings, resample_polyline
 from .points_mask import AXIS_COLUMNS, AXIS_ROWS, MaskPointReadout
 from .scene import Scene, render_gt_masks
 
@@ -213,19 +213,11 @@ def mask_point_targets(
         n_idx, cross_max = spec.h, spec.w - 1
     else:
         raise ValueError(f"unknown axis {axis!r}")
-    sums = np.zeros(n_idx)
-    counts = np.zeros(n_idx)
-    for s in range(len(main) - 1):
-        a, b = main[s], main[s + 1]
-        if a == b:
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        j0 = max(0, int(np.ceil(lo)))
-        j1 = min(n_idx - 1, int(np.floor(hi)))
-        for j in range(j0, j1 + 1):
-            t = (j - a) / (b - a)
-            sums[j] += cross[s] + t * (cross[s + 1] - cross[s])
-            counts[j] += 1
+    seg, j, t = integer_crossings(main, 0, n_idx - 1)
+    j = j.astype(np.int64)
+    crossing = cross[seg] + t * (cross[seg + 1] - cross[seg])
+    sums = np.bincount(j, weights=crossing, minlength=n_idx)
+    counts = np.bincount(j, minlength=n_idx)
     exist = (counts > 0).astype(np.float64)
     coords = np.zeros(n_idx)
     hit = counts > 0

@@ -186,6 +186,19 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum()) / union
 
 
+def mask_iou_matrix(pred_masks: list[np.ndarray], gt_masks: list[np.ndarray]) -> np.ndarray:
+    """The (P, G) matrix of :func:`mask_iou` between binarized predictions
+    and ground truths (both lists non-empty), from one product of the
+    flattened 0/1 masks."""
+    # 0/1 counts are exact in float32 up to 2**24 cells
+    dtype = np.float32 if np.asarray(gt_masks[0]).size < 2**24 else np.float64
+    p = np.array([_binarize(m).ravel() for m in pred_masks], dtype=dtype)
+    g = np.array([np.asarray(m, dtype=bool).ravel() for m in gt_masks], dtype=dtype)
+    inter = (p @ g.T).astype(np.float64)
+    union = p.sum(axis=1, dtype=np.float64)[:, None] + g.sum(axis=1, dtype=np.float64) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
 def mask_ap(
     pred_masks: list[np.ndarray],
     scores: np.ndarray,
@@ -201,15 +214,10 @@ def mask_ap(
     if not gt_masks or not pred_masks:
         per = {f"{t:g}": 0.0 for t in iou_thresholds}
         return 0.0, per
-    bin_preds = [_binarize(m) for m in pred_masks]
-    bin_gts = [np.asarray(m, dtype=bool) for m in gt_masks]
-    iou = np.empty((len(bin_preds), len(bin_gts)))
-    for i, p in enumerate(bin_preds):
-        for j, g in enumerate(bin_gts):
-            iou[i, j] = mask_iou(p, g)
+    iou = mask_iou_matrix(pred_masks, gt_masks)
     order = _rank_by_score(scores)
     per = {}
     for t in iou_thresholds:
         flags = [j >= 0 for j in _greedy_match(order, iou, t, larger_is_better=True)]
-        per[f"{t:g}"] = average_precision(flags, len(bin_gts))
+        per[f"{t:g}"] = average_precision(flags, len(gt_masks))
     return float(np.mean(list(per.values()))), per

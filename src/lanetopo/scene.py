@@ -21,7 +21,7 @@ import numpy as np
 from .bev import BevGrid, GridSpec
 from .config import PipelineConfig
 from .geometry import Polyline, resample_polyline
-from .sdmap import SdMapInstance, _segment_cells, supercover_cells
+from .sdmap import SdMapInstance, trace_cells
 
 GT_POINTS = 201
 X_MIN, X_MAX = -50.0, 50.0
@@ -250,30 +250,32 @@ def synth_scene(seed: int, params: SceneParams | None = None) -> Scene:
 # --- GT rasterization -------------------------------------------------------
 
 
-def _dilate(cells: set[tuple[int, int]], h: int, w: int) -> set[tuple[int, int]]:
-    """One-cell 8-neighborhood dilation, clipped to the grid."""
-    out = set()
-    for r, c in cells:
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w:
-                    out.add((rr, cc))
-    return out
+_NEIGHBORS = np.array([(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)])
 
 
-def lane_cells(lane: Polyline, spec: GridSpec, dilate: bool = True) -> set[tuple[int, int]]:
-    """Supercover cells of a lane, optionally with one-cell dilation."""
-    cells = {tuple(rc) for rc in supercover_cells(lane, spec)}
-    return _dilate(cells, spec.h, spec.w) if dilate else cells
+def _lane_trace(lane: Polyline, spec: GridSpec):
+    """Segment index, row and column of every cell of the lane's supercover
+    trace with one-cell 8-neighborhood dilation, clipped to the grid after
+    dilating, in segment order (cells repeat)."""
+    seg, row, col = trace_cells(lane, spec)
+    rr = (row[:, None] + _NEIGHBORS[:, 0]).ravel()
+    cc = (col[:, None] + _NEIGHBORS[:, 1]).ravel()
+    inside = (rr >= 0) & (rr < spec.h) & (cc >= 0) & (cc < spec.w)
+    return np.repeat(seg, len(_NEIGHBORS))[inside], rr[inside], cc[inside]
+
+
+def lane_cells(lane: Polyline, spec: GridSpec) -> set[tuple[int, int]]:
+    """Supercover cells of a lane with one-cell dilation."""
+    _, row, col = _lane_trace(lane, spec)
+    return set(zip(row.tolist(), col.tolist()))
 
 
 def render_gt_masks(scene: Scene, spec: GridSpec) -> np.ndarray:
     """Binary instance masks (n_lanes, h, w) from dilated supercover tracing."""
     masks = np.zeros((scene.n_lanes, spec.h, spec.w), dtype=np.float64)
     for i, lane in enumerate(scene.centerlines):
-        for r, c in lane_cells(lane, spec):
-            masks[i, r, c] = 1.0
+        _, row, col = _lane_trace(lane, spec)
+        masks[i, row, col] = 1.0
     return masks
 
 
@@ -282,11 +284,12 @@ def render_bev_features(
 ) -> BevGrid:
     """GT-derived BEV features: occupancy, tangent sin/cos, lane ordinal hash.
 
-    Real lanes write all four bands over their dilated supercover cells
-    (first lane wins on overlap); virtual lanes only add a weak 0.2 occupancy
-    where no real lane claims the cell. Remaining channels stay zero. i.i.d.
-    Gaussian noise with std ``noise_sigma`` is added to every channel, seeded
-    deterministically from the scene seed.
+    Real lanes write all four bands over their dilated supercover cells; a
+    cell takes the tangent of the first lane, and within it the first
+    segment of nonzero length, that reaches it. Virtual lanes only add a weak
+    0.2 occupancy where no real lane claims the cell. Remaining channels stay
+    zero. i.i.d. Gaussian noise with std ``noise_sigma`` is added to every
+    channel, seeded deterministically from the scene seed.
     """
     spec = cfg.grid
     c = cfg.channels
@@ -294,37 +297,28 @@ def render_bev_features(
         raise ValueError("feature rendering needs at least 4 channels")
     data = np.zeros((spec.h, spec.w, c), dtype=np.float64)
     claimed = np.zeros((spec.h, spec.w), dtype=bool)
-    res = spec.resolution
-    real_indices = [i for i, r in enumerate(scene.is_real) if r]
-    for ordinal, i in enumerate(real_indices):
-        lane = scene.centerlines[i]
-        u = (lane.pts[:, 0] - spec.x_min) / res
-        v = (lane.pts[:, 1] - spec.y_min) / res
-        hash_val = (ordinal * 0.6180339887498949) % 1.0
-        for s in range(len(lane) - 1):
-            seg = lane.pts[s + 1, :2] - lane.pts[s, :2]
-            norm = np.linalg.norm(seg)
-            if norm == 0.0:
-                continue
-            tx, ty = seg / norm
-            cells = {
-                (r, cc)
-                for r, cc in _segment_cells(u[s], v[s], u[s + 1], v[s + 1])
-                if 0 <= r < spec.h and 0 <= cc < spec.w
-            }
-            for r, cc in _dilate(cells, spec.h, spec.w):
-                if not claimed[r, cc]:
-                    claimed[r, cc] = True
-                    data[r, cc, 0] = 1.0
-                    data[r, cc, 1] = tx
-                    data[r, cc, 2] = ty
-                    data[r, cc, 3] = hash_val
-    for i, real in enumerate(scene.is_real):
-        if real:
+    virtual = np.zeros((spec.h, spec.w), dtype=bool)
+    ordinal = 0
+    for lane, real in zip(scene.centerlines, scene.is_real):
+        seg, row, col = _lane_trace(lane, spec)
+        if not real:
+            virtual[row, col] = True
             continue
-        for r, cc in lane_cells(scene.centerlines[i], spec):
-            if not claimed[r, cc] and data[r, cc, 0] == 0.0:
-                data[r, cc, 0] = 0.2
+        step = np.diff(lane.pts[:, :2], axis=0)
+        # rounds as the 1-D np.linalg.norm of each step does; norm(axis=1) does not
+        norm = np.sqrt(np.vecdot(step, step))
+        moves = np.flatnonzero(norm[seg] != 0.0)
+        # seg ascends, so the first occurrence of a cell is its lowest segment
+        _, first = np.unique(row[moves] * spec.w + col[moves], return_index=True)
+        first = moves[first]
+        first = first[~claimed[row[first], col[first]]]
+        seg, row, col = seg[first], row[first], col[first]
+        claimed[row, col] = True
+        data[row, col, 0] = 1.0
+        data[row, col, 1:3] = step[seg] / norm[seg, None]
+        data[row, col, 3] = (ordinal * 0.6180339887498949) % 1.0
+        ordinal += 1
+    data[virtual & ~claimed, 0] = 0.2
     if noise_sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([scene.seed, _NOISE_STREAM]))
         data = data + rng.normal(0.0, noise_sigma, size=data.shape)

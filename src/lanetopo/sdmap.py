@@ -15,7 +15,7 @@ import numpy as np
 
 from .bev import BevGrid, GridSpec, layer_norm, mlp_forward
 from .decoder import deformable_attention_core
-from .geometry import Polyline
+from .geometry import Polyline, integer_crossings
 from .weights import SdInteractWeights
 
 
@@ -50,37 +50,36 @@ class SemanticEmbeddingTable:
         return self.embeddings.shape[0] - 1
 
 
-def _segment_cells(u0: float, v0: float, u1: float, v1: float) -> list[tuple[int, int]]:
-    """All (row, col) cells a segment passes through, in corner coordinates.
+def trace_cells(poly: Polyline, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-grid pieces of a polyline's supercover trace, in traversal order:
+    segment index, row and column of each.
 
-    Cell (i, j) spans [j, j+1) x [i, i+1). The segment is cut at every integer
-    u and v crossing; each piece is assigned to the cell containing its
-    midpoint.
+    Cell (i, j) spans [j, j+1) x [i, i+1) in corner coordinates. Each segment
+    is cut at its integer u and v crossings; each piece goes to the cell
+    holding its midpoint. Only crossings with u in [0, w] and v in [0, h] are
+    cut, since every in-grid piece lies between two of them, so the work is
+    O(segments * (h + w)) however far the polyline reaches.
     """
-    ts = [0.0, 1.0]
-    du, dv = u1 - u0, v1 - v0
-    if du != 0.0:
-        lo, hi = sorted((u0, u1))
-        for kk in range(int(np.ceil(lo)), int(np.floor(hi)) + 1):
-            t = (kk - u0) / du
-            if 0.0 < t < 1.0:
-                ts.append(t)
-    if dv != 0.0:
-        lo, hi = sorted((v0, v1))
-        for kk in range(int(np.ceil(lo)), int(np.floor(hi)) + 1):
-            t = (kk - v0) / dv
-            if 0.0 < t < 1.0:
-                ts.append(t)
-    ts = sorted(set(ts))
-    cells = []
-    for a, bnd in zip(ts[:-1], ts[1:]):
-        tm = 0.5 * (a + bnd)
-        um = u0 + tm * du
-        vm = v0 + tm * dv
-        cells.append((int(np.floor(vm)), int(np.floor(um))))
-    if not cells:  # zero-length segment
-        cells.append((int(np.floor(v0)), int(np.floor(u0))))
-    return cells
+    u = (poly.pts[:, 0] - spec.x_min) / spec.resolution
+    v = (poly.pts[:, 1] - spec.y_min) / spec.resolution
+    n_seg = len(poly) - 1
+    ends = np.arange(n_seg)
+    seg_u, _, t_u = integer_crossings(u, 0, spec.w)
+    seg_v, _, t_v = integer_crossings(v, 0, spec.h)
+    seg = np.concatenate([ends, ends, seg_u, seg_v])
+    t = np.concatenate([np.zeros(n_seg), np.ones(n_seg), t_u, t_v])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[new], t[new]
+    piece = seg[1:] == seg[:-1]  # consecutive cuts of one segment bound a piece
+    seg = seg[:-1][piece]
+    tm = 0.5 * (t[:-1][piece] + t[1:][piece])
+    row = np.floor(v[seg] + tm * (v[seg + 1] - v[seg]))
+    col = np.floor(u[seg] + tm * (u[seg + 1] - u[seg]))
+    inside = (row >= 0) & (row < spec.h) & (col >= 0) & (col < spec.w)
+    return seg[inside], row[inside].astype(np.int64), col[inside].astype(np.int64)
 
 
 def supercover_cells(poly: Polyline, spec: GridSpec) -> np.ndarray:
@@ -89,17 +88,10 @@ def supercover_cells(poly: Polyline, spec: GridSpec) -> np.ndarray:
     Cells outside the grid are dropped; a polyline entirely outside the grid
     yields an empty array.
     """
-    res = spec.resolution
-    u = (poly.pts[:, 0] - spec.x_min) / res
-    v = (poly.pts[:, 1] - spec.y_min) / res
-    seen: set[tuple[int, int]] = set()
-    out: list[tuple[int, int]] = []
-    for i in range(len(poly) - 1):
-        for r, c in _segment_cells(u[i], v[i], u[i + 1], v[i + 1]):
-            if 0 <= r < spec.h and 0 <= c < spec.w and (r, c) not in seen:
-                seen.add((r, c))
-                out.append((r, c))
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+    _, row, col = trace_cells(poly, spec)
+    _, first = np.unique(row * spec.w + col, return_index=True)
+    first.sort()
+    return np.stack([row[first], col[first]], axis=-1)
 
 
 def rasterize_sdmap(
@@ -115,10 +107,8 @@ def rasterize_sdmap(
             raise ValueError(
                 f"semantic type {inst.semantic_type} outside table of {table.n_types} types"
             )
-        cells = supercover_cells(inst.polyline, spec)
-        for r, c in cells:
-            if claim[r, c] == 0:
-                claim[r, c] = inst.semantic_type
+        row, col = supercover_cells(inst.polyline, spec).T
+        claim[row, col] = np.where(claim[row, col] == 0, inst.semantic_type, claim[row, col])
     return BevGrid(table.embeddings[claim], spec)
 
 

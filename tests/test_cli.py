@@ -439,10 +439,11 @@ def test_run_rejects_a_weights_file_whose_tensors_are_a_list(tmp_path, desk_conf
     "content",
     ["{not json", "[1, 2]", '{"channels": "x"}', '{"pgm": "no"}', '{"loss": {"zz": 1}}',
      '{"grid_h": 0}', '{"resolution": NaN}', '{"x_min": NaN}', '{"sample_points": 0}',
-     '{"sd_sample_points": 0, "sd": true}', '{"det_thresholds": []}'],
+     '{"sd_sample_points": 0, "sd": true}', '{"det_thresholds": []}',
+     '{"det_thresholds": [1%s]}' % ("0" * 400), '{"resolution": 1%s}' % ("0" * 400)],
     ids=["malformed-json", "list", "string-int", "string-bool", "unknown-loss-key", "empty-grid",
          "nan-resolution", "nan-x-min", "no-sample-points", "no-sd-sample-points",
-         "no-det-thresholds"],
+         "no-det-thresholds", "huge-int-det-threshold", "huge-int-resolution"],
 )
 @pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
 def test_a_bad_config_file_exits_2(tmp_path, desk_config_path, capsys, command, content):

@@ -68,6 +68,8 @@ def test_unknown_fields_rejected():
         {"sd_sample_points": 0, "sd": True},
         {"det_thresholds": []},
         {"mask_iou_thresholds": []},
+        {"det_thresholds": [10**400]},  # an int beyond the float range
+        {"resolution": 10**400},
     ],
 )
 def test_invalid_values_rejected(overrides):
