@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
+from scipy.special import expit as sigmoid
 
 LN_EPS = 1e-5
 
@@ -163,6 +163,22 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
+
+
+def binarize_logits(x: np.ndarray) -> np.ndarray:
+    """``sigmoid(x) >= 0.5`` on float64 logits, bit for bit, without taking
+    the sigmoid of every cell.
+
+    The test holds for every x >= 0 (-0.0 included). A negative x passes only
+    where the sigmoid rounds to exactly 0.5, which happens down to about
+    -3.3e-16, so the cells in (-1e-12, 0) are decided by the sigmoid itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = x >= 0.0
+    near = (x > -1e-12) & ~out
+    if near.any():
+        out[near] = sigmoid(x[near]) >= 0.5
+    return out
 
 
 @dataclass

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import sigmoid
+from .bev import binarize_logits
 from .geometry import Polyline, frechet_matrix, resample_polyline
 
 # polylines are resampled to a common density before the Frechet coupling;
@@ -54,15 +54,51 @@ def _rank_by_score(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(scores)), -np.asarray(scores, dtype=np.float64)))
 
 
+def _resampled_ends(lines: list[Polyline]) -> np.ndarray:
+    """(L, 2, 3): the first and last point of each line's resampling. Those
+    are the line's own endpoints, except that a line whose segment norms sum
+    to 0 (distinct points about 1e-300 apart can do that) resamples to
+    copies of its first point."""
+    if not lines:
+        return np.empty((0, 2, 3))
+    pts = np.concatenate([p.pts for p in lines])
+    last = np.cumsum([len(p) for p in lines]) - 1
+    first = np.concatenate([[0], last[:-1] + 1])
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg[last[:-1]] = 0.0  # the steps from one line to the next
+    length = np.add.reduceat(seg, first)
+    return pts[np.stack([first, np.where(length > 0.0, last, first)], axis=1)]
+
+
 def _frechet_matrix(
-    preds: list[Polyline], gts: list[Polyline], n_eval: int = FRECHET_EVAL_POINTS
+    preds: list[Polyline],
+    gts: list[Polyline],
+    bound: float,
+    n_eval: int = FRECHET_EVAL_POINTS,
 ) -> np.ndarray:
-    """Pairwise Frechet distances on density-aligned resamplings, (P, G)."""
+    """Pairwise Frechet distances on density-aligned resamplings, (P, G),
+    exact for every pair that can lie within ``bound`` and +inf for the
+    pairs that the endpoint bound proves farther.
 
-    def stack(lines: list[Polyline]) -> np.ndarray:
-        return np.array([resample_polyline(p, n_eval).pts for p in lines]).reshape(-1, n_eval, 3)
+    Every coupling pairs the first points with each other and the last
+    points with each other, so a pair's distance is at least the larger of
+    its two endpoint gaps. A pair is kept when that gap is at most
+    ``bound``. Only the lines of kept pairs are resampled, and the kept rows
+    by the kept columns go through one exact :func:`frechet_matrix`; every
+    other entry is +inf.
+    """
+    a, b = _resampled_ends(preds), _resampled_ends(gts)
+    gap = np.linalg.norm(a[:, None] - b[None], axis=-1).max(axis=-1)
+    keep = gap <= bound
+    rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+    dist = np.full(keep.shape, np.inf)
+    if rows.size:
 
-    return frechet_matrix(stack(preds), stack(gts))
+        def stack(lines: list[Polyline], index: np.ndarray) -> np.ndarray:
+            return np.array([resample_polyline(lines[i], n_eval).pts for i in index])
+
+        dist[np.ix_(rows, cols)] = frechet_matrix(stack(preds, rows), stack(gts, cols))
+    return dist
 
 
 def _greedy_match(order, dist, threshold, larger_is_better=False) -> list[int]:
@@ -109,7 +145,9 @@ def det_l(
     """Detection mAP over Frechet distance thresholds.
 
     ``dist`` is the prediction-by-ground-truth Frechet matrix of
-    :func:`_frechet_matrix`; it is computed when not given.
+    :func:`_frechet_matrix` with a bound of at least the largest threshold;
+    it is computed with that bound when not given. Its +inf entries stand
+    for distances above the bound, which match at no threshold.
     """
     thresholds = tuple(sorted(thresholds))
     if not gts and not preds:
@@ -119,7 +157,7 @@ def det_l(
         per = {f"{t:g}": 0.0 for t in thresholds}
         return 0.0, per
     if dist is None:
-        dist = _frechet_matrix(preds, gts)
+        dist = _frechet_matrix(preds, gts, max(thresholds))
     order = _rank_by_score(scores)
     per = {}
     for t in thresholds:
@@ -144,7 +182,8 @@ def top_ll(
     threshold. A ground-truth lane pair with both endpoints matched and a
     projected probability above 0.5 becomes a ranked candidate edge; pairs at
     or below 0.5 assert "no edge", and pairs touching unmatched lanes stay
-    unreachable (missed). ``dist`` is as in :func:`det_l`.
+    unreachable (missed). ``dist`` is as in :func:`det_l`, with a bound of
+    at least ``match_threshold``.
     """
     gt_adj = np.asarray(gt_adj)
     n_gt = len(gt_lines)
@@ -153,7 +192,7 @@ def top_ll(
     gt_to_pred: dict[int, int] = {}
     if pred_lines and gt_lines:
         if dist is None:
-            dist = _frechet_matrix(pred_lines, gt_lines)
+            dist = _frechet_matrix(pred_lines, gt_lines, match_threshold)
         order = _rank_by_score(pred_scores)
         matched = _greedy_match(order, dist, match_threshold)
         gt_to_pred = {j: int(i) for i, j in zip(order, matched) if j >= 0}
@@ -175,7 +214,7 @@ def _binarize(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.dtype == bool:
         return mask
-    return sigmoid(mask.astype(np.float64)) >= 0.5
+    return binarize_logits(mask)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, sigmoid, sinusoidal_pe_2d
+from .bev import BevGrid, GridSpec, binarize_logits, sinusoidal_pe_2d
 from .config import ConfigError, PipelineConfig
 from .decoder import QuerySet, decoder_forward, instance_mask_logits
 from .geometry import Polyline
@@ -163,12 +163,13 @@ def score_predictions(
 ) -> EvalReport:
     """DET_l, TOP_ll and AP_l of predictions against the scene's ground truth.
 
-    The Frechet matrix is built once and shared by DET_l and TOP_ll. Masks
-    are logits or booleans on one grid, ``gt_masks`` being the scene's
-    :func:`render_gt_masks`; without ``pred_masks`` AP_l is 0.
+    The Frechet matrix is built once, exact up to the largest DET_l or TOP_ll
+    threshold, and shared by DET_l and TOP_ll. Masks are logits or booleans
+    on one grid, ``gt_masks`` being the scene's :func:`render_gt_masks`;
+    without ``pred_masks`` AP_l is 0.
     """
     gts = scene.centerlines
-    dist = _frechet_matrix(lines, gts)
+    dist = _frechet_matrix(lines, gts, max((*cfg.det_thresholds, cfg.top_match_threshold)))
     det, det_per = det_l(lines, scores, gts, cfg.det_thresholds, dist=dist)
     top = top_ll(
         lines, scores, adjacency, gts, scene.adjacency, cfg.top_match_threshold, dist=dist
@@ -264,7 +265,7 @@ def predictions_to_dict(outputs: ModelOutputs) -> dict:
         },
     }
     if outputs.mask_logits is not None:
-        bits = np.packbits(sigmoid(outputs.mask_logits) >= 0.5)
+        bits = np.packbits(binarize_logits(outputs.mask_logits))
         data = base64.b64encode(zlib.compress(bits.tobytes(), MASK_ZLIB_LEVEL))
         doc["masks"] = {"encoding": MASK_ENCODING, "data": data.decode("ascii")}
     return doc
@@ -353,7 +354,8 @@ def ablation_grid(
 
     The rows share stages: the BEV features, the SD interaction and the GT
     masks are computed once, and :func:`infer` runs once per ``(pgm, sd)``
-    pair, since ``pmf`` changes only fusion. Each row equals its own
+    pair, since ``pmf`` changes only fusion. Fusion moves only the points, so
+    a fused row takes AP_l from its unfused row. Each row equals its own
     :func:`run_pipeline` run exactly.
     """
     check_weights(cfg, weights)
@@ -384,9 +386,10 @@ def ablation_grid(
                 run_cfg = run_cfgs.get((pgm, pmf, sd))
                 if run_cfg is None:
                     continue
-                outputs = fuse(inferred, run_cfg) if pmf else inferred
+                # a fused row is scored without masks: its AP_l is the unfused row's
+                outputs = replace(fuse(inferred, run_cfg), mask_logits=None) if pmf else inferred
                 report = evaluate_outputs(outputs, scene, run_cfg, gt_masks)
-                rows[pgm, pmf, sd].update(
-                    det_l=report.det_l, top_ll=report.top_ll, ap_l=report.ap_l
-                )
+                if not pmf:
+                    ap_l = report.ap_l
+                rows[pgm, pmf, sd].update(det_l=report.det_l, top_ll=report.top_ll, ap_l=ap_l)
     return list(rows.values())

@@ -10,9 +10,11 @@ from lanetopo.bev import (
     LayerNormWeights,
     MlpWeights,
     bilinear_sample_batch,
+    binarize_logits,
     finite_diff_grad,
     layer_norm,
     mlp_forward,
+    sigmoid,
     sinusoidal_pe_2d,
     softmax,
 )
@@ -57,6 +59,23 @@ class TestSoftmax:
         v = rng.normal(size=6)
         perm = rng.permutation(6)
         assert np.allclose(softmax(v)[perm], softmax(v[perm]), atol=1e-12)
+
+
+class TestBinarizeLogits:
+    def test_random_stacks_equal_the_sigmoid_test(self):
+        rng = np.random.default_rng(0)
+        for scale in (1e-16, 1e-13, 1e-3, 1.0, 40.0):
+            x = rng.normal(scale=scale, size=(6, 20, 30))
+            got = binarize_logits(x)
+            assert got.dtype == bool
+            assert np.array_equal(got, sigmoid(x) >= 0.5)
+
+    def test_band_below_zero_equals_the_sigmoid_test(self):
+        x = np.array([-(2.0**-k) for k in range(40, 61)] + [-1e-15, -5e-324, -0.0, 0.0])
+        want = sigmoid(x) >= 0.5
+        assert want.any() and not want.all()  # the band holds both answers
+        assert np.array_equal(binarize_logits(x), want)
+        assert np.array_equal(binarize_logits(x.reshape(1, -1, 1)), want.reshape(1, -1, 1))
 
 
 class TestMlp:

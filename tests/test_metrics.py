@@ -1,15 +1,192 @@
 """Detection mAP, connectivity AP, mask AP, and their conventions."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lanetopo.geometry import Polyline
-from lanetopo.metrics import average_precision, det_l, mask_ap, mask_iou, top_ll
+from lanetopo import metrics, pipeline
+from lanetopo.config import PipelineConfig
+from lanetopo.geometry import Polyline, frechet_matrix, resample_polyline
+from lanetopo.metrics import (
+    FRECHET_EVAL_POINTS,
+    _frechet_matrix,
+    _resampled_ends,
+    average_precision,
+    det_l,
+    mask_ap,
+    mask_iou,
+    top_ll,
+)
+from lanetopo.pipeline import evaluate_outputs, run_pipeline
+from lanetopo.scene import synth_scene
+from lanetopo.weights import init_model_weights
+from make_golden import COMBOS, SEEDS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def lane(y: float, x0=0.0, x1=20.0, n=21) -> Polyline:
     x = np.linspace(x0, x1, n)
     return Polyline(np.stack([x, np.full(n, y), np.zeros(n)], axis=-1))
+
+
+def reference_frechet_matrix(preds, gts, n_eval=FRECHET_EVAL_POINTS):
+    """The unpruned matrix: every line resampled, every pair coupled."""
+
+    def stack(lines):
+        return np.array([resample_polyline(p, n_eval).pts for p in lines]).reshape(-1, n_eval, 3)
+
+    return frechet_matrix(stack(preds), stack(gts))
+
+
+def endpoint_gaps(preds, gts):
+    """The larger endpoint gap of every pair, on the resamplings the DP sees."""
+    ends = [
+        np.array([resample_polyline(p, FRECHET_EVAL_POINTS).pts[[0, -1]] for p in lines])
+        .reshape(-1, 2, 3)
+        for lines in (preds, gts)
+    ]
+    return np.linalg.norm(ends[0][:, None] - ends[1][None], axis=-1).max(axis=-1)
+
+
+def assert_pruned_matrix(preds, gts, bound):
+    """Exact where the endpoint gap is within ``bound``; elsewhere exact or
+    +inf, and +inf only where the exact value is above ``bound``."""
+    got = _frechet_matrix(preds, gts, bound)
+    ref = reference_frechet_matrix(preds, gts)
+    assert got.shape == ref.shape == (len(preds), len(gts))
+    kept = endpoint_gaps(preds, gts) <= bound
+    assert np.array_equal(got[kept], ref[kept])
+    differ = got != ref
+    assert np.all(np.isposinf(got[differ]))
+    assert np.all(ref[differ] > bound)
+    return got, ref
+
+
+# coordinates on a 0.5 m lattice, so endpoint gaps often equal the bound
+coord = st.integers(-6, 6).map(lambda v: v * 0.5)
+point = st.tuples(coord, coord, st.sampled_from([0.0, 0.5]))
+
+
+@st.composite
+def polyline(draw):
+    pts = draw(st.lists(point, min_size=2, max_size=6))
+    if draw(st.integers(0, 5)) == 0:
+        pts = [pts[0]] * len(pts)  # zero length
+    return Polyline(np.array(pts, dtype=np.float64))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    preds=st.lists(polyline(), max_size=4),
+    gts=st.lists(polyline(), max_size=4),
+    bound=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.0, 6.0),
+)
+def test_pruned_matrix_is_exact_within_the_bound(preds, gts, bound):
+    assert_pruned_matrix(preds, gts, bound)
+
+
+class TestPrunedFrechetMatrix:
+    def test_pair_at_exactly_the_bound_is_kept_and_matches(self):
+        # endpoint gap = Frechet distance = bound = 3 m
+        gts, preds = [lane(0.0)], [lane(3.0)]
+        got, _ = assert_pruned_matrix(preds, gts, 3.0)
+        assert got[0, 0] == 3.0
+        _, per = det_l(preds, np.ones(1), gts)
+        assert per == {"1": 0.0, "2": 0.0, "3": 1.0}
+
+    def test_u_turn_within_the_endpoint_bound_is_exact_and_unmatched(self):
+        gts = [lane(0.0)]
+        u = Polyline(np.array([[0.0, 1.0, 0.0], [0.0, 10.0, 0.0], [20.0, 10.0, 0.0],
+                               [20.0, 1.0, 0.0]]))
+        assert endpoint_gaps([u], gts)[0, 0] == 1.0
+        got, _ = assert_pruned_matrix([u], gts, 3.0)
+        assert 3.0 < got[0, 0] < np.inf
+        score, _ = det_l([u], np.ones(1), gts)
+        assert score == 0.0
+
+    def test_zero_length_line(self):
+        dot = Polyline(np.array([[5.0, 0.0, 0.0], [5.0, 0.0, 0.0]]))
+        short = Polyline(np.array([[4.0, 0.0, 0.0], [6.0, 0.0, 0.0]]))
+        got, _ = assert_pruned_matrix([dot], [short, lane(0.0)], 1.0)
+        assert got[0, 0] == 1.0 and got[0, 1] == np.inf
+
+    def test_ends_are_the_resampled_ends(self):
+        # segment norms that underflow to 0: the resampling repeats the first
+        # point, so its last point is not the line's own
+        tiny = Polyline(np.array([[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0]]))
+        dot = Polyline(np.array([[5.0, 0.0, 0.0], [5.0, 0.0, 0.0]]))
+        short = Polyline(np.array([[4.0, 0.0, 0.0], [6.0, 0.0, 0.0]]))
+        for lines in ([tiny], [tiny, lane(1.0), dot, short, tiny], [lane(1.0), dot, tiny]):
+            want = [resample_polyline(p, FRECHET_EVAL_POINTS).pts[[0, -1]] for p in lines]
+            assert np.array_equal(_resampled_ends(lines), np.array(want))
+        assert np.array_equal(_resampled_ends([tiny])[0, 1], [0.0, 0.0, 0.0])
+        assert _resampled_ends([]).shape == (0, 2, 3)
+
+    def test_no_predictions_or_no_ground_truth(self):
+        assert _frechet_matrix([], [lane(0.0)], 3.0).shape == (0, 1)
+        assert _frechet_matrix([lane(0.0), lane(1.0)], [], 3.0).shape == (2, 0)
+        assert _frechet_matrix([], [], 3.0).shape == (0, 0)
+
+    def test_only_lines_of_kept_pairs_are_resampled(self, monkeypatch):
+        resampled = []
+        real = metrics.resample_polyline
+
+        def counting(p, k):
+            resampled.append(p)
+            return real(p, k)
+
+        monkeypatch.setattr(metrics, "resample_polyline", counting)
+        preds = [lane(0.5), lane(50.0), lane(60.0)]
+        gts = [lane(0.0), lane(-40.0)]
+        got = _frechet_matrix(preds, gts, 3.0)
+        assert [id(p) for p in resampled] == [id(preds[0]), id(gts[0])]
+        assert got[0, 0] == 0.5 and np.isposinf(got).sum() == 5
+
+        resampled.clear()
+        assert np.isposinf(_frechet_matrix(preds[1:], gts, 3.0)).all()
+        assert resampled == []
+
+
+class TestScoringEqualsTheUnprunedMatrix:
+    """score_predictions' reports equal the ones scored on the full matrix."""
+
+    @staticmethod
+    def reference_report(monkeypatch, outputs, scene, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_frechet_matrix",
+                      lambda preds, gts, bound: reference_frechet_matrix(preds, gts))
+            return evaluate_outputs(outputs, scene, cfg)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_golden_scenes(self, monkeypatch, seed):
+        for pgm, pmf, sd in COMBOS:
+            cfg = PipelineConfig.desk(seed=seed, pgm=pgm, pmf=pmf, sd=sd)
+            scene = synth_scene(seed)
+            result = run_pipeline(scene, cfg, init_model_weights(cfg))
+            assert result.report == self.reference_report(monkeypatch, result.outputs, scene, cfg)
+
+    def test_near_documents(self, monkeypatch):
+        cfg = PipelineConfig()
+        finite = pruned = 0
+        for seed in range(11):
+            for slot, shape in enumerate(workloads.SHAPES):
+                scene = workloads.make_scene(seed, "eval-near", 0, slot, shape)
+                rng = np.random.default_rng(workloads.input_seed(seed, "eval-near", 0, slot, 1))
+                outputs = workloads.near_document(scene, cfg.grid, rng)
+                report = evaluate_outputs(outputs, scene, cfg)
+                assert report == self.reference_report(monkeypatch, outputs, scene, cfg)
+                dist = _frechet_matrix([p.points for p in outputs.predictions],
+                                       scene.centerlines, 3.0)
+                finite += int(np.isfinite(dist).sum())
+                pruned += int(np.isposinf(dist).sum())
+        # both kinds of entry are exercised
+        assert finite > 0 and pruned > 0
 
 
 class TestAveragePrecision:

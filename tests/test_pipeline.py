@@ -6,6 +6,7 @@ import hashlib
 import json
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,20 +227,30 @@ class TestStages:
     def test_ablation_grid_equals_one_run_per_row(self, monkeypatch, scene_seed, shape):
         """Rows, and the outputs and GT masks each row is scored on, equal the
         one-run-per-row reference. Random weights score 0 or 1 on every row,
-        so the rows alone would not show a wrong shared stage."""
+        so the rows alone would not show a wrong shared stage. A fused row is
+        scored without masks and takes AP_l from its unfused row, so that
+        row's masks must equal the fused reference run's."""
         scored = []
         real_evaluate = pipeline.evaluate_outputs
+        real_mask_ap = pipeline.mask_ap
+        mask_ap_calls = []
 
         def recording_evaluate(outputs, scene, cfg, gt_masks=None):
             scored.append(((cfg.pgm, cfg.pmf, cfg.sd), outputs, gt_masks))
             return real_evaluate(outputs, scene, cfg, gt_masks)
 
+        def counting_mask_ap(*args, **kwargs):
+            mask_ap_calls.append(1)
+            return real_mask_ap(*args, **kwargs)
+
         monkeypatch.setattr(pipeline, "evaluate_outputs", recording_evaluate)
+        monkeypatch.setattr(pipeline, "mask_ap", counting_mask_ap)
         cfg = desk_cfg()
         scene = synth_scene(scene_seed, SceneParams(n_lanes=shape[0], intersections=shape[1]))
         w = init_model_weights(cfg)
         rows = ablation_grid(scene, cfg, w)
         staged = {combo: (outputs, gt_masks) for combo, outputs, gt_masks in scored}
+        assert len(mask_ap_calls) == 4
         scored.clear()
         assert rows == ablation_rows_per_run(scene, cfg, w)
         per_run = {combo: outputs for combo, outputs, _ in scored}
@@ -247,8 +258,11 @@ class TestStages:
         assert staged.keys() == per_run.keys() and len(staged) == 6
         assert sum(sd for _, _, sd in staged) == 3
         gt = render_gt_masks(scene, cfg.grid)
-        for combo, (outputs, gt_masks) in staged.items():
-            assert_outputs_equal(outputs, per_run[combo])
+        for (pgm, pmf, sd), (outputs, gt_masks) in staged.items():
+            if pmf:
+                assert outputs.mask_logits is None
+                outputs = replace(outputs, mask_logits=staged[pgm, False, sd][0].mask_logits)
+            assert_outputs_equal(outputs, per_run[pgm, pmf, sd])
             assert np.array_equal(np.stack(gt_masks), gt)
 
     @pytest.mark.parametrize("sd", [False, True])
