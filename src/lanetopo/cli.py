@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,18 +74,14 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _apply_toggles(cfg: PipelineConfig, args) -> PipelineConfig:
-    d = cfg.to_dict()
-    if args.toggle_pgm:
-        d["pgm"] = not d["pgm"]
-    if args.toggle_pmf:
-        d["pmf"] = not d["pmf"]
-    if args.toggle_sd:
-        d["sd"] = not d["sd"]
-    if args.no_rvs:
-        d["rvs_self_attention"] = False
-    if args.no_hybrid:
-        d["hybrid_attention"] = False
-    return PipelineConfig.from_dict(d)
+    return replace(
+        cfg,
+        pgm=cfg.pgm ^ args.toggle_pgm,
+        pmf=cfg.pmf ^ args.toggle_pmf,
+        sd=cfg.sd ^ args.toggle_sd,
+        rvs_self_attention=cfg.rvs_self_attention and not args.no_rvs,
+        hybrid_attention=cfg.hybrid_attention and not args.no_hybrid,
+    )
 
 
 def _cmd_synth(args) -> int:

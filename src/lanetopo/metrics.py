@@ -27,26 +27,22 @@ from .geometry import Polyline, frechet_matrix, resample_polyline
 FRECHET_EVAL_POINTS = 50
 
 
-def average_precision(tp_flags: list[bool], n_gt: int) -> float:
-    """Area under the interpolated PR curve for ranked detections."""
+def average_precision(tp_flags, n_gt: int) -> float:
+    """Area under the interpolated PR curve for ranked detections, from a
+    bool array or list of hit flags in rank order."""
+    flags = np.asarray(tp_flags, dtype=bool)
     if n_gt == 0:
-        return 1.0 if len(tp_flags) == 0 else 0.0
-    if not tp_flags:
+        return 1.0 if flags.size == 0 else 0.0
+    if not flags.any():
         return 0.0
-    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    tp = np.cumsum(flags, dtype=np.float64)
     recall = tp / n_gt
-    precision = tp / (tp + fp)
-    # all-point interpolation: precision envelope integrated over recall
+    precision = tp / np.arange(1, flags.size + 1)
+    # all-point interpolation: precision envelope integrated over recall,
+    # which steps up at each hit; cumsum adds the steps in rank order
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for level in range(len(tp_flags)):
-        r = recall[level]
-        if r > prev_r:
-            ap += (r - prev_r) * float(envelope[level])
-            prev_r = r
-    return float(ap)
+    steps = np.diff(recall[flags], prepend=0.0)
+    return float(np.cumsum(steps * envelope[flags])[-1])
 
 
 def _rank_by_score(scores: np.ndarray) -> np.ndarray:
@@ -101,22 +97,44 @@ def _frechet_matrix(
     return dist
 
 
-def _greedy_match(order, dist, threshold, larger_is_better=False) -> list[int]:
+def _greedy_match(order: np.ndarray, cost: np.ndarray, threshold: float) -> np.ndarray:
     """Score-ordered greedy matching: each prediction, in ``order``, takes the
-    best still-unmatched ground truth within the threshold. Returns the
-    matched ground-truth index per ranked prediction, -1 for none."""
-    n_gt = dist.shape[1]
-    taken = np.zeros(n_gt, dtype=bool)
-    matched = []
-    for i in order:
-        row = dist[i].copy()
-        row[taken] = -np.inf if larger_is_better else np.inf
-        j = int(np.argmax(row)) if larger_is_better else int(np.argmin(row))
-        hit = row[j] >= threshold if larger_is_better else row[j] <= threshold
-        if hit:
+    cheapest still-unmatched ground truth (first index on ties) if its cost
+    is at most ``threshold``. Returns the matched ground-truth index per
+    ranked prediction, -1 for none.
+
+    Only the ranks whose row minimum is within the threshold are visited: a
+    row whose best entry over all ground truths misses also misses over the
+    untaken ones.
+    """
+    matched = np.full(len(order), -1)
+    taken = np.zeros(cost.shape[1], dtype=bool)
+    can_hit = np.min(cost, axis=1, initial=np.inf)[order] <= threshold
+    for rank in np.flatnonzero(can_hit):
+        row = np.where(taken, np.inf, cost[order[rank]])
+        j = int(np.argmin(row))
+        if row[j] <= threshold:
             taken[j] = True
-        matched.append(j if hit else -1)
+            matched[rank] = j
     return matched
+
+
+def _mean_ap(
+    cost: np.ndarray, scores: np.ndarray, thresholds: dict[str, float]
+) -> tuple[float, dict[str, float]]:
+    """AP of greedy matching on the (P, G) ``cost`` matrix at each named
+    threshold, and their mean.
+
+    Predictions are ranked by score. An empty side follows
+    :func:`average_precision`: no predictions and no ground truth score 1.0,
+    one side empty scores 0.0.
+    """
+    order = _rank_by_score(scores)
+    per = {
+        name: average_precision(_greedy_match(order, cost, t) >= 0, cost.shape[1])
+        for name, t in thresholds.items()
+    }
+    return float(np.mean(list(per.values()))), per
 
 
 @dataclass
@@ -149,21 +167,10 @@ def det_l(
     it is computed with that bound when not given. Its +inf entries stand
     for distances above the bound, which match at no threshold.
     """
-    thresholds = tuple(sorted(thresholds))
-    if not gts and not preds:
-        per = {f"{t:g}": 1.0 for t in thresholds}
-        return 1.0, per
-    if not gts or not preds:
-        per = {f"{t:g}": 0.0 for t in thresholds}
-        return 0.0, per
+    thresholds = sorted(thresholds)
     if dist is None:
         dist = _frechet_matrix(preds, gts, max(thresholds))
-    order = _rank_by_score(scores)
-    per = {}
-    for t in thresholds:
-        flags = [j >= 0 for j in _greedy_match(order, dist, t)]
-        per[f"{t:g}"] = average_precision(flags, len(gts))
-    return float(np.mean(list(per.values()))), per
+    return _mean_ap(dist, scores, {f"{t:g}": t for t in thresholds})
 
 
 def top_ll(
@@ -186,35 +193,25 @@ def top_ll(
     at least ``match_threshold``.
     """
     gt_adj = np.asarray(gt_adj)
-    n_gt = len(gt_lines)
     n_edges = int(gt_adj.sum())
     # lane matching, greedy by score
-    gt_to_pred: dict[int, int] = {}
+    gt_to_pred = np.full(len(gt_lines), -1)
     if pred_lines and gt_lines:
         if dist is None:
             dist = _frechet_matrix(pred_lines, gt_lines, match_threshold)
         order = _rank_by_score(pred_scores)
         matched = _greedy_match(order, dist, match_threshold)
-        gt_to_pred = {j: int(i) for i, j in zip(order, matched) if j >= 0}
+        gt_to_pred[matched[matched >= 0]] = order[matched >= 0]
     # candidate edges: matched lane pairs asserting a connection
-    cand = []
-    for a in range(n_gt):
-        for b in range(n_gt):
-            if a in gt_to_pred and b in gt_to_pred:
-                prob = float(pred_adj[gt_to_pred[a], gt_to_pred[b]])
-                if prob > 0.5:
-                    cand.append((prob, a, b, bool(gt_adj[a, b])))
+    is_matched = gt_to_pred >= 0
+    a, b = np.nonzero(np.logical_and.outer(is_matched, is_matched))
+    prob = pred_adj[gt_to_pred[a], gt_to_pred[b]]
+    keep = prob > 0.5
+    a, b, prob = a[keep], b[keep], prob[keep]
     if n_edges == 0:
-        return 0.0 if cand else 1.0
-    cand.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return average_precision([is_edge for _, _, _, is_edge in cand], n_edges)
-
-
-def _binarize(mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        return mask
-    return binarize_logits(mask)
+        return 0.0 if a.size else 1.0
+    rank = np.lexsort((b, a, -prob))
+    return average_precision(gt_adj[a[rank], b[rank]], n_edges)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -225,38 +222,35 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum()) / union
 
 
-def mask_iou_matrix(pred_masks: list[np.ndarray], gt_masks: list[np.ndarray]) -> np.ndarray:
-    """The (P, G) matrix of :func:`mask_iou` between binarized predictions
-    and ground truths (both lists non-empty), from one product of the
-    flattened 0/1 masks."""
+def mask_iou_matrix(pred_masks: np.ndarray, gt_masks: np.ndarray) -> np.ndarray:
+    """The (P, G) matrix of :func:`mask_iou` between (P, h, w) predictions and
+    (G, h, w) ground truths, from one product of the flattened 0/1 masks.
+
+    A bool prediction stack is used as is; any other is binarized as logits
+    by :func:`binarize_logits`. Ground truth counts its nonzero cells.
+    """
+    p, g = np.asarray(pred_masks), np.asarray(gt_masks, dtype=bool)
+    if len(p) == 0 or len(g) == 0:
+        return np.zeros((len(p), len(g)))
+    if p.dtype != bool:
+        p = binarize_logits(p)
     # 0/1 counts are exact in float32 up to 2**24 cells
-    dtype = np.float32 if np.asarray(gt_masks[0]).size < 2**24 else np.float64
-    p = np.array([_binarize(m).ravel() for m in pred_masks], dtype=dtype)
-    g = np.array([np.asarray(m, dtype=bool).ravel() for m in gt_masks], dtype=dtype)
+    dtype = np.float32 if g[0].size < 2**24 else np.float64
+    p = p.reshape(len(p), -1).astype(dtype)
+    g = g.reshape(len(g), -1).astype(dtype)
     inter = (p @ g.T).astype(np.float64)
     union = p.sum(axis=1, dtype=np.float64)[:, None] + g.sum(axis=1, dtype=np.float64) - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def mask_ap(
-    pred_masks: list[np.ndarray],
+    pred_masks: np.ndarray,
     scores: np.ndarray,
-    gt_masks: list[np.ndarray],
+    gt_masks: np.ndarray,
     iou_thresholds: tuple[float, ...] = (0.5, 0.75),
 ) -> tuple[float, dict[str, float]]:
-    """Instance-mask AP: logits are binarized at probability 0.5, matching is
-    greedy by score at each IoU threshold."""
-    iou_thresholds = tuple(sorted(iou_thresholds))
-    if not gt_masks and not pred_masks:
-        per = {f"{t:g}": 1.0 for t in iou_thresholds}
-        return 1.0, per
-    if not gt_masks or not pred_masks:
-        per = {f"{t:g}": 0.0 for t in iou_thresholds}
-        return 0.0, per
+    """Instance-mask AP over (n, h, w) mask stacks: logits are binarized at
+    probability 0.5, and matching is greedy by score at each IoU threshold,
+    as the least -IoU within -threshold."""
     iou = mask_iou_matrix(pred_masks, gt_masks)
-    order = _rank_by_score(scores)
-    per = {}
-    for t in iou_thresholds:
-        flags = [j >= 0 for j in _greedy_match(order, iou, t, larger_is_better=True)]
-        per[f"{t:g}"] = average_precision(flags, len(gt_masks))
-    return float(np.mean(list(per.values()))), per
+    return _mean_ap(-iou, scores, {f"{t:g}": -t for t in sorted(iou_thresholds)})

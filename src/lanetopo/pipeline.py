@@ -156,17 +156,17 @@ def score_predictions(
     lines: list[Polyline],
     scores: np.ndarray,
     adjacency: np.ndarray,
-    pred_masks: list[np.ndarray] | None,
-    gt_masks: list[np.ndarray] | None,
+    pred_masks: np.ndarray | None,
+    gt_masks: np.ndarray | None,
     scene: Scene,
     cfg: PipelineConfig,
 ) -> EvalReport:
     """DET_l, TOP_ll and AP_l of predictions against the scene's ground truth.
 
     The Frechet matrix is built once, exact up to the largest DET_l or TOP_ll
-    threshold, and shared by DET_l and TOP_ll. Masks are logits or booleans
-    on one grid, ``gt_masks`` being the scene's :func:`render_gt_masks`;
-    without ``pred_masks`` AP_l is 0.
+    threshold, and shared by DET_l and TOP_ll. Masks are (n, h, w) stacks of
+    logits or booleans on one grid, ``gt_masks`` being the scene's
+    :func:`render_gt_masks`; without ``pred_masks`` AP_l is 0.
     """
     gts = scene.centerlines
     dist = _frechet_matrix(lines, gts, max((*cfg.det_thresholds, cfg.top_match_threshold)))
@@ -186,7 +186,7 @@ def evaluate_outputs(
     outputs: ModelOutputs,
     scene: Scene,
     cfg: PipelineConfig,
-    gt_masks: list[np.ndarray] | None = None,
+    gt_masks: np.ndarray | None = None,
 ) -> EvalReport:
     """Score in-memory predictions against the scene's ground truth.
 
@@ -194,16 +194,13 @@ def evaluate_outputs(
     here when the outputs carry masks and none are given.
     """
     preds = outputs.predictions
-    masks = None
-    if outputs.mask_logits is not None:
-        masks = list(outputs.mask_logits)
-        if gt_masks is None:
-            gt_masks = list(render_gt_masks(scene, outputs.grid))
+    if outputs.mask_logits is not None and gt_masks is None:
+        gt_masks = render_gt_masks(scene, outputs.grid)
     return score_predictions(
         [p.points for p in preds],
         np.array([p.score for p in preds]),
         outputs.adjacency,
-        masks,
+        outputs.mask_logits,
         gt_masks,
         scene,
         cfg,
@@ -302,11 +299,11 @@ def load_predictions(pred_path: str | Path, grid: GridSpec | None = None):
     """Lines, scores, ``is_real`` flags, adjacency and masks of a saved
     predictions document, validated.
 
-    The masks are decoded on ``grid`` and checked against it; they are None
-    when the document has none or no grid is given. An unreadable path
-    raises ``OSError``; a malformed document, or one of another schema
-    version, raises one ``ValueError`` naming the bad field or the missing
-    key.
+    The masks are decoded on ``grid`` and checked against it, as one
+    (n, h, w) bool array; they are None when the document has none or no
+    grid is given. An unreadable path raises ``OSError``; a malformed
+    document, or one of another schema version, raises one ``ValueError``
+    naming the bad field or the missing key.
     """
     doc = json.loads(Path(pred_path).read_text())
     if not isinstance(doc, dict) or doc.get("kind") != "lanetopo-predictions":
@@ -324,7 +321,7 @@ def load_predictions(pred_path: str | Path, grid: GridSpec | None = None):
         adjacency = _numeric_field(doc["adjacency"], "adjacency", (n, n))
         pred_masks = None
         if grid is not None and "masks" in doc:
-            pred_masks = list(_masks_from_doc(doc, n, grid))
+            pred_masks = _masks_from_doc(doc, n, grid)
     except KeyError as exc:
         raise ValueError(f"prediction document lacks key {exc.args[0]!r}") from None
     return lines, scores, np.array(is_real, dtype=bool), adjacency, pred_masks
@@ -336,7 +333,7 @@ def evaluate_prediction_file(
     """Score a saved prediction document against a scene; the document is
     read and validated by :func:`load_predictions` on the configured grid."""
     lines, scores, _, adjacency, pred_masks = load_predictions(pred_path, cfg.grid)
-    gt_masks = None if pred_masks is None else list(render_gt_masks(scene, cfg.grid))
+    gt_masks = None if pred_masks is None else render_gt_masks(scene, cfg.grid)
     return score_predictions(lines, scores, adjacency, pred_masks, gt_masks, scene, cfg)
 
 
@@ -365,9 +362,7 @@ def ablation_grid(
         for pmf in (False, True):
             for sd in (False, True):
                 row: dict = {"pgm": pgm, "pmf": pmf, "sd": sd}
-                run_cfg = PipelineConfig.from_dict(
-                    {**cfg.to_dict(), "pgm": pgm, "pmf": pmf, "sd": sd}
-                )
+                run_cfg = replace(cfg, pgm=pgm, pmf=pmf, sd=sd)
                 try:
                     run_cfg.check_runnable()
                 except ConfigError as exc:
@@ -378,7 +373,7 @@ def ablation_grid(
 
     bev = render_bev_features(scene, cfg, cfg.noise_sigma)
     grids = {False: bev, True: sd_features(bev, scene, weights)}
-    gt_masks = list(render_gt_masks(scene, cfg.grid))
+    gt_masks = render_gt_masks(scene, cfg.grid)
     for pgm in (False, True):
         for sd in (False, True):
             inferred = infer(grids[sd], run_cfgs[pgm, False, sd], weights)

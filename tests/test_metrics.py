@@ -1,6 +1,7 @@
 """Detection mAP, connectivity AP, mask AP, and their conventions."""
 
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanetopo import metrics, pipeline
+from lanetopo.bev import binarize_logits
 from lanetopo.config import PipelineConfig
 from lanetopo.geometry import Polyline, frechet_matrix, resample_polyline
 from lanetopo.metrics import (
     FRECHET_EVAL_POINTS,
     _frechet_matrix,
+    _greedy_match,
+    _rank_by_score,
     _resampled_ends,
     average_precision,
     det_l,
     mask_ap,
     mask_iou,
+    mask_iou_matrix,
     top_ll,
 )
 from lanetopo.pipeline import evaluate_outputs, run_pipeline
@@ -153,6 +158,30 @@ class TestPrunedFrechetMatrix:
         assert resampled == []
 
 
+@cache
+def golden_runs(seed):
+    """(run_pipeline result, scene, cfg) of every golden combination at ``seed``."""
+    runs = []
+    for pgm, pmf, sd in COMBOS:
+        cfg = PipelineConfig.desk(seed=seed, pgm=pgm, pmf=pmf, sd=sd)
+        scene = synth_scene(seed)
+        runs.append((run_pipeline(scene, cfg, init_model_weights(cfg)), scene, cfg))
+    return runs
+
+
+@cache
+def near_cases():
+    """(outputs, scene, cfg) of the eval-near documents of seeds 0-10."""
+    cfg = PipelineConfig()
+    cases = []
+    for seed in range(11):
+        for slot, shape in enumerate(workloads.SHAPES):
+            scene = workloads.make_scene(seed, "eval-near", 0, slot, shape)
+            rng = np.random.default_rng(workloads.input_seed(seed, "eval-near", 0, slot, 1))
+            cases.append((workloads.near_document(scene, cfg.grid, rng), scene, cfg))
+    return cases
+
+
 class TestScoringEqualsTheUnprunedMatrix:
     """score_predictions' reports equal the ones scored on the full matrix."""
 
@@ -165,28 +194,196 @@ class TestScoringEqualsTheUnprunedMatrix:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_scenes(self, monkeypatch, seed):
-        for pgm, pmf, sd in COMBOS:
-            cfg = PipelineConfig.desk(seed=seed, pgm=pgm, pmf=pmf, sd=sd)
-            scene = synth_scene(seed)
-            result = run_pipeline(scene, cfg, init_model_weights(cfg))
+        for result, scene, cfg in golden_runs(seed):
             assert result.report == self.reference_report(monkeypatch, result.outputs, scene, cfg)
 
     def test_near_documents(self, monkeypatch):
-        cfg = PipelineConfig()
         finite = pruned = 0
-        for seed in range(11):
-            for slot, shape in enumerate(workloads.SHAPES):
-                scene = workloads.make_scene(seed, "eval-near", 0, slot, shape)
-                rng = np.random.default_rng(workloads.input_seed(seed, "eval-near", 0, slot, 1))
-                outputs = workloads.near_document(scene, cfg.grid, rng)
-                report = evaluate_outputs(outputs, scene, cfg)
-                assert report == self.reference_report(monkeypatch, outputs, scene, cfg)
-                dist = _frechet_matrix([p.points for p in outputs.predictions],
-                                       scene.centerlines, 3.0)
-                finite += int(np.isfinite(dist).sum())
-                pruned += int(np.isposinf(dist).sum())
+        for outputs, scene, cfg in near_cases():
+            report = evaluate_outputs(outputs, scene, cfg)
+            assert report == self.reference_report(monkeypatch, outputs, scene, cfg)
+            dist = _frechet_matrix([p.points for p in outputs.predictions],
+                                   scene.centerlines, 3.0)
+            finite += int(np.isfinite(dist).sum())
+            pruned += int(np.isposinf(dist).sum())
         # both kinds of entry are exercised
         assert finite > 0 and pruned > 0
+
+
+# --- reference scoring: one greedy loop per orientation over every rank, a
+# pair loop for the candidate edges, a rank loop for AP and per-mask IoU ----
+
+
+def reference_average_precision(tp_flags, n_gt):
+    if n_gt == 0:
+        return 1.0 if len(tp_flags) == 0 else 0.0
+    if not tp_flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
+    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for level in range(len(tp_flags)):
+        r = recall[level]
+        if r > prev_r:
+            ap += (r - prev_r) * float(envelope[level])
+            prev_r = r
+    return float(ap)
+
+
+def reference_greedy_match(order, dist, threshold, larger_is_better=False):
+    taken = np.zeros(dist.shape[1], dtype=bool)
+    matched = []
+    for i in order:
+        row = dist[i].copy()
+        row[taken] = -np.inf if larger_is_better else np.inf
+        j = int(np.argmax(row)) if larger_is_better else int(np.argmin(row))
+        hit = row[j] >= threshold if larger_is_better else row[j] <= threshold
+        if hit:
+            taken[j] = True
+        matched.append(j if hit else -1)
+    return matched
+
+
+def reference_ap_over(matrix, scores, n_pred, n_gt, thresholds, larger_is_better=False):
+    thresholds = tuple(sorted(thresholds))
+    if n_pred == 0 or n_gt == 0:
+        value = 1.0 if n_pred == n_gt == 0 else 0.0
+        return value, {f"{t:g}": value for t in thresholds}
+    order = _rank_by_score(scores)
+    per = {}
+    for t in thresholds:
+        matched = reference_greedy_match(order, matrix(), t, larger_is_better)
+        per[f"{t:g}"] = reference_average_precision([j >= 0 for j in matched], n_gt)
+    return float(np.mean(list(per.values()))), per
+
+
+def reference_det_l(preds, scores, gts, thresholds=(1.0, 2.0, 3.0), *, dist=None):
+    return reference_ap_over(
+        lambda: reference_frechet_matrix(preds, gts) if dist is None else dist,
+        scores, len(preds), len(gts), thresholds,
+    )
+
+
+def reference_top_ll(pred_lines, pred_scores, pred_adj, gt_lines, gt_adj, match_threshold=1.0,
+                     *, dist=None):
+    gt_adj = np.asarray(gt_adj)
+    n_gt = len(gt_lines)
+    n_edges = int(gt_adj.sum())
+    gt_to_pred = {}
+    if pred_lines and gt_lines:
+        if dist is None:
+            dist = reference_frechet_matrix(pred_lines, gt_lines)
+        order = _rank_by_score(pred_scores)
+        matched = reference_greedy_match(order, dist, match_threshold)
+        gt_to_pred = {j: int(i) for i, j in zip(order, matched) if j >= 0}
+    cand = []
+    for a in range(n_gt):
+        for b in range(n_gt):
+            if a in gt_to_pred and b in gt_to_pred:
+                prob = float(pred_adj[gt_to_pred[a], gt_to_pred[b]])
+                if prob > 0.5:
+                    cand.append((prob, a, b, bool(gt_adj[a, b])))
+    if n_edges == 0:
+        return 0.0 if cand else 1.0
+    cand.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return reference_average_precision([is_edge for _, _, _, is_edge in cand], n_edges)
+
+
+def reference_mask_ap(pred_masks, scores, gt_masks, iou_thresholds=(0.5, 0.75)):
+    def iou():
+        preds = [m if np.asarray(m).dtype == bool else binarize_logits(m) for m in pred_masks]
+        return np.array([[mask_iou(p, g) for g in gt_masks] for p in preds])
+
+    return reference_ap_over(
+        iou, scores, len(pred_masks), len(gt_masks), iou_thresholds, larger_is_better=True
+    )
+
+
+class TestScoringEqualsTheReferenceMatcher:
+    """One greedy matcher on stacked masks scores exactly as the references."""
+
+    @staticmethod
+    def reference_report(monkeypatch, outputs, scene, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "det_l", reference_det_l)
+            m.setattr(pipeline, "top_ll", reference_top_ll)
+            m.setattr(pipeline, "mask_ap", reference_mask_ap)
+            return evaluate_outputs(outputs, scene, cfg)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_golden_scenes(self, monkeypatch, seed):
+        for result, scene, cfg in golden_runs(seed):
+            assert result.report == self.reference_report(monkeypatch, result.outputs, scene, cfg)
+
+    def test_near_documents(self, monkeypatch):
+        hits = 0
+        for outputs, scene, cfg in near_cases():
+            report = evaluate_outputs(outputs, scene, cfg)
+            assert report == self.reference_report(monkeypatch, outputs, scene, cfg)
+            hits += report.det_l > 0 and report.top_ll > 0 and report.ap_l > 0
+        # the documents score above 0 on every metric, so matches are exercised
+        assert hits > 0
+
+    def test_mask_ap_on_a_list_a_float_stack_and_a_bool_stack(self):
+        outputs, scene, cfg = near_cases()[3]
+        logits = outputs.mask_logits.copy()
+        logits[:, 0, :3] = (-1e-17, -0.0, -1e-9)  # sigmoid 0.5, 0.5 and below
+        scores = np.array([p.score for p in outputs.predictions])
+        gt = pipeline.render_gt_masks(scene, cfg.grid)
+        want = reference_mask_ap(list(logits), scores, list(gt))
+        assert want[0] > 0
+        want_iou = [[mask_iou(p, g) for g in gt] for p in binarize_logits(logits)]
+        for pred in (list(logits), logits, binarize_logits(logits), list(binarize_logits(logits))):
+            assert np.array_equal(mask_iou_matrix(pred, gt), want_iou)
+            assert mask_ap(pred, scores, gt) == want
+            assert mask_ap(pred, scores, list(gt)) == want
+
+
+cost_value = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, np.inf, -np.inf])
+
+
+@st.composite
+def scored_matrix(draw):
+    """A small cost matrix with tied and infinite entries, tied scores, and
+    an adjacency with tied probabilities."""
+    p, g = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cost = draw(st.lists(cost_value, min_size=p * g, max_size=p * g))
+    scores = draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=p, max_size=p))
+    adj = draw(st.lists(st.sampled_from([0.0, 0.5, 0.6, 0.9, 1.0]), min_size=p * p,
+                        max_size=p * p))
+    gt_adj = draw(st.lists(st.integers(0, 1), min_size=g * g, max_size=g * g))
+    return (np.reshape(cost, (p, g)), np.array(scores), np.reshape(adj, (p, p)),
+            np.reshape(gt_adj, (g, g)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=scored_matrix(), threshold=st.sampled_from([0.0, 0.25, 1.0, 1.5]))
+def test_matcher_equals_the_reference_in_both_orientations(case, threshold):
+    cost, scores, adj, gt_adj = case
+    order = _rank_by_score(scores)
+    got = _greedy_match(order, cost, threshold)
+    assert got.tolist() == reference_greedy_match(order, cost, threshold)
+    larger = reference_greedy_match(order, cost, threshold, larger_is_better=True)
+    assert _greedy_match(order, -cost, -threshold).tolist() == larger
+
+    preds, gts = [lane(0.0)] * len(cost), [lane(0.0)] * len(gt_adj)
+    args = (preds, scores, adj, gts, gt_adj, threshold)
+    assert top_ll(*args, dist=cost) == reference_top_ll(*args, dist=cost)
+    thresholds = (threshold, 0.5, 2.0)
+    assert det_l(preds, scores, gts, thresholds, dist=cost) == reference_det_l(
+        preds, scores, gts, thresholds, dist=cost)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=40), n_gt=st.integers(0, 40))
+def test_average_precision_equals_the_reference(flags, n_gt):
+    want = reference_average_precision(flags, n_gt)
+    assert average_precision(flags, n_gt) == want
+    assert average_precision(np.array(flags, dtype=bool), n_gt) == want
 
 
 class TestAveragePrecision:
