@@ -2,7 +2,7 @@
 
 from .bev import BevGrid, GridSpec, MlpWeights
 from .config import LossCoefficients, PipelineConfig
-from .decoder import CenterlinePrediction, QuerySet, decoder_forward
+from .decoder import CenterlinePrediction, decoder_forward
 from .geometry import PointSet2, Polyline
 from .losses import Assignment, LossBreakdown, ModelOutputs, total_loss
 from .metrics import EvalReport
@@ -26,7 +26,6 @@ __all__ = [
     "PipelineResult",
     "PointSet2",
     "Polyline",
-    "QuerySet",
     "Scene",
     "SceneParams",
     "SdMapInstance",

@@ -211,7 +211,8 @@ def bilinear_sample_batch(g: BevGrid, locs: np.ndarray, heads: int = 1) -> np.nd
     """Bilinear interpolation of grid features at fractional (row, col) locations.
 
     ``locs`` has shape (..., 2); the result has shape (..., c // heads).
-    Locations outside [0, h-1] x [0, w-1] return the zero vector (zero padding).
+    Locations outside [0, h-1] x [0, w-1], NaN included, return the zero
+    vector (zero padding).
 
     With ``heads`` > 1 the channels split into ``heads`` equal contiguous
     slices and ``locs`` has shape (..., heads, points, 2): the locations of
@@ -227,6 +228,10 @@ def bilinear_sample_batch(g: BevGrid, locs: np.ndarray, heads: int = 1) -> np.nd
     r = locs[..., 0]
     c = locs[..., 1]
     inside = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
+    # outside locations (NaN and +-inf among them) read cell (0, 0), zeroed below,
+    # so no NaN or huge value reaches the integer cast or the corner weights
+    r = np.where(inside, r, 0.0)
+    c = np.where(inside, c, 0.0)
     r0 = np.floor(r).astype(np.int64)
     c0 = np.floor(c).astype(np.int64)
     fr = r - r0

@@ -1,10 +1,12 @@
 """Hybrid-attention transformer decoder for centerline instance queries.
 
-Each decoder layer runs masked cross-attention over the BEV cells, deformable
-cross-attention at learned sampling points, block self-attention that keeps
-real queries blind to virtual ones, and a feed-forward block; every sublayer
-is residual with post layer normalization. Two MLP heads map final queries to
-K-point polylines and detection probabilities.
+The real and virtual queries run through the decoder as one (n, c) array,
+real rows first. Each decoder layer runs masked cross-attention over the BEV
+cells, deformable cross-attention at learned sampling points, block
+self-attention that keeps real queries blind to virtual ones (the only place
+the two are told apart), and a feed-forward block; every sublayer is residual
+with post layer normalization. Two MLP heads map final queries to K-point
+polylines and detection probabilities.
 """
 
 from __future__ import annotations
@@ -27,31 +29,6 @@ from .config import PipelineConfig
 from .geometry import Polyline
 from .points_mask import encode_mask_query, generate_mask
 from .weights import DeformableWeights, ModelWeights
-
-
-@dataclass
-class QuerySet:
-    """Separate learnable pools of real and virtual instance queries."""
-
-    real: np.ndarray
-    virtual: np.ndarray
-
-    def __post_init__(self):
-        self.real = np.asarray(self.real, dtype=np.float64)
-        self.virtual = np.asarray(self.virtual, dtype=np.float64).reshape(-1, self.real.shape[1])
-        if not (np.all(np.isfinite(self.real)) and np.all(np.isfinite(self.virtual))):
-            raise ValueError("queries must be finite")
-
-    @property
-    def n_real(self) -> int:
-        return self.real.shape[0]
-
-    @property
-    def n_virtual(self) -> int:
-        return self.virtual.shape[0]
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.real, self.virtual], axis=0)
 
 
 @dataclass
@@ -103,7 +80,7 @@ def rvs_self_attention(
 
     Scores are scaled by 1/sqrt(c). The real block is computed without ever
     touching the virtual queries, so real outputs are structurally independent
-    of them.
+    of them. With no real rows this is plain self-attention over ``qv``.
     """
     n_r, c = qr.shape
     n_v = qv.shape[0]
@@ -130,15 +107,6 @@ def rvs_self_attention(
         full[n_r:, :] = w_v
         return out_r, out_v, full
     return out_r, out_v
-
-
-def self_attention(q: np.ndarray, ln: LayerNormWeights | None = None) -> np.ndarray:
-    """Plain scaled-dot-product self-attention over all queries."""
-    scale = 1.0 / np.sqrt(q.shape[1])
-    out = q + softmax(q @ q.T * scale, axis=-1) @ q
-    if ln is not None:
-        out = layer_norm(out, ln)
-    return out
 
 
 def _deformable_block(
@@ -177,12 +145,10 @@ def deformable_attention_core(
     if c % w.heads != 0:
         raise ValueError("channels must divide evenly across heads")
     refs = np.asarray(refs, dtype=np.float64).reshape(n, 2)
-    if n <= block:
-        return _deformable_block(q, b, refs, w)
     out = np.empty_like(q)
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        out[start:stop] = _deformable_block(q[start:stop], b, refs[start:stop], w)
+        rows = slice(start, start + block)
+        out[rows] = _deformable_block(q[rows], b, refs[rows], w)
     return out
 
 
@@ -247,43 +213,33 @@ def instance_mask_logits(
 
 
 def decoder_forward(
-    qs: QuerySet,
-    b: BevGrid,
-    weights: ModelWeights,
-    cfg: PipelineConfig,
-) -> tuple[list[CenterlinePrediction], QuerySet]:
-    """Run the full decoder stack and detection heads.
+    b: BevGrid, weights: ModelWeights, cfg: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the full decoder stack and detection heads on the learnable queries.
 
-    Layer 0 attends everywhere in the masked branch and uses the learnable
-    initial reference points; later layers take masks and references from the
-    previous layer's predicted geometry. Only the final layer's predictions
-    are exported.
+    The queries are ``weights.decoder``'s real then virtual rows. Layer 0
+    attends everywhere in the masked branch and uses the learnable initial
+    reference points; later layers take masks and references from the
+    previous layer's predicted geometry. With ``rvs_self_attention`` off no
+    row is real-only, so the block self-attention is plain self-attention.
+    Returns the final layer's queries (n, c), points (n, k, 3) and detection
+    probabilities (n,).
     """
     dec = weights.decoder
     if len(dec.layers) != cfg.layers:
         raise ValueError(
             f"weights carry {len(dec.layers)} decoder layers, config expects {cfg.layers}"
         )
-    qr, qv = qs.real.copy(), qs.virtual.copy()
-    n_r = qr.shape[0]
-    hw = b.h * b.w
+    q = np.concatenate([dec.real_queries, dec.virtual_queries])
+    n_sep = len(dec.real_queries) if cfg.rvs_self_attention else 0
     refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1, b.w - 1], dtype=np.float64)
-    attn_mask = np.ones((qr.shape[0] + qv.shape[0], hw), dtype=bool)
-    q = None
+    attn_mask = np.ones((q.shape[0], b.h * b.w), dtype=bool)
     for li, lw in enumerate(dec.layers):
-        q = np.concatenate([qr, qv], axis=0)
         if cfg.hybrid_attention:
             q = masked_cross_attention(q, b, attn_mask, lw.masked_ln)
         q = deformable_cross_attention(q, b, refs, lw.deform, lw.deform_ln)
-        qr, qv = q[:n_r], q[n_r:]
-        if cfg.rvs_self_attention:
-            qr, qv = rvs_self_attention(qr, qv, lw.self_ln)
-        else:
-            q = self_attention(np.concatenate([qr, qv], axis=0), lw.self_ln)
-            qr, qv = q[:n_r], q[n_r:]
-        q = np.concatenate([qr, qv], axis=0)
+        q = np.concatenate(rvs_self_attention(q[:n_sep], q[n_sep:], lw.self_ln))
         q = layer_norm(q + mlp_forward(lw.ffn, q), lw.ffn_ln)
-        qr, qv = q[:n_r], q[n_r:]
         pts = points_from_queries(q, dec.points_head, cfg)
         if li < cfg.layers - 1:
             centroids = pts[:, :, :2].mean(axis=1)
@@ -291,13 +247,4 @@ def decoder_forward(
             mask_logits, _ = instance_mask_logits(q, pts, b, weights, cfg.pgm)
             attn_mask = attention_mask_from_instance_masks(mask_logits, cfg.mask_threshold)
     scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
-    preds = [
-        CenterlinePrediction(
-            points=Polyline(pts[i]),
-            score=float(scores[i]),
-            is_real=i < n_r,
-            query=q[i].copy(),
-        )
-        for i in range(q.shape[0])
-    ]
-    return preds, QuerySet(qr, qv)
+    return q, pts, scores

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bev import BevGrid, GridSpec, binarize_logits, sinusoidal_pe_2d
 from .config import ConfigError, PipelineConfig
-from .decoder import QuerySet, decoder_forward, instance_mask_logits
+from .decoder import CenterlinePrediction, decoder_forward, instance_mask_logits
 from .geometry import Polyline
 from .losses import ModelOutputs
 from .metrics import EvalReport, _frechet_matrix, det_l, mask_ap, top_ll
@@ -79,15 +79,12 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
     """Decoder, topology, mask logits and readouts on a feature grid.
 
     The final layer's mask queries q' are computed once, for all queries, and
-    feed both the mask logits and the direction heads. Stops before fusion. Reads the ``pgm``, ``hybrid_attention`` and
-    ``rvs_self_attention`` toggles, not ``sd`` or ``pmf``: an SD-map run
-    passes the grid from :func:`sd_features`.
+    feed both the mask logits and the direction heads. Stops before fusion.
+    Reads the ``pgm``, ``hybrid_attention`` and ``rvs_self_attention``
+    toggles, not ``sd`` or ``pmf``: an SD-map run passes the grid from
+    :func:`sd_features`.
     """
-    queries = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
-    preds, _ = decoder_forward(queries, b, weights, cfg)
-    q = np.stack([p.query for p in preds])
-
-    decoder_points = np.stack([p.points.pts for p in preds])
+    q, decoder_points, scores = decoder_forward(b, weights, cfg)
     enhanced = enhance_queries(
         q, decoder_points, weights.topology.query_mlp, weights.topology.points_mlp
     )
@@ -95,8 +92,13 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
 
     mask_logits, q_prime = instance_mask_logits(q, decoder_points, b, weights, cfg.pgm)
     col_readouts, row_readouts = _readouts(q_prime, mask_logits, weights)
+    n_real = len(weights.decoder.real_queries)
+    predictions = [
+        CenterlinePrediction(points=Polyline(pts), score=float(s), is_real=i < n_real, query=qi)
+        for i, (pts, s, qi) in enumerate(zip(decoder_points, scores, q))
+    ]
     return ModelOutputs(
-        predictions=preds,
+        predictions=predictions,
         adjacency=adjacency,
         grid=b.spec,
         mask_logits=mask_logits,

@@ -342,7 +342,7 @@ def save_model_weights(w: ModelWeights, path: str | Path) -> None:
 
 
 def _decode_tensor(name: str, entry) -> np.ndarray:
-    """One ``tensors`` entry of a weights document as a float64 array."""
+    """One ``tensors`` entry of a weights document as a finite float64 array."""
     if not isinstance(entry, dict):
         raise ValueError(f"tensors.{name} must be an object, got {type(entry).__name__}")
     data, shape = entry["data"], entry["shape"]
@@ -357,7 +357,10 @@ def _decode_tensor(name: str, entry) -> np.ndarray:
     nbytes = 8 * math.prod(shape)
     if len(raw) != nbytes:
         raise ValueError(f"tensors.{name}.data has {len(raw)} bytes, shape {shape} needs {nbytes}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    tensor = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(tensor)):
+        raise ValueError(f"tensors.{name} must be finite")
+    return tensor
 
 
 def load_model_weights(path: str | Path) -> ModelWeights:

@@ -2,11 +2,13 @@
 
 For each seed in :data:`SEEDS` and each valid ``{pgm, pmf, sd}`` combination,
 the desk configuration (with that seed) runs once on ``synth_scene(seed)``
-with ``init_model_weights(cfg)``. The file stores, per run, the prediction
-points, scores and adjacency; the column and row readouts' coords, existence
-and direction; the per-instance row and column sums of the mask logits; and
-the report's DET_l, TOP_ll and AP_l. ``tests/test_pipeline.py`` compares a
-fresh run with it at ``atol=1e-9``.
+with ``init_model_weights(cfg)``; so does each decoder ablation of
+:data:`ABLATIONS` (rvs off, and hybrid attention and rvs off) at the desk
+defaults. The file stores, per run, the prediction points, scores and
+adjacency; the per-instance row and column sums of the mask logits; the
+report's DET_l, TOP_ll and AP_l; and, for the toggle combinations, the column
+and row readouts' coords, existence and direction. ``tests/test_pipeline.py``
+compares a fresh run with it at ``atol=1e-9``.
 
 Regenerate only when a change is meant to alter these outputs, and say why
 in CHANGES.md::
@@ -34,15 +36,29 @@ COMBOS = tuple(
     for sd in (False, True)
     if pgm or not pmf
 )
+# (hybrid_attention, rvs_self_attention) runs besides the default (True, True)
+ABLATIONS = ((True, False), (False, False))
+DESK_COMBO = (True, True, False)  # the desk defaults of (pgm, pmf, sd)
 
 
-def run_key(seed: int, pgm: bool, pmf: bool, sd: bool) -> str:
-    return f"s{seed}_pgm{int(pgm)}_pmf{int(pmf)}_sd{int(sd)}"
+def run_key(
+    seed: int, pgm: bool, pmf: bool, sd: bool, hybrid: bool = True, rvs: bool = True
+) -> str:
+    key = f"s{seed}_pgm{int(pgm)}_pmf{int(pmf)}_sd{int(sd)}"
+    return key if hybrid and rvs else f"{key}_hybrid{int(hybrid)}_rvs{int(rvs)}"
 
 
-def golden_arrays(seed: int, pgm: bool, pmf: bool, sd: bool) -> dict[str, np.ndarray]:
-    """The pinned quantities of one desk run, keyed ``<run_key>/<name>``."""
-    cfg = PipelineConfig.desk(seed=seed, pgm=pgm, pmf=pmf, sd=sd)
+def golden_arrays(
+    seed: int, pgm: bool, pmf: bool, sd: bool, hybrid: bool = True, rvs: bool = True
+) -> dict[str, np.ndarray]:
+    """The pinned quantities of one desk run, keyed ``<run_key>/<name>``.
+
+    An ablation run leaves out the readouts: they are functions of the mask
+    logits, which it pins, and the file stays under its 2 MB bound.
+    """
+    cfg = PipelineConfig.desk(
+        seed=seed, pgm=pgm, pmf=pmf, sd=sd, hybrid_attention=hybrid, rvs_self_attention=rvs
+    )
     result = run_pipeline(synth_scene(seed), cfg, init_model_weights(cfg))
     out = result.outputs
     arrays = {
@@ -53,11 +69,12 @@ def golden_arrays(seed: int, pgm: bool, pmf: bool, sd: bool) -> dict[str, np.nda
         "mask_col_sums": out.mask_logits.sum(axis=1),
         "report": np.array([result.report.det_l, result.report.top_ll, result.report.ap_l]),
     }
-    for side, readouts in (("col", out.col_readouts), ("row", out.row_readouts)):
+    sides = (("col", out.col_readouts), ("row", out.row_readouts)) if hybrid and rvs else ()
+    for side, readouts in sides:
         arrays[f"{side}_coords"] = np.stack([r.coords for r in readouts])
         arrays[f"{side}_existence"] = np.stack([r.existence for r in readouts])
         arrays[f"{side}_direction"] = np.array([r.direction for r in readouts])
-    key = run_key(seed, pgm, pmf, sd)
+    key = run_key(seed, pgm, pmf, sd, hybrid, rvs)
     return {f"{key}/{name}": np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
 
 
@@ -66,6 +83,8 @@ def main() -> None:
     for seed in SEEDS:
         for combo in COMBOS:
             arrays.update(golden_arrays(seed, *combo))
+        for ablation in ABLATIONS:
+            arrays.update(golden_arrays(seed, *DESK_COMBO, *ablation))
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     np.savez_compressed(GOLDEN_PATH, **arrays)
     print(f"wrote {len(arrays)} arrays to {GOLDEN_PATH} ({GOLDEN_PATH.stat().st_size} bytes)")

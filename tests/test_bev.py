@@ -236,6 +236,28 @@ class TestPerHeadGather:
         assert np.array_equal(out, np.zeros((5, heads, 2, 16 // heads)))
         assert np.array_equal(out, sample_all_channels_then_slice(g, locs, heads))
 
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_non_finite_and_huge_locations_are_zero_without_a_cast_warning(self, heads):
+        # the suite turns RuntimeWarning into an error, so a NaN-to-int cast fails here
+        g = random_grid(np.random.default_rng(32), h=5, w=7, c=16)
+        values = [np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0, 2.5, 4.0, 6.0]
+        pairs = np.array([(r, c) for r in values for c in values])
+        rng = np.random.default_rng(33)
+        idx = rng.integers(0, len(pairs), size=(len(pairs), heads, 3))
+        idx[:, :, 0] = np.arange(len(pairs))[:, None]  # every pair at every head
+        locs = pairs[idx]
+        out = bilinear_sample_batch(g, locs, heads)
+        r, c = locs[..., 0], locs[..., 1]
+        inside = (r >= 0) & (r <= 4) & (c >= 0) & (c <= 6)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(out[~inside], np.zeros((np.count_nonzero(~inside), 16 // heads)))
+        # the reference casts every location first, as the sampler did before
+        with np.errstate(all="ignore"):
+            reference = sample_all_channels_then_slice(g, locs, heads)
+        assert np.array_equal(out, reference)
+        for loc in [(np.nan, 1.0), (1.0, -np.inf), (1e300, 2.0)]:
+            assert np.array_equal(bilinear_sample_batch(g, loc), np.zeros(16))
+
 
 class TestSinusoidalPe:
     def test_entries_bounded(self):

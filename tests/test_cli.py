@@ -1,7 +1,9 @@
 """Command-line interface round-trips."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from lanetopo.cli import main
@@ -233,6 +235,16 @@ def _one_line_error(capsys, prefix: str) -> str:
     return err
 
 
+def _with_nan(name: str):
+    """A weights-document edit that sets the first entry of tensor ``name`` to NaN."""
+    def edit(doc):
+        entry = doc["tensors"][name]
+        tensor = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        tensor[0] = np.nan
+        entry["data"] = base64.b64encode(tensor.tobytes()).decode("ascii")
+    return edit
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -250,9 +262,13 @@ def _one_line_error(capsys, prefix: str) -> str:
          "meta.decoder_layers must be a non-negative integer, got 'x'"),
         (lambda doc: doc["meta"].update(mlp_activations=[]),
          "meta.mlp_activations must be an object, got list"),
+        (_with_nan("decoder.real_queries"), "tensors.decoder.real_queries must be finite"),
+        (_with_nan("decoder.layers.0.deform.w_offset"),
+         "tensors.decoder.layers.0.deform.w_offset must be finite"),
     ],
     ids=["foreign-format", "malformed-json", "missing-key", "missing-path", "number-entry",
-         "number-data", "string-shape", "string-layer-count", "list-activations"],
+         "number-data", "string-shape", "string-layer-count", "list-activations",
+         "nan-query", "nan-deform-offset"],
 )
 def test_run_rejects_a_bad_weights_file(tmp_path, desk_config_path, capsys, content, message):
     scene = tmp_path / "scene.json"

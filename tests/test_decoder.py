@@ -15,7 +15,6 @@ from lanetopo.bev import (
 )
 from lanetopo.config import PipelineConfig
 from lanetopo.decoder import (
-    QuerySet,
     attention_mask_from_instance_masks,
     decoder_forward,
     deformable_attention_core,
@@ -23,8 +22,8 @@ from lanetopo.decoder import (
     masked_cross_attention,
     points_from_queries,
     rvs_self_attention,
-    self_attention,
 )
+from lanetopo.pipeline import infer
 from lanetopo.weights import DeformableWeights, init_model_weights
 
 
@@ -36,6 +35,16 @@ def unit_grid(rng, h=2, w=2, c=4) -> BevGrid:
 def hand_softmax(v):
     e = np.exp(v - v.max())
     return e / e.sum()
+
+
+def self_attention(q: np.ndarray, ln: LayerNormWeights | None = None) -> np.ndarray:
+    """Plain scaled-dot-product self-attention over all queries: the reference
+    for the decoder's rvs-off call, which has no real-only rows."""
+    scale = 1.0 / np.sqrt(q.shape[1])
+    out = q + softmax(q @ q.T * scale, axis=-1) @ q
+    if ln is not None:
+        out = layer_norm(out, ln)
+    return out
 
 
 class TestMaskedCrossAttention:
@@ -94,12 +103,15 @@ class TestMaskedCrossAttention:
 class TestRvsSelfAttention:
     def test_no_virtual_equals_plain_self_attention(self):
         rng = np.random.default_rng(4)
-        qr = rng.normal(size=(5, 8))
-        qv = np.zeros((0, 8))
-        ln = LayerNormWeights.identity(8)
-        out_r, _ = rvs_self_attention(qr, qv, ln)
-        plain = self_attention(qr, ln)
-        assert np.max(np.abs(out_r - plain)) < 1e-12
+        q = rng.normal(size=(5, 8))
+        ln = LayerNormWeights(rng.uniform(0.5, 1.5, 8), rng.normal(size=8))
+        # no real-only rows: the decoder's rvs-off path
+        out = np.concatenate(rvs_self_attention(q[:0], q, ln))
+        assert np.array_equal(out, self_attention(q, ln))
+        # no virtual rows
+        out_r, out_v = rvs_self_attention(q, q[:0], ln)
+        assert out_v.shape == (0, 8)
+        assert np.array_equal(out_r, self_attention(q, ln))
 
     def test_real_rows_put_zero_mass_on_virtual(self):
         rng = np.random.default_rng(5)
@@ -268,31 +280,35 @@ class TestDecoderForward:
         weights = init_model_weights(cfg)
         rng = np.random.default_rng(13)
         b = BevGrid(rng.normal(size=(8, 12, 16)), cfg.grid)
-        qs = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
-        return cfg, weights, b, qs
+        return cfg, weights, b
 
     def test_output_counts_and_ranges(self):
-        cfg, weights, b, qs = self._setup()
-        preds, final = decoder_forward(qs, b, weights, cfg)
+        cfg, weights, b = self._setup()
+        q, pts, scores = decoder_forward(b, weights, cfg)
+        assert q.shape == (cfg.n_queries, cfg.channels)
+        assert pts.shape == (cfg.n_queries, cfg.k, 3)
+        assert scores.shape == (cfg.n_queries,)
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
+        grid = cfg.grid
+        assert np.all(pts[..., 0] >= grid.x_min)
+        assert np.all(pts[..., 0] <= grid.x_max)
+        assert np.all(pts[..., 1] >= grid.y_min)
+        assert np.all(pts[..., 1] <= grid.y_max)
+        assert np.all(np.abs(pts[..., 2]) <= cfg.z_max)
+        preds = infer(b, cfg, weights).predictions
         assert len(preds) == cfg.n_queries
         assert sum(p.is_real for p in preds) == cfg.n_real
-        grid = cfg.grid
-        for p in preds:
-            assert len(p.points) == cfg.k
-            assert 0.0 <= p.score <= 1.0
-            assert np.all(p.points.pts[:, 0] >= grid.x_min)
-            assert np.all(p.points.pts[:, 0] <= grid.x_max)
-            assert np.all(p.points.pts[:, 1] >= grid.y_min)
-            assert np.all(p.points.pts[:, 1] <= grid.y_max)
-            assert np.all(np.abs(p.points.pts[:, 2]) <= cfg.z_max)
-        assert final.real.shape == (cfg.n_real, cfg.channels)
+        assert all(p.is_real for p in preds[: cfg.n_real])
+        assert np.array_equal(np.stack([p.query for p in preds]), q)
+        assert np.array_equal(np.stack([p.points.pts for p in preds]), pts)
+        assert np.array_equal([p.score for p in preds], scores)
 
     def test_single_layer_matches_composed_ops(self):
-        cfg, weights, b, qs = self._setup(layers=1)
-        preds, _ = decoder_forward(qs, b, weights, cfg)
+        cfg, weights, b = self._setup(layers=1)
+        q_out, pts_out, scores_out = decoder_forward(b, weights, cfg)
         lw = weights.decoder.layers[0]
         dec = weights.decoder
-        q = qs.concat()
+        q = np.concatenate([dec.real_queries, dec.virtual_queries])
         m = np.ones((cfg.n_queries, b.h * b.w), dtype=bool)
         q = masked_cross_attention(q, b, m, lw.masked_ln)
         refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1.0, b.w - 1.0])
@@ -302,13 +318,13 @@ class TestDecoderForward:
         q = layer_norm(q + mlp_forward(lw.ffn, q), lw.ffn_ln)
         pts = points_from_queries(q, dec.points_head, cfg)
         scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
-        for i, p in enumerate(preds):
-            assert np.max(np.abs(p.points.pts - pts[i])) < 1e-12
-            assert abs(p.score - scores[i]) < 1e-12
+        assert np.max(np.abs(q_out - q)) < 1e-12
+        assert np.max(np.abs(pts_out - pts)) < 1e-12
+        assert np.max(np.abs(scores_out - scores)) < 1e-12
 
     def test_swapping_real_queries_permutes_outputs(self):
-        cfg, weights, b, qs = self._setup()
-        preds_a, _ = decoder_forward(qs, b, weights, cfg)
+        cfg, weights, b = self._setup()
+        _, pts_a, _ = decoder_forward(b, weights, cfg)
 
         import copy
 
@@ -317,26 +333,26 @@ class TestDecoderForward:
         weights_b.decoder.real_queries[[0, 1]] = weights.decoder.real_queries[[1, 0]]
         weights_b.decoder.init_ref_logits = weights.decoder.init_ref_logits.copy()
         weights_b.decoder.init_ref_logits[[0, 1]] = weights.decoder.init_ref_logits[[1, 0]]
-        qs_b = QuerySet(weights_b.decoder.real_queries, weights_b.decoder.virtual_queries)
-        preds_b, _ = decoder_forward(qs_b, b, weights_b, cfg)
+        _, pts_b, _ = decoder_forward(b, weights_b, cfg)
 
-        assert np.allclose(preds_b[0].points.pts, preds_a[1].points.pts, atol=1e-9)
-        assert np.allclose(preds_b[1].points.pts, preds_a[0].points.pts, atol=1e-9)
+        assert np.allclose(pts_b[0], pts_a[1], atol=1e-9)
+        assert np.allclose(pts_b[1], pts_a[0], atol=1e-9)
         for i in range(2, cfg.n_queries):
-            assert np.allclose(preds_b[i].points.pts, preds_a[i].points.pts, atol=1e-9)
+            assert np.allclose(pts_b[i], pts_a[i], atol=1e-9)
 
     def test_toggles_preserve_shape_contract(self):
         for hybrid in (True, False):
             for rvs in (True, False):
-                cfg, weights, b, qs = self._setup(
+                cfg, weights, b = self._setup(
                     hybrid_attention=hybrid, rvs_self_attention=rvs
                 )
-                preds, _ = decoder_forward(qs, b, weights, cfg)
-                assert len(preds) == cfg.n_queries
-                assert all(len(p.points) == cfg.k for p in preds)
+                q, pts, scores = decoder_forward(b, weights, cfg)
+                assert q.shape == (cfg.n_queries, cfg.channels)
+                assert pts.shape == (cfg.n_queries, cfg.k, 3)
+                assert scores.shape == (cfg.n_queries,)
 
     def test_layer_count_mismatch_rejected(self):
-        cfg, weights, b, qs = self._setup()
+        cfg, weights, b = self._setup()
         bad_cfg = PipelineConfig.from_dict({**cfg.to_dict(), "layers": 3})
         with pytest.raises(ValueError):
-            decoder_forward(qs, b, weights, bad_cfg)
+            decoder_forward(b, weights, bad_cfg)

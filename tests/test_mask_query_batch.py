@@ -13,7 +13,7 @@ import pytest
 from lanetopo import decoder
 from lanetopo.bev import layer_norm, mlp_forward, sigmoid, softmax
 from lanetopo.config import PipelineConfig
-from lanetopo.decoder import QuerySet, decoder_forward, instance_mask_logits
+from lanetopo.decoder import decoder_forward, instance_mask_logits
 from lanetopo.pipeline import infer
 from lanetopo.points_mask import AXIS_COLUMNS, AXIS_ROWS
 from lanetopo.scene import SceneParams, render_bev_features, synth_scene
@@ -130,32 +130,28 @@ def test_readouts_match_the_loops(inferred, axis):
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_decoder_matches_the_per_query_logits(monkeypatch, name):
     cfg, weights, b = setup(name)
-    qs = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
-    preds, _ = decoder_forward(qs, b, weights, cfg)
+    _, pts, scores = decoder_forward(b, weights, cfg)
 
     def logits_per_query(q, pts, b, weights, points_guided):
         q_prime = mask_queries_loop(q, pts, weights.mask_head, points_guided)
         return logits_loop(b, q_prime), q_prime
 
     monkeypatch.setattr(decoder, "instance_mask_logits", logits_per_query)
-    ref, _ = decoder_forward(qs, b, weights, cfg)
-    for p, r in zip(preds, ref):
-        assert np.allclose(p.points.pts, r.points.pts, rtol=0.0, atol=ATOL)
-        assert abs(p.score - r.score) <= ATOL
+    _, ref_pts, ref_scores = decoder_forward(b, weights, cfg)
+    assert np.allclose(pts, ref_pts, rtol=0.0, atol=ATOL)
+    assert np.all(np.abs(scores - ref_scores) <= ATOL)
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_boolean_attention_mask_equals_the_float_mask(monkeypatch, name):
     cfg, weights, b = setup(name, hybrid_attention=True)
-    qs = QuerySet(weights.decoder.real_queries, weights.decoder.virtual_queries)
-    preds, final = decoder_forward(qs, b, weights, cfg)
+    q, pts, scores = decoder_forward(b, weights, cfg)
     monkeypatch.setattr(decoder, "masked_cross_attention", float_mask_attention)
     monkeypatch.setattr(decoder, "attention_mask_from_instance_masks", float_attention_mask)
-    ref, ref_final = decoder_forward(qs, b, weights, cfg)
-    assert np.array_equal(np.stack([p.points.pts for p in preds]),
-                          np.stack([p.points.pts for p in ref]))
-    assert np.array_equal([p.score for p in preds], [p.score for p in ref])
-    assert np.array_equal(final.concat(), ref_final.concat())
+    ref_q, ref_pts, ref_scores = decoder_forward(b, weights, cfg)
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(scores, ref_scores)
+    assert np.array_equal(q, ref_q)
 
 
 def test_keep_matrix_equals_the_float_mask():

@@ -46,7 +46,15 @@ from lanetopo.weights import (
     save_model_weights,
     weight_shapes,
 )
-from make_golden import COMBOS, GOLDEN_PATH, SEEDS, golden_arrays, run_key
+from make_golden import (
+    ABLATIONS,
+    COMBOS,
+    DESK_COMBO,
+    GOLDEN_PATH,
+    SEEDS,
+    golden_arrays,
+    run_key,
+)
 
 
 def desk_cfg(**overrides) -> PipelineConfig:
@@ -173,8 +181,17 @@ class TestGoldenFixture:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("combo", COMBOS, ids=lambda c: "pgm%d_pmf%d_sd%d" % c)
     def test_run_matches_fixture(self, golden, seed, combo):
-        fresh = golden_arrays(seed, *combo)
-        prefix = run_key(seed, *combo) + "/"
+        self.check_run(golden, seed, *combo)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: "hybrid%d_rvs%d" % a)
+    def test_decoder_ablation_matches_fixture(self, golden, seed, ablation):
+        self.check_run(golden, seed, *DESK_COMBO, *ablation)
+
+    @staticmethod
+    def check_run(golden, seed, *toggles):
+        fresh = golden_arrays(seed, *toggles)
+        prefix = run_key(seed, *toggles) + "/"
         assert set(fresh) == {k for k in golden if k.startswith(prefix)}
         for key, value in fresh.items():
             np.testing.assert_allclose(value, golden[key], rtol=0, atol=1e-9, err_msg=key)
