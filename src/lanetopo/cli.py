@@ -8,6 +8,7 @@ prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -19,6 +20,7 @@ import numpy as np
 from .config import ConfigError, PipelineConfig
 from .losses import GRAD_CHECK_TERMS, run_grad_checks
 from .pipeline import (
+    NonFiniteError,
     ablation_grid,
     dump_predictions_json,
     evaluate_prediction_file,
@@ -64,6 +66,13 @@ def _read(what: str, loader, *args):
         raise _InvalidInput(what, exc) from None
 
 
+def _check_flag(flag: str, value, ok: bool, requirement: str):
+    """``value``, or _InvalidInput naming ``flag`` when ``ok`` is false."""
+    if not ok:
+        raise _InvalidInput(flag, ValueError(f"must be {requirement}, got {value}"))
+    return value
+
+
 def _invalid_input(what: str, exc: OSError | ValueError) -> int:
     print(f"invalid {what}: {exc}", file=sys.stderr)
     return 2
@@ -85,10 +94,11 @@ def _apply_toggles(cfg: PipelineConfig, args) -> PipelineConfig:
 
 
 def _cmd_synth(args) -> int:
-    params = SceneParams(
-        n_lanes=args.lanes,
-        lane_spacing=args.spacing,
-        intersections=args.intersections,
+    _check_flag("--lanes", args.lanes, args.lanes >= 1, "at least 1")
+    _check_flag("--spacing", args.spacing, math.isfinite(args.spacing) and args.spacing > 0,
+                "a finite number above 0")
+    params = _read(
+        "--lanes and --spacing", SceneParams, args.lanes, args.spacing, args.intersections
     )
     scene = synth_scene(args.seed, params)
     save_scene(scene, _out_path(args.out))
@@ -99,7 +109,10 @@ def _cmd_synth(args) -> int:
 def _cmd_render_bev(args) -> int:
     scene = _read("scene file", load_scene, args.scene)
     cfg = _load_config(args.config)
-    noise = cfg.noise_sigma if args.noise is None else args.noise
+    noise = cfg.noise_sigma
+    if args.noise is not None:
+        noise = _check_flag("--noise", args.noise, math.isfinite(args.noise) and args.noise >= 0,
+                            "a finite number at least 0")
     grid = render_bev_features(scene, cfg, noise)
     save_bev(grid, _out_path(args.out))
     print(f"wrote {grid.h}x{grid.w}x{grid.c} BEV features to {args.out}")
@@ -114,11 +127,20 @@ def _cmd_run(args) -> int:
         _read("weights file", check_weights, cfg, weights)
     else:
         weights = init_model_weights(cfg)
-    bev = _read("BEV file", load_bev, args.bev, cfg.grid) if args.bev else None
+    bev = None
+    if args.bev:
+        bev = _read("BEV file", load_bev, args.bev, cfg.grid)
+        if bev.c != cfg.channels:
+            raise _InvalidInput("BEV file", ValueError(
+                f"{args.bev} has {bev.c} channels, config expects {cfg.channels}"
+            ))
     try:
         result = run_pipeline(scene, cfg, weights, bev=bev)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     save_predictions(result.outputs, _out_path(args.out))
     print(
@@ -156,6 +178,7 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_flag("--points", args.points, args.points >= 1, "at least 1")
     errors = run_grad_checks(seed=args.seed, n_points=args.points)
     ok = True
     for term in GRAD_CHECK_TERMS:

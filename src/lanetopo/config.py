@@ -62,13 +62,6 @@ class PipelineConfig:
     hybrid_attention: bool = True
     rvs_self_attention: bool = True
 
-    mask_threshold: float = 0.5
-    validity_threshold: float = 0.5
-    outlier_threshold: float = 1.5
-    det_thresholds: tuple[float, ...] = (1.0, 2.0, 3.0)
-    top_match_threshold: float = 1.0
-    mask_iou_thresholds: tuple[float, ...] = (0.5, 0.75)
-
     noise_sigma: float = 0.05
     seed: int = 0
     loss: LossCoefficients = field(default_factory=LossCoefficients)
@@ -77,14 +70,11 @@ class PipelineConfig:
         if isinstance(self.loss, dict):
             self.loss = LossCoefficients(**self.loss)
         self.validate()
-        self.det_thresholds = tuple(float(t) for t in self.det_thresholds)
-        self.mask_iou_thresholds = tuple(float(t) for t in self.mask_iou_thresholds)
 
     def validate(self) -> None:
         loss = {f"loss.{k}": v for k, v in vars(self.loss).items()}
         for name, value in {**vars(self), **loss}.items():
-            entries = value if isinstance(value, (list, tuple)) else (value,)
-            if not all(_finite(v) for v in entries):
+            if not _finite(value):
                 raise ConfigError(f"{name} must be a finite number")
         if self.k < 2:
             raise ConfigError("k must be at least 2")
@@ -98,20 +88,12 @@ class PipelineConfig:
             raise ConfigError("grid_h, grid_w and resolution must be positive")
         if self.sample_points < 1 or self.sd_sample_points < 1:
             raise ConfigError("sample_points and sd_sample_points must be at least 1")
-        if not self.det_thresholds or not self.mask_iou_thresholds:
-            raise ConfigError("det_thresholds and mask_iou_thresholds must not be empty")
         if self.channels % self.heads != 0:
             raise ConfigError("channels must be divisible by heads")
         if self.channels % 4 != 0:
             raise ConfigError("channels must be divisible by 4 (position encoding)")
         if self.sd and self.channels % self.sd_heads != 0:
             raise ConfigError("channels must be divisible by sd_heads")
-        if not (0.0 < self.mask_threshold < 1.0):
-            raise ConfigError("mask_threshold must lie in (0, 1)")
-        if not (0.0 < self.validity_threshold < 1.0):
-            raise ConfigError("validity_threshold must lie in (0, 1)")
-        if self.outlier_threshold <= 0:
-            raise ConfigError("outlier_threshold must be positive")
 
     def check_runnable(self) -> None:
         """Cross-toggle checks deferred to pipeline execution."""
@@ -186,20 +168,17 @@ _TYPE_NAMES = {
     bool: "true or false",
     int: "an integer",
     float: "a number",
-    tuple[float, ...]: "a list of numbers",
 }
 
 
 def _fits(value, kind) -> bool:
     """Whether a document value fits a declared field type: ``bool``,
-    ``int`` (not a bool), ``float`` (an int is accepted), a tuple of floats
-    (a list or tuple) or a dataclass instance."""
+    ``int`` (not a bool), ``float`` (an int is accepted) or a dataclass
+    instance."""
     if dataclasses.is_dataclass(kind):
         return isinstance(value, kind)
     if kind is bool:
         return isinstance(value, bool)
-    if typing.get_origin(kind) is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(v, float) for v in value)
     number = numbers.Integral if kind is int else numbers.Real
     return isinstance(value, number) and not isinstance(value, bool)
 

@@ -20,6 +20,7 @@ from .bev import (
     LayerNormWeights,
     MlpWeights,
     bilinear_sample_batch,
+    binarize_logits,
     layer_norm,
     mlp_forward,
     sigmoid,
@@ -166,18 +167,14 @@ def deformable_cross_attention(
     return out
 
 
-def attention_mask_from_instance_masks(
-    mask_logits: np.ndarray, threshold: float = 0.5
-) -> np.ndarray:
+def attention_mask_from_instance_masks(mask_logits: np.ndarray) -> np.ndarray:
     """Boolean (n, h*w) keep matrix from (n, h, w) instance mask logits.
 
-    Cells with sigmoid(logit) >= threshold stay attendable; a row that would
-    be fully masked falls back to attending everywhere (all True).
+    Cells with sigmoid(logit) >= 0.5 stay attendable (:func:`binarize_logits`);
+    a row that would be fully masked falls back to attending everywhere (all
+    True).
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
-    logits = np.asarray(mask_logits, dtype=np.float64)
-    keep = sigmoid(logits).reshape(logits.shape[0], -1) >= threshold
+    keep = binarize_logits(mask_logits).reshape(len(mask_logits), -1)
     keep[~keep.any(axis=1)] = True
     return keep
 
@@ -245,6 +242,6 @@ def decoder_forward(
             centroids = pts[:, :, :2].mean(axis=1)
             refs = b.spec.metric_to_cell(centroids)
             mask_logits, _ = instance_mask_logits(q, pts, b, weights, cfg.pgm)
-            attn_mask = attention_mask_from_instance_masks(mask_logits, cfg.mask_threshold)
+            attn_mask = attention_mask_from_instance_masks(mask_logits)
     scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
     return q, pts, scores

@@ -26,6 +26,12 @@ from .geometry import Polyline, frechet_matrix, resample_polyline
 # half a vertex spacing away from a dense ground truth
 FRECHET_EVAL_POINTS = 50
 
+# the fixed thresholds of the scoring protocol: DET_l's Frechet distances (m),
+# TOP_ll's lane-matching Frechet distance (m) and AP_l's mask IoUs
+DET_THRESHOLDS = (1.0, 2.0, 3.0)
+TOP_MATCH_THRESHOLD = 1.0
+MASK_IOU_THRESHOLDS = (0.5, 0.75)
+
 
 def average_precision(tp_flags, n_gt: int) -> float:
     """Area under the interpolated PR curve for ranked detections, from a
@@ -156,7 +162,7 @@ def det_l(
     preds: list[Polyline],
     scores: np.ndarray,
     gts: list[Polyline],
-    thresholds: tuple[float, ...] = (1.0, 2.0, 3.0),
+    thresholds: tuple[float, ...] = DET_THRESHOLDS,
     *,
     dist: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float]]:
@@ -179,7 +185,7 @@ def top_ll(
     pred_adj: np.ndarray,
     gt_lines: list[Polyline],
     gt_adj: np.ndarray,
-    match_threshold: float = 1.0,
+    match_threshold: float = TOP_MATCH_THRESHOLD,
     *,
     dist: np.ndarray | None = None,
 ) -> float:
@@ -247,7 +253,7 @@ def mask_ap(
     pred_masks: np.ndarray,
     scores: np.ndarray,
     gt_masks: np.ndarray,
-    iou_thresholds: tuple[float, ...] = (0.5, 0.75),
+    iou_thresholds: tuple[float, ...] = MASK_IOU_THRESHOLDS,
 ) -> tuple[float, dict[str, float]]:
     """Instance-mask AP over (n, h, w) mask stacks: logits are binarized at
     probability 0.5, and matching is greedy by score at each IoU threshold,

@@ -8,6 +8,7 @@ import base64
 import json
 import zlib
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,16 @@ from .config import ConfigError, PipelineConfig
 from .decoder import CenterlinePrediction, decoder_forward, instance_mask_logits
 from .geometry import Polyline
 from .losses import ModelOutputs
-from .metrics import EvalReport, _frechet_matrix, det_l, mask_ap, top_ll
+from .metrics import (
+    DET_THRESHOLDS,
+    MASK_IOU_THRESHOLDS,
+    TOP_MATCH_THRESHOLD,
+    EvalReport,
+    _frechet_matrix,
+    det_l,
+    mask_ap,
+    top_ll,
+)
 from .points_mask import (
     AXIS_COLUMNS,
     AXIS_ROWS,
@@ -36,6 +46,10 @@ from .weights import ModelWeights, check_weights
 PREDICTIONS_SCHEMA_VERSION = 2
 MASK_ENCODING = "bits-zlib-b64"
 MASK_ZLIB_LEVEL = 6
+
+
+class NonFiniteError(ValueError):
+    """A stage produced NaN or infinite values from finite inputs."""
 
 
 @dataclass
@@ -91,6 +105,10 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
     adjacency = predict_topology(enhanced, weights.topology.classifier)
 
     mask_logits, q_prime = instance_mask_logits(q, decoder_points, b, weights, cfg.pgm)
+    for name, tensor in (("points", decoder_points), ("scores", scores),
+                         ("adjacency", adjacency), ("mask logits", mask_logits)):
+        if not np.isfinite(tensor).all():
+            raise NonFiniteError(f"infer produced non-finite {name}")
     col_readouts, row_readouts = _readouts(q_prime, mask_logits, weights)
     n_real = len(weights.decoder.real_queries)
     predictions = [
@@ -107,22 +125,15 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
     )
 
 
-def fuse(outputs: ModelOutputs, cfg: PipelineConfig) -> ModelOutputs:
+def fuse(outputs: ModelOutputs) -> ModelOutputs:
     """Points-mask fusion: each real prediction's points refined by its
     selected mask readout. Returns new predictions; ``outputs`` is unchanged,
     so one :func:`infer` result serves both a fused and an unfused run."""
     preds = []
     for pred, col, row in zip(outputs.predictions, outputs.col_readouts, outputs.row_readouts):
         if pred.is_real:
-            readout = select_point_set(col, row, cfg.validity_threshold)
-            points = fuse_points(
-                pred.points,
-                readout,
-                outputs.grid,
-                cfg.k,
-                outlier_threshold=cfg.outlier_threshold,
-                validity_threshold=cfg.validity_threshold,
-            )
+            readout = select_point_set(col, row)
+            points = fuse_points(pred.points, readout, outputs.grid, len(pred.points))
             pred = replace(pred, points=points)
         preds.append(pred)
     return replace(outputs, predictions=preds)
@@ -149,8 +160,8 @@ def run_pipeline(
         bev = render_bev_features(scene, cfg, cfg.noise_sigma)
     outputs = infer(sd_features(bev, scene, weights) if cfg.sd else bev, cfg, weights)
     if cfg.pmf:
-        outputs = fuse(outputs, cfg)
-    report = evaluate_outputs(outputs, scene, cfg)
+        outputs = fuse(outputs)
+    report = evaluate_outputs(outputs, scene)
     return PipelineResult(outputs=outputs, report=report, bev=bev)
 
 
@@ -161,9 +172,9 @@ def score_predictions(
     pred_masks: np.ndarray | None,
     gt_masks: np.ndarray | None,
     scene: Scene,
-    cfg: PipelineConfig,
 ) -> EvalReport:
-    """DET_l, TOP_ll and AP_l of predictions against the scene's ground truth.
+    """DET_l, TOP_ll and AP_l of predictions against the scene's ground truth,
+    at the protocol's fixed thresholds.
 
     The Frechet matrix is built once, exact up to the largest DET_l or TOP_ll
     threshold, and shared by DET_l and TOP_ll. Masks are (n, h, w) stacks of
@@ -171,24 +182,19 @@ def score_predictions(
     :func:`render_gt_masks`; without ``pred_masks`` AP_l is 0.
     """
     gts = scene.centerlines
-    dist = _frechet_matrix(lines, gts, max((*cfg.det_thresholds, cfg.top_match_threshold)))
-    det, det_per = det_l(lines, scores, gts, cfg.det_thresholds, dist=dist)
-    top = top_ll(
-        lines, scores, adjacency, gts, scene.adjacency, cfg.top_match_threshold, dist=dist
-    )
+    dist = _frechet_matrix(lines, gts, max(*DET_THRESHOLDS, TOP_MATCH_THRESHOLD))
+    det, det_per = det_l(lines, scores, gts, DET_THRESHOLDS, dist=dist)
+    top = top_ll(lines, scores, adjacency, gts, scene.adjacency, TOP_MATCH_THRESHOLD, dist=dist)
     ap, ap_per = 0.0, {}
     if pred_masks is not None:
-        ap, ap_per = mask_ap(pred_masks, scores, gt_masks, cfg.mask_iou_thresholds)
+        ap, ap_per = mask_ap(pred_masks, scores, gt_masks, MASK_IOU_THRESHOLDS)
     return EvalReport(
         det_l=det, top_ll=top, ap_l=ap, det_per_threshold=det_per, ap_per_threshold=ap_per
     )
 
 
 def evaluate_outputs(
-    outputs: ModelOutputs,
-    scene: Scene,
-    cfg: PipelineConfig,
-    gt_masks: np.ndarray | None = None,
+    outputs: ModelOutputs, scene: Scene, gt_masks: np.ndarray | None = None
 ) -> EvalReport:
     """Score in-memory predictions against the scene's ground truth.
 
@@ -205,7 +211,6 @@ def evaluate_outputs(
         outputs.mask_logits,
         gt_masks,
         scene,
-        cfg,
     )
 
 
@@ -336,7 +341,7 @@ def evaluate_prediction_file(
     read and validated by :func:`load_predictions` on the configured grid."""
     lines, scores, _, adjacency, pred_masks = load_predictions(pred_path, cfg.grid)
     gt_masks = None if pred_masks is None else render_gt_masks(scene, cfg.grid)
-    return score_predictions(lines, scores, adjacency, pred_masks, gt_masks, scene, cfg)
+    return score_predictions(lines, scores, adjacency, pred_masks, gt_masks, scene)
 
 
 # --- ablation harness -----------------------------------------------------------
@@ -359,34 +364,27 @@ def ablation_grid(
     """
     check_weights(cfg, weights)
     rows: dict[tuple[bool, bool, bool], dict] = {}
-    run_cfgs = {}
-    for pgm in (False, True):
-        for pmf in (False, True):
-            for sd in (False, True):
-                row: dict = {"pgm": pgm, "pmf": pmf, "sd": sd}
-                run_cfg = replace(cfg, pgm=pgm, pmf=pmf, sd=sd)
-                try:
-                    run_cfg.check_runnable()
-                except ConfigError as exc:
-                    row["error"] = str(exc)
-                else:
-                    run_cfgs[pgm, pmf, sd] = run_cfg
-                rows[pgm, pmf, sd] = row
+    for pgm, pmf, sd in product((False, True), repeat=3):
+        run_cfg = replace(cfg, pgm=pgm, pmf=pmf, sd=sd)
+        row = rows[pgm, pmf, sd] = {"pgm": pgm, "pmf": pmf, "sd": sd}
+        try:
+            run_cfg.check_runnable()
+        except ConfigError as exc:
+            row["error"] = str(exc)
 
     bev = render_bev_features(scene, cfg, cfg.noise_sigma)
     grids = {False: bev, True: sd_features(bev, scene, weights)}
     gt_masks = render_gt_masks(scene, cfg.grid)
-    for pgm in (False, True):
-        for sd in (False, True):
-            inferred = infer(grids[sd], run_cfgs[pgm, False, sd], weights)
-            for pmf in (False, True):
-                run_cfg = run_cfgs.get((pgm, pmf, sd))
-                if run_cfg is None:
-                    continue
-                # a fused row is scored without masks: its AP_l is the unfused row's
-                outputs = replace(fuse(inferred, run_cfg), mask_logits=None) if pmf else inferred
-                report = evaluate_outputs(outputs, scene, run_cfg, gt_masks)
-                if not pmf:
-                    ap_l = report.ap_l
-                rows[pgm, pmf, sd].update(det_l=report.det_l, top_ll=report.top_ll, ap_l=ap_l)
+    for pgm, sd in product((False, True), repeat=2):
+        inferred = infer(grids[sd], replace(cfg, pgm=pgm), weights)
+        for pmf in (False, True):
+            row = rows[pgm, pmf, sd]
+            if "error" in row:
+                continue
+            # a fused row is scored without masks: its AP_l is the unfused row's
+            outputs = replace(fuse(inferred), mask_logits=None) if pmf else inferred
+            report = evaluate_outputs(outputs, scene, gt_masks)
+            if not pmf:
+                ap_l = report.ap_l
+            row.update(det_l=report.det_l, top_ll=report.top_ll, ap_l=ap_l)
     return list(rows.values())

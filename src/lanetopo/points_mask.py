@@ -27,6 +27,11 @@ from .weights import MaskHeadWeights
 AXIS_COLUMNS = "columns"
 AXIS_ROWS = "rows"
 
+# a readout point is valid above this existence probability
+VALIDITY_THRESHOLD = 0.5
+# fusion drops a valid point farther than this (m) from both its neighbors
+OUTLIER_THRESHOLD = 1.5
+
 
 @dataclass
 class MaskPointReadout:
@@ -50,8 +55,8 @@ class MaskPointReadout:
         if self.coords.shape != self.existence.shape:
             raise ValueError("coords and existence must have the same length")
 
-    def valid_count(self, threshold: float = 0.5) -> int:
-        return int(np.sum(self.existence > threshold))
+    def valid_count(self) -> int:
+        return int(np.sum(self.existence > VALIDITY_THRESHOLD))
 
 
 def encode_mask_query(q: np.ndarray, pts: np.ndarray, w: MaskHeadWeights) -> np.ndarray:
@@ -123,17 +128,9 @@ def predict_direction(q_prime: np.ndarray, phi2) -> np.ndarray:
     return sigmoid(mlp_forward(phi2, q_prime)[..., 0])
 
 
-def select_point_set(
-    col: MaskPointReadout,
-    row: MaskPointReadout,
-    validity_threshold: float = 0.5,
-) -> MaskPointReadout:
+def select_point_set(col: MaskPointReadout, row: MaskPointReadout) -> MaskPointReadout:
     """Pick the readout with more valid points; ties go to the columns readout."""
-    if not (0.0 < validity_threshold < 1.0):
-        raise ValueError("validity_threshold must lie in (0, 1)")
-    if row.valid_count(validity_threshold) > col.valid_count(validity_threshold):
-        return row
-    return col
+    return row if row.valid_count() > col.valid_count() else col
 
 
 def readout_to_metric_points(readout: MaskPointReadout, grid: GridSpec) -> np.ndarray:
@@ -148,12 +145,7 @@ def readout_to_metric_points(readout: MaskPointReadout, grid: GridSpec) -> np.nd
 
 
 def fuse_points(
-    detected: Polyline,
-    readout: MaskPointReadout,
-    grid: GridSpec,
-    k: int,
-    outlier_threshold: float = 1.5,
-    validity_threshold: float = 0.5,
+    detected: Polyline, readout: MaskPointReadout, grid: GridSpec, k: int
 ) -> Polyline:
     """Refine detected points by averaging with resampled valid mask points.
 
@@ -165,14 +157,14 @@ def fuse_points(
     """
     if len(detected) != k:
         raise ValueError(f"detected polyline must have exactly {k} points")
-    valid = readout.existence > validity_threshold
+    valid = readout.existence > VALIDITY_THRESHOLD
     if int(valid.sum()) < 2:
         return detected
     metric = readout_to_metric_points(readout, grid)[valid]
     if readout.direction < 0.5:
         metric = metric[::-1]
     kept = filter_outliers(
-        PointSet2(metric, np.ones(len(metric), dtype=bool)), outlier_threshold
+        PointSet2(metric, np.ones(len(metric), dtype=bool)), OUTLIER_THRESHOLD
     )
     survivors = kept.valid_points()
     if survivors.shape[0] < 2:

@@ -67,7 +67,7 @@ class SceneParams:
             raise ValueError("need at least one lane")
         if self.intersections not in (0, 1):
             raise ValueError("intersections must be 0 or 1")
-        if self.lane_spacing <= 0:
+        if not self.lane_spacing > 0:
             raise ValueError("lane spacing must be positive")
         if self.radius_range[0] < 60.0:
             raise ValueError("road radius below 60 m does not fit the working area")

@@ -2,13 +2,26 @@
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lanetopo.cli import main
 from lanetopo.config import PipelineConfig
-from lanetopo.weights import init_model_weights, save_model_weights
+from lanetopo.pipeline import load_predictions
+from lanetopo.weights import (
+    init_model_weights,
+    model_weights_from_tensors,
+    model_weights_to_tensors,
+    save_model_weights,
+)
+from test_config import REMOVED_FIELDS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -187,6 +200,25 @@ def test_eval_rejects_malformed_prediction_file(tmp_path, desk_config_path, caps
     assert err.startswith("invalid prediction file: ") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_run_rejects_a_bev_file_with_the_wrong_channel_count(tmp_path, desk_config_path, capsys):
+    scene = tmp_path / "scene.json"
+    narrow = tmp_path / "narrow.json"
+    bev = tmp_path / "bev.bin"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    PipelineConfig.desk(channels=16).save(narrow)
+    main(["render-bev", "--scene", str(scene), "--config", str(narrow), "--out", str(bev)])
+    capsys.readouterr()
+    pred = tmp_path / "pred.json"
+    code = main(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--bev", str(bev),
+         "--out", str(pred)]
+    )
+    assert code == 2
+    err = _one_line_error(capsys, "invalid BEV file: ")
+    assert "has 16 channels, config expects 32" in err
+    assert not pred.exists()
 
 
 def test_run_rejects_a_truncated_bev_file(tmp_path, desk_config_path, capsys):
@@ -488,3 +520,92 @@ def test_a_missing_scene_file_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert "No such file or directory" in _one_line_error(capsys, "invalid scene file: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
+def test_a_config_with_the_removed_threshold_fields_exits_2(
+    tmp_path, desk_config_path, capsys, command
+):
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    config = tmp_path / "old-config.json"
+    config.write_text(json.dumps({**PipelineConfig.desk().to_dict(), **REMOVED_FIELDS}))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {
+        "run": ["run", "--scene", str(scene)],
+        "eval": ["eval", "--pred", str(pred), "--gt", str(scene)],
+        "render-bev": ["render-bev", "--scene", str(scene)],
+    }[command]
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    err = _one_line_error(capsys, "invalid config file: ")
+    assert err == f"invalid config file: unknown config fields: {sorted(REMOVED_FIELDS)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("render-bev", "--noise", "inf"),
+        ("render-bev", "--noise", "nan"),
+        ("render-bev", "--noise", "-1"),
+        ("gradcheck", "--points", "0"),
+        ("gradcheck", "--points", "-3"),
+        ("synth", "--lanes", "0"),
+        ("synth", "--lanes", "9"),  # 9 lanes at 3.5 m do not fit the working area
+        ("synth", "--spacing", "-1"),
+        ("synth", "--spacing", "nan"),
+    ],
+    ids=lambda v: v[2:] if v.startswith("--") else v,
+)
+def test_a_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
+    scene = tmp_path / "scene.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    capsys.readouterr()
+    out = tmp_path / "out.bin"
+    argv = {
+        "render-bev": ["render-bev", "--scene", str(scene), "--out", str(out)],
+        "gradcheck": ["gradcheck"],
+        "synth": ["synth", "--out", str(out)],
+    }[command]
+    assert main(argv + [flag, value]) == 2
+    _one_line_error(capsys, f"invalid {flag}")
+    assert not out.exists()
+
+
+def _run_in_a_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lanetopo.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("exponent", [20, 150, 300])
+def test_huge_finite_weights_give_predictions_or_exit_2(tmp_path, desk_config_path, exponent):
+    """Finite weights scaled far up either run to a readable predictions file
+    or stop with one line naming the stage and the tensor; never a traceback."""
+    scene = tmp_path / "scene.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "3", "--out", str(scene)])
+    tensors, meta = model_weights_to_tensors(init_model_weights(PipelineConfig.desk()))
+    scaled = {name: t * 10.0**exponent for name, t in tensors.items()}
+    save_model_weights(model_weights_from_tensors(scaled, meta), weights)
+    done = _run_in_a_fresh_process(
+        ["run", "--scene", str(scene), "--config", desk_config_path, "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert "Traceback" not in done.stderr
+    if exponent == 20:
+        assert done.returncode == 0, done.stderr
+        lines, scores, _, adjacency, _ = load_predictions(pred)
+        assert np.isfinite(scores).all() and np.isfinite(adjacency).all()
+    else:
+        assert done.returncode == 2
+        last = done.stderr.splitlines()[-1]
+        assert last.startswith("numeric error: infer produced non-finite "), done.stderr
+        assert not pred.exists()

@@ -1,8 +1,23 @@
 """Configuration defaults, validation, and JSON round-trips."""
 
+import dataclasses
+import json
+
 import pytest
 
+from lanetopo import metrics, points_mask
 from lanetopo.config import ConfigError, LossCoefficients, PipelineConfig
+
+# fields an older PipelineConfig carried, at their old defaults; the values are
+# now fixed constants of the method and the scoring protocol
+REMOVED_FIELDS = {
+    "mask_threshold": 0.5,
+    "validity_threshold": 0.5,
+    "outlier_threshold": 1.5,
+    "det_thresholds": [1.0, 2.0, 3.0],
+    "top_match_threshold": 1.0,
+    "mask_iou_thresholds": [0.5, 0.75],
+}
 
 
 def test_full_size_defaults():
@@ -11,8 +26,11 @@ def test_full_size_defaults():
     assert (cfg.channels, cfg.layers, cfg.heads, cfg.ffn_dim) == (256, 4, 8, 512)
     assert (cfg.grid_h, cfg.grid_w, cfg.resolution) == (100, 200, 0.5)
     assert cfg.loss == LossCoefficients(top=5.0, cls=1.5, det=0.025, mask=1.0, mp=7.0)
-    assert cfg.outlier_threshold == 1.5
-    assert cfg.validity_threshold == 0.5
+    assert len(dataclasses.fields(cfg)) == 27
+    assert (points_mask.OUTLIER_THRESHOLD, points_mask.VALIDITY_THRESHOLD) == (1.5, 0.5)
+    assert metrics.DET_THRESHOLDS == (1.0, 2.0, 3.0)
+    assert metrics.TOP_MATCH_THRESHOLD == 1.0
+    assert metrics.MASK_IOU_THRESHOLDS == (0.5, 0.75)
 
 
 def test_grid_covers_working_area():
@@ -37,6 +55,16 @@ def test_unknown_fields_rejected():
         PipelineConfig.from_dict({"n_real": 4, "bogus": 1})
 
 
+def test_a_config_with_the_removed_threshold_fields_is_refused(tmp_path):
+    doc = {**PipelineConfig.desk().to_dict(), **REMOVED_FIELDS}
+    assert len(doc) == 33
+    path = tmp_path / "old-config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig.load(path)
+    assert str(err.value) == f"unknown config fields: {sorted(REMOVED_FIELDS)}"
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -44,14 +72,14 @@ def test_unknown_fields_rejected():
         {"layers": 0},
         {"channels": 30},  # not divisible by 4
         {"channels": 36, "heads": 8},  # heads do not divide channels
-        {"mask_threshold": 0.0},
-        {"outlier_threshold": -1.0},
+        {"n_virtual": -1},
+        {"sd_heads": 0},
         {"n_real": 0},
         {"channels": "x"},
         {"k": 2.5},
         {"n_real": True},
-        {"det_thresholds": 3},
-        {"det_thresholds": [1.0, None]},
+        {"seed": 1.5},
+        {"channels": 36, "heads": 2, "sd_heads": 8, "sd": True},
         {"loss": {"zz": 1}},
         {"loss": {"top": "x"}},
         {"loss": 5},
@@ -62,13 +90,13 @@ def test_unknown_fields_rejected():
         {"resolution": float("nan")},
         {"x_min": float("nan")},
         {"z_max": float("inf")},
-        {"det_thresholds": [1.0, float("nan")]},
+        {"noise_sigma": float("nan")},
         {"loss": {"top": float("-inf")}},
         {"sample_points": 0},
         {"sd_sample_points": 0, "sd": True},
-        {"det_thresholds": []},
-        {"mask_iou_thresholds": []},
-        {"det_thresholds": [10**400]},  # an int beyond the float range
+        {"z_min": float("-inf")},
+        {"grid_w": 0},
+        {"loss": {"mask": 10**400}},  # an int beyond the float range
         {"resolution": 10**400},
     ],
 )

@@ -258,9 +258,14 @@ class TestAttentionMaskBuilder:
 
     def test_mixed_logits_match_per_cell_oracle(self):
         rng = np.random.default_rng(12)
-        logits = rng.normal(size=(4, 5, 6))
-        m = attention_mask_from_instance_masks(logits, threshold=0.5)
-        for i in range(4):
+        logits = rng.normal(size=(5, 5, 6))
+        # cells where the sigmoid itself decides, and both zeros
+        logits[0, 0, :4] = (-1e-12, -3.3e-16, -0.0, 0.0)
+        logits[1, 2, :4] = (-3.3e-16, -1e-12, 0.0, -0.0)
+        logits[3] = -np.abs(logits[3]) - 1e-300  # an all-negative row falls back
+        m = attention_mask_from_instance_masks(logits)
+        assert m[3].all()
+        for i in range(5):
             row = m[i].reshape(5, 6)
             expected_open = sigmoid(logits[i]) >= 0.5
             if not expected_open.any():

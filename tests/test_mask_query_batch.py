@@ -158,6 +158,9 @@ def test_keep_matrix_equals_the_float_mask():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(6, 5, 7))
     logits[2] = -5.0  # a fallback row
-    keep = decoder.attention_mask_from_instance_masks(logits, threshold=0.5)
+    logits[0, 1, :4] = (-1e-12, -3.3e-16, -0.0, 0.0)  # cells the sigmoid decides
+    logits[4] = -np.abs(logits[4]) - 1e-300  # an all-negative row
+    keep = decoder.attention_mask_from_instance_masks(logits)
     assert keep.dtype == bool
     assert np.array_equal(np.where(keep, 0.0, -np.inf), float_attention_mask(logits, 0.5))
+    assert keep[4].all() and not keep[0, 7] and keep[0, 8:11].all()

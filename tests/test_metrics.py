@@ -186,22 +186,22 @@ class TestScoringEqualsTheUnprunedMatrix:
     """score_predictions' reports equal the ones scored on the full matrix."""
 
     @staticmethod
-    def reference_report(monkeypatch, outputs, scene, cfg):
+    def reference_report(monkeypatch, outputs, scene):
         with monkeypatch.context() as m:
             m.setattr(pipeline, "_frechet_matrix",
                       lambda preds, gts, bound: reference_frechet_matrix(preds, gts))
-            return evaluate_outputs(outputs, scene, cfg)
+            return evaluate_outputs(outputs, scene)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_scenes(self, monkeypatch, seed):
-        for result, scene, cfg in golden_runs(seed):
-            assert result.report == self.reference_report(monkeypatch, result.outputs, scene, cfg)
+        for result, scene, _ in golden_runs(seed):
+            assert result.report == self.reference_report(monkeypatch, result.outputs, scene)
 
     def test_near_documents(self, monkeypatch):
         finite = pruned = 0
-        for outputs, scene, cfg in near_cases():
-            report = evaluate_outputs(outputs, scene, cfg)
-            assert report == self.reference_report(monkeypatch, outputs, scene, cfg)
+        for outputs, scene, _ in near_cases():
+            report = evaluate_outputs(outputs, scene)
+            assert report == self.reference_report(monkeypatch, outputs, scene)
             dist = _frechet_matrix([p.points for p in outputs.predictions],
                                    scene.centerlines, 3.0)
             finite += int(np.isfinite(dist).sum())
@@ -307,23 +307,23 @@ class TestScoringEqualsTheReferenceMatcher:
     """One greedy matcher on stacked masks scores exactly as the references."""
 
     @staticmethod
-    def reference_report(monkeypatch, outputs, scene, cfg):
+    def reference_report(monkeypatch, outputs, scene):
         with monkeypatch.context() as m:
             m.setattr(pipeline, "det_l", reference_det_l)
             m.setattr(pipeline, "top_ll", reference_top_ll)
             m.setattr(pipeline, "mask_ap", reference_mask_ap)
-            return evaluate_outputs(outputs, scene, cfg)
+            return evaluate_outputs(outputs, scene)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_scenes(self, monkeypatch, seed):
-        for result, scene, cfg in golden_runs(seed):
-            assert result.report == self.reference_report(monkeypatch, result.outputs, scene, cfg)
+        for result, scene, _ in golden_runs(seed):
+            assert result.report == self.reference_report(monkeypatch, result.outputs, scene)
 
     def test_near_documents(self, monkeypatch):
         hits = 0
-        for outputs, scene, cfg in near_cases():
-            report = evaluate_outputs(outputs, scene, cfg)
-            assert report == self.reference_report(monkeypatch, outputs, scene, cfg)
+        for outputs, scene, _ in near_cases():
+            report = evaluate_outputs(outputs, scene)
+            assert report == self.reference_report(monkeypatch, outputs, scene)
             hits += report.det_l > 0 and report.top_ll > 0 and report.ap_l > 0
         # the documents score above 0 on every metric, so matches are exercised
         assert hits > 0

@@ -7,6 +7,7 @@ import json
 import tracemalloc
 import zlib
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -251,10 +252,13 @@ class TestStages:
         real_evaluate = pipeline.evaluate_outputs
         real_mask_ap = pipeline.mask_ap
         mask_ap_calls = []
+        # the (pgm, pmf, sd) rows in the order each side scores them
+        valid = [c for c in product((False, True), repeat=3) if c[0] or not c[1]]
+        grid_order = sorted(valid, key=lambda c: (c[0], c[2], c[1]))
 
-        def recording_evaluate(outputs, scene, cfg, gt_masks=None):
-            scored.append(((cfg.pgm, cfg.pmf, cfg.sd), outputs, gt_masks))
-            return real_evaluate(outputs, scene, cfg, gt_masks)
+        def recording_evaluate(outputs, scene, gt_masks=None):
+            scored.append((outputs, gt_masks))
+            return real_evaluate(outputs, scene, gt_masks)
 
         def counting_mask_ap(*args, **kwargs):
             mask_ap_calls.append(1)
@@ -266,11 +270,13 @@ class TestStages:
         scene = synth_scene(scene_seed, SceneParams(n_lanes=shape[0], intersections=shape[1]))
         w = init_model_weights(cfg)
         rows = ablation_grid(scene, cfg, w)
-        staged = {combo: (outputs, gt_masks) for combo, outputs, gt_masks in scored}
+        assert len(scored) == len(grid_order)
+        staged = dict(zip(grid_order, scored))
         assert len(mask_ap_calls) == 4
         scored.clear()
         assert rows == ablation_rows_per_run(scene, cfg, w)
-        per_run = {combo: outputs for combo, outputs, _ in scored}
+        assert len(scored) == len(valid)
+        per_run = {combo: outputs for combo, (outputs, _) in zip(valid, scored)}
 
         assert staged.keys() == per_run.keys() and len(staged) == 6
         assert sum(sd for _, _, sd in staged) == 3
@@ -288,7 +294,7 @@ class TestStages:
         scene = synth_scene(43)
         w = init_model_weights(cfg)
         bev = render_bev_features(scene, cfg, cfg.noise_sigma)
-        staged = fuse(infer(sd_features(bev, scene, w) if sd else bev, cfg, w), cfg)
+        staged = fuse(infer(sd_features(bev, scene, w) if sd else bev, cfg, w))
         assert_outputs_equal(run_pipeline(scene, cfg, w).outputs, staged)
 
     def test_fuse_leaves_its_input_unchanged(self):
@@ -296,7 +302,7 @@ class TestStages:
         w = init_model_weights(cfg)
         inferred = infer(render_bev_features(synth_scene(44), cfg, cfg.noise_sigma), cfg, w)
         before = [p.points.pts.copy() for p in inferred.predictions]
-        fused = fuse(inferred, cfg)
+        fused = fuse(inferred)
         assert all(
             np.array_equal(p.points.pts, pts) for p, pts in zip(inferred.predictions, before)
         )
@@ -348,7 +354,7 @@ class TestPredictionFiles:
         pred_path = tmp_path / "pred.json"
         save_predictions(outputs, pred_path)
         from_file = evaluate_prediction_file(pred_path, scene, cfg)
-        assert from_file == evaluate_outputs(outputs, scene, cfg)
+        assert from_file == evaluate_outputs(outputs, scene)
         assert from_file.ap_l == 0.0 and from_file.ap_per_threshold == {}
 
     def test_scene_file_round_trip_through_pipeline(self, tmp_path):
