@@ -11,9 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import expit as sigmoid
 
 LN_EPS = 1e-5
+
+
+class NonFiniteError(ValueError):
+    """A stage produced NaN or infinite values from finite inputs."""
 
 
 @dataclass(frozen=True)
@@ -207,57 +212,63 @@ def layer_norm(x: np.ndarray, ln: LayerNormWeights, eps: float = LN_EPS) -> np.n
     return (x - mean) / np.sqrt(var + eps) * ln.scale + ln.shift
 
 
-def bilinear_sample_batch(g: BevGrid, locs: np.ndarray, heads: int = 1) -> np.ndarray:
+def bilinear_sample_batch(
+    g: BevGrid, locs: np.ndarray, heads: int = 1, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Bilinear interpolation of grid features at fractional (row, col) locations.
 
     ``locs`` has shape (..., 2); the result has shape (..., c // heads).
-    Locations outside [0, h-1] x [0, w-1], NaN included, return the zero
-    vector (zero padding).
+    Locations outside [0, h-1] x [0, w-1], NaN and +-inf included, return the
+    zero vector (zero padding).
 
     With ``heads`` > 1 the channels split into ``heads`` equal contiguous
     slices and ``locs`` has shape (..., heads, points, 2): the locations of
-    head k read only slice k, so the result has shape
-    (..., heads, points, c // heads). This is Deformable DETR's per-head value
-    split. Each corner is one gather from the grid viewed as
-    (h * w * heads, c // heads) rows at row ``(r * w + col) * heads + k``.
+    head k read only slice k (Deformable DETR's per-head value split), so the
+    result has shape (..., heads, points, c // heads). ``weights`` of shape
+    ``locs.shape[:-1]`` sum the last location axis away: (..., heads, c // heads).
+
+    The result is one sparse product with the grid viewed as
+    (h * w * heads, c // heads) rows: each location adds its four corner rows
+    ``(r * w + col) * heads + k``, at its bilinear weights times its weight,
+    to its output row.
     """
     locs = np.asarray(locs, dtype=np.float64)
     h, w = g.h, g.w
-    head = np.arange(heads)[:, None] if heads > 1 else 0
     table = g.data.reshape(h * w * heads, g.c // heads)
+    lead = locs.shape[:-1]
+    if weights is not None and (not lead or np.shape(weights) != lead):
+        raise ValueError(f"weights must have shape {lead}, got {np.shape(weights)}")
     r = locs[..., 0]
     c = locs[..., 1]
     inside = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
-    # outside locations (NaN and +-inf among them) read cell (0, 0), zeroed below,
-    # so no NaN or huge value reaches the integer cast or the corner weights
+    # outside locations (NaN and +-inf among them) read cell (0, 0) at weight 0,
+    # so no NaN or huge value reaches the integer cast or the corner weights; a
+    # NaN weight stays NaN, as it would times a zero sample
     r = np.where(inside, r, 0.0)
     c = np.where(inside, c, 0.0)
-    r0 = np.floor(r).astype(np.int64)
-    c0 = np.floor(c).astype(np.int64)
+    scale = inside if weights is None else inside * np.asarray(weights, dtype=np.float64)
+    # the lower corner stops one short of the last row and column, so the upper
+    # one stays in the grid; a one-cell axis reads its only cell twice
+    r0 = np.minimum(np.floor(r), max(h - 2, 0))
+    c0 = np.minimum(np.floor(c), max(w - 2, 0))
     fr = r - r0
     fc = c - c0
-    r0c = np.clip(r0, 0, h - 1)
-    r1c = np.clip(r0 + 1, 0, h - 1)
-    c0c = np.clip(c0, 0, w - 1)
-    c1c = np.clip(c0 + 1, 0, w - 1)
-    w00 = (1 - fr) * (1 - fc)
-    w01 = (1 - fr) * fc
-    w10 = fr * (1 - fc)
-    w11 = fr * fc
-    row0 = r0c * w
-    row1 = r1c * w
-
-    def corner(row, col):
-        return np.take(table, (row + col) * heads + head, axis=0)
-
-    out = (
-        w00[..., None] * corner(row0, c0c)
-        + w01[..., None] * corner(row0, c1c)
-        + w10[..., None] * corner(row1, c0c)
-        + w11[..., None] * corner(row1, c1c)
-    )
-    out[~inside] = 0.0
-    return out
+    low, high, left = (1 - fr) * scale, fr * scale, 1 - fc
+    # int32 holds every row: a table of 2**31 rows would be at least 16 GB
+    head = np.arange(heads, dtype=np.int32)[:, None] if heads > 1 else 0
+    base = (r0.astype(np.int32) * w + c0.astype(np.int32)) * heads + head
+    dr, dc = (w * heads if h > 1 else 0), (heads if w > 1 else 0)
+    corner_w = np.empty(lead + (4,))
+    corner_row = np.empty(lead + (4,), dtype=np.int32)
+    corners = ((low, left, 0), (low, fc, dc), (high, left, dr), (high, fc, dr + dc))
+    for k, (by_row, by_col, step) in enumerate(corners):
+        np.multiply(by_row, by_col, out=corner_w[..., k])
+        np.add(base, step, out=corner_row[..., k])
+    rows, per_row = (lead, 4) if weights is None else (lead[:-1], 4 * lead[-1])
+    indptr = np.arange(0, corner_w.size + 1, per_row, dtype=np.int32)
+    m = csr_array((corner_w.reshape(-1), corner_row.reshape(-1), indptr),
+                  shape=(len(indptr) - 1, len(table)))
+    return (m @ table).reshape(rows + table.shape[1:])
 
 
 def sinusoidal_pe_2d(h: int, w: int, c: int, spec: GridSpec | None = None) -> BevGrid:

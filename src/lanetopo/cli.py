@@ -41,10 +41,6 @@ from .viz import render_svg
 from .weights import check_weights, init_model_weights, load_model_weights
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LANETOPO_SEED", "0"))
-
-
 def _out_path(raw: str) -> Path:
     path = Path(raw)
     base = os.environ.get("LANETOPO_OUT_DIR")
@@ -71,6 +67,16 @@ def _check_flag(flag: str, value, ok: bool, requirement: str):
     if not ok:
         raise _InvalidInput(flag, ValueError(f"must be {requirement}, got {value}"))
     return value
+
+
+def _seed(args) -> int:
+    """``--seed``, else LANETOPO_SEED, else 0: a non-negative integer."""
+    if args.seed is not None:
+        flag, raw = "--seed", args.seed
+    else:
+        flag, raw = "LANETOPO_SEED", os.environ.get("LANETOPO_SEED", "0")
+    _check_flag(flag, raw, str(raw).strip().isdecimal(), "a non-negative integer")
+    return int(raw)
 
 
 def _invalid_input(what: str, exc: OSError | ValueError) -> int:
@@ -100,7 +106,7 @@ def _cmd_synth(args) -> int:
     params = _read(
         "--lanes and --spacing", SceneParams, args.lanes, args.spacing, args.intersections
     )
-    scene = synth_scene(args.seed, params)
+    scene = synth_scene(_seed(args), params)
     save_scene(scene, _out_path(args.out))
     print(f"wrote scene with {scene.n_lanes} centerlines to {args.out}")
     return 0
@@ -164,6 +170,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_viz(args) -> int:
+    _check_flag("--min-score", args.min_score, math.isfinite(args.min_score), "a finite number")
     scene = _read("scene file", load_scene, args.scene)
     predictions = None
     if args.pred:
@@ -179,7 +186,7 @@ def _cmd_viz(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     _check_flag("--points", args.points, args.points >= 1, "at least 1")
-    errors = run_grad_checks(seed=args.seed, n_points=args.points)
+    errors = run_grad_checks(seed=_seed(args), n_points=args.points)
     ok = True
     for term in GRAD_CHECK_TERMS:
         passed = errors[term] < 1e-4
@@ -189,6 +196,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    seed = _seed(args)
     t0 = time.time()
     ok = True
 
@@ -197,8 +205,8 @@ def _cmd_selftest(args) -> int:
         ok &= passed
         print(f"{'PASS' if passed else 'FAIL'} {name}")
 
-    cfg = PipelineConfig.desk(seed=args.seed)
-    scene = synth_scene(args.seed)
+    cfg = PipelineConfig.desk(seed=seed)
+    scene = synth_scene(seed)
     weights = init_model_weights(cfg)
     result_a = run_pipeline(scene, cfg, weights)
     result_b = run_pipeline(scene, cfg, weights)
@@ -215,7 +223,7 @@ def _cmd_selftest(args) -> int:
         np.isfinite([r["det_l"], r["top_ll"], r["ap_l"]]).all() for r in rows if "error" not in r
     )
     check("metrics are finite", finite)
-    errors = run_grad_checks(seed=args.seed, n_points=5)
+    errors = run_grad_checks(seed=seed, n_points=5)
     check("gradient checks", max(errors.values()) < 1e-4)
     print(f"selftest finished in {time.time() - t0:.1f}s")
     return 0 if ok else 1
@@ -229,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--lanes", type=int, default=3)
     p.add_argument("--spacing", type=float, default=3.5)
     p.add_argument("--intersections", type=int, choices=(0, 1), default=1)
@@ -272,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_viz)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--points", type=int, default=50)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("selftest", help="fast end-to-end smoke checks")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -110,20 +110,6 @@ def rvs_self_attention(
     return out_r, out_v
 
 
-def _deformable_block(
-    q: np.ndarray, b: BevGrid, refs: np.ndarray, w: DeformableWeights
-) -> np.ndarray:
-    n, c = q.shape
-    heads, points = w.heads, w.points
-    offsets = np.einsum("hoc,nc->nho", w.w_offset, q) + w.b_offset[None]
-    offsets = offsets.reshape(n, heads, points, 2)
-    attn = softmax(np.einsum("hpc,nc->nhp", w.w_attn, q) + w.b_attn[None], axis=-1)
-    locs = refs[:, None, None, :] + offsets
-    samples = bilinear_sample_batch(b, locs, heads)  # (n, heads, points, c // heads)
-    head_out = np.einsum("nhp,nhpd->nhd", attn, samples)
-    return head_out.reshape(n, c) @ w.w_out.T + w.b_out
-
-
 def deformable_attention_core(
     q: np.ndarray,
     b: BevGrid,
@@ -134,23 +120,29 @@ def deformable_attention_core(
     """Pre-residual deformable attention contribution for each query.
 
     Per head, the query predicts P (row, col) offsets around its reference
-    point and a softmax-normalized weight per sampling point. Each head
-    bilinearly samples only its own C/heads channel slice of the value grid
-    (one flat gather per corner in :func:`bilinear_sample_batch`) and sums
-    its P samples by those weights; the concatenated heads go through the
-    output projection. Out-of-grid samples are zero. Queries are processed
-    in blocks to bound the sampling buffers: at 256 channels and 4 points
-    per head, one corner of a whole 100x200 grid would still be ~164 MB.
+    point and a softmax-normalized weight per sampling point, both from one
+    GEMM with the stacked projections. Each head bilinearly samples only its
+    own C/heads channel slice of the value grid and sums its P samples by
+    those weights, zero outside the grid: one sparse product per block of
+    queries in :func:`bilinear_sample_batch`, blocked to bound the sparse
+    matrix. The concatenated heads go through the output projection.
     """
     n, c = q.shape
-    if c % w.heads != 0:
+    heads, points = w.heads, w.points
+    if c % heads != 0:
         raise ValueError("channels must divide evenly across heads")
-    refs = np.asarray(refs, dtype=np.float64).reshape(n, 2)
-    out = np.empty_like(q)
+    refs = np.asarray(refs, dtype=np.float64).reshape(n, 1, 1, 2)
+    n_off = heads * 2 * points
+    proj = np.concatenate([w.w_offset.reshape(n_off, c), w.w_attn.reshape(heads * points, c)])
+    bias = np.concatenate([w.b_offset.reshape(-1), w.b_attn.reshape(-1)])
+    head_out = np.empty((n, heads, c // heads))
     for start in range(0, n, block):
         rows = slice(start, start + block)
-        out[rows] = _deformable_block(q[rows], b, refs[rows], w)
-    return out
+        z = q[rows] @ proj.T + bias
+        locs = refs[rows] + z[:, :n_off].reshape(-1, heads, points, 2)
+        attn = softmax(z[:, n_off:].reshape(-1, heads, points), axis=-1)
+        head_out[rows] = bilinear_sample_batch(b, locs, heads, attn)
+    return head_out.reshape(n, c) @ w.w_out.T + w.b_out
 
 
 def deformable_cross_attention(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, binarize_logits, sinusoidal_pe_2d
+from .bev import BevGrid, GridSpec, NonFiniteError, binarize_logits, sinusoidal_pe_2d
 from .config import ConfigError, PipelineConfig
 from .decoder import CenterlinePrediction, decoder_forward, instance_mask_logits
 from .geometry import Polyline
@@ -46,10 +46,6 @@ from .weights import ModelWeights, check_weights
 PREDICTIONS_SCHEMA_VERSION = 2
 MASK_ENCODING = "bits-zlib-b64"
 MASK_ZLIB_LEVEL = 6
-
-
-class NonFiniteError(ValueError):
-    """A stage produced NaN or infinite values from finite inputs."""
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, layer_norm, mlp_forward
+from .bev import BevGrid, GridSpec, NonFiniteError, layer_norm, mlp_forward
 from .decoder import deformable_attention_core
 from .geometry import Polyline, integer_crossings
 from .weights import SdInteractWeights
@@ -124,7 +124,8 @@ def sd_interact(
     deformable cross-attention into e_s + e_p, then a feed-forward block.
     Sublayers are pre-norm residual, so zeroing every learned projection
     leaves the input exactly unchanged. Reference points are the cells' own
-    integer coordinates.
+    integer coordinates. A layer whose output is not finite raises
+    :class:`~lanetopo.bev.NonFiniteError`.
     """
     if not (b.data.shape == e_s.data.shape == e_p.data.shape):
         raise ValueError("BEV, semantic, and positional grids must share h, w, c")
@@ -133,7 +134,7 @@ def sd_interact(
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     refs = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=-1).astype(np.float64)
     x = b.flat().copy()
-    for layer in weights.layers:
+    for i, layer in enumerate(weights.layers):
         self_grid = BevGrid(x.reshape(h, w, b.c), b.spec)
         x = x + deformable_attention_core(
             layer_norm(x, layer.self_ln), self_grid, refs, layer.self_deform
@@ -142,4 +143,6 @@ def sd_interact(
             layer_norm(x, layer.cross_ln), sd_grid, refs, layer.cross_deform
         )
         x = x + mlp_forward(layer.ffn, layer_norm(x, layer.ffn_ln))
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"sd_interact layer {i} produced non-finite BEV features")
     return BevGrid(x.reshape(h, w, b.c), b.spec)

@@ -3,7 +3,9 @@ finite differences."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
+from lanetopo import bev
 from lanetopo.bev import (
     BevGrid,
     GridSpec,
@@ -319,3 +321,86 @@ class TestGridSpec:
         rc = spec.metric_to_cell(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         assert rc[1, 1] > rc[0, 1]  # column grows with x
         assert rc[2, 0] > rc[0, 0]  # row grows with y
+
+    @pytest.mark.parametrize("h, w", [(1, 7), (5, 1), (1, 1)])
+    def test_one_cell_axes_match_the_reference(self, h, w):
+        g = random_grid(np.random.default_rng(34), h=h, w=w, c=16)
+        rng = np.random.default_rng(35)
+        locs = np.concatenate(
+            [
+                rng.uniform(-0.3, [h - 0.7, w - 0.7], size=(20, 2, 3, 2)),
+                np.broadcast_to([h - 1.0, w - 1.0], (1, 2, 3, 2)),
+                np.broadcast_to([0.0, 0.0], (1, 2, 3, 2)),
+            ]
+        )
+        assert np.array_equal(
+            bilinear_sample_batch(g, locs, 2), sample_all_channels_then_slice(g, locs, 2)
+        )
+
+
+class TestWeightedSample:
+    @pytest.mark.parametrize("h, w, heads", [(1, 7, 2), (5, 1, 2), (1, 1, 1), (2, 2, 4), (5, 7, 8)])
+    def test_every_corner_row_is_inside_the_table(self, monkeypatch, h, w, heads):
+        # a corner at weight 0 does not change the result, so check its row directly
+        built = []
+
+        def recording_csr_array(arg, shape):
+            built.append((arg[1], shape))
+            return csr_array(arg, shape=shape)
+
+        monkeypatch.setattr(bev, "csr_array", recording_csr_array)
+        rng = np.random.default_rng(47)
+        g = random_grid(rng, h=h, w=w, c=8)
+        edges = [(h - 1, w - 1), (h - 1, 0), (0, w - 1), (0, 0), (np.nan, 0), (h, w), (-1, -1)]
+        locs = np.concatenate(
+            [
+                rng.uniform(-0.5, [h - 0.5, w - 0.5], size=(20, heads, 3, 2)),
+                np.broadcast_to(np.array(edges, dtype=float)[:, None, None], (7, heads, 3, 2)),
+            ]
+        )
+        bilinear_sample_batch(g, locs, heads)
+        bilinear_sample_batch(g, locs, heads, rng.uniform(size=locs.shape[:-1]))
+        assert len(built) == 2
+        for rows, shape in built:
+            assert rows.min() >= 0 and rows.max() < shape[1] == h * w * heads
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_equals_the_per_point_samples_summed_with_the_weights(self, heads):
+        rng = np.random.default_rng(40 + heads)
+        g = random_grid(rng, h=5, w=7, c=16)
+        locs = rng.uniform(-1.0, [5.0, 7.0], size=(40, heads, 3, 2))
+        locs[0, 0, 0] = [np.nan, 1.0]
+        locs[1, -1, 1] = [2.0, np.inf]
+        locs[2, :, 2] = [4.0, 6.0]
+        a = rng.uniform(size=(40, heads, 3))
+        out = bilinear_sample_batch(g, locs, heads, a)
+        assert out.shape == (40, heads, 16 // heads)
+        expected = np.einsum("nhp,nhpd->nhd", a, bilinear_sample_batch(g, locs, heads))
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_one_head_sums_the_last_location_axis(self):
+        rng = np.random.default_rng(44)
+        g = random_grid(rng, h=4, w=5, c=3)
+        locs = rng.uniform(0.0, [3.0, 4.0], size=(6, 4, 2))
+        a = rng.normal(size=(6, 4))
+        out = bilinear_sample_batch(g, locs, weights=a)
+        assert out.shape == (6, 3)
+        expected = np.einsum("np,npd->nd", a, bilinear_sample_batch(g, locs))
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_weights_must_match_the_locations(self):
+        g = random_grid(np.random.default_rng(45))
+        with pytest.raises(ValueError, match="weights must have shape"):
+            bilinear_sample_batch(g, np.zeros((6, 4, 2)), weights=np.ones((6, 3)))
+        with pytest.raises(ValueError, match="weights must have shape"):
+            bilinear_sample_batch(g, (1.0, 2.0), weights=np.ones(()))
+
+    def test_a_nan_weight_propagates_as_in_the_per_point_sum(self):
+        # an out-of-grid sample is zero, and NaN times zero is NaN
+        g = random_grid(np.random.default_rng(46), h=4, w=5, c=4)
+        locs = np.array([[[[1.5, 2.5], [np.nan, 0.0]], [[1.5, 2.5], [9.0, 0.0]]]])
+        a = np.array([[[0.5, np.nan], [0.5, 0.5]]])
+        out = bilinear_sample_batch(g, locs, 2, a)
+        assert np.isnan(out[0, 0]).all()
+        per_point = bilinear_sample_batch(g, locs, 2)
+        assert np.allclose(out[0, 1], 0.5 * per_point[0, 1, 0], rtol=0, atol=1e-12)

@@ -575,6 +575,50 @@ def test_a_bad_numeric_flag_exits_2(tmp_path, capsys, command, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed, message",
+    [
+        (["synth", "--seed", "-1"], None, "invalid --seed: must be a non-negative integer, got -1"),
+        (["gradcheck", "--seed", "-1"], None, "invalid --seed: must be a non-negative integer, got -1"),
+        (["selftest", "--seed", "-1"], None, "invalid --seed: must be a non-negative integer, got -1"),
+        (["synth"], "abc", "invalid LANETOPO_SEED: must be a non-negative integer, got abc"),
+        (["synth"], "-2", "invalid LANETOPO_SEED: must be a non-negative integer, got -2"),
+        (["gradcheck"], "1.5", "invalid LANETOPO_SEED: must be a non-negative integer, got 1.5"),
+    ],
+    ids=["synth", "gradcheck", "selftest", "env-abc", "env-negative", "env-float"],
+)
+def test_a_bad_seed_exits_2(tmp_path, monkeypatch, capsys, argv, env_seed, message):
+    if env_seed is None:
+        monkeypatch.delenv("LANETOPO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LANETOPO_SEED", env_seed)
+    out = tmp_path / "scene.json"
+    if argv[0] == "synth":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert _one_line_error(capsys, "invalid ") == message + "\n"
+    assert not out.exists()
+
+
+def test_an_explicit_seed_overrides_a_bad_environment_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("LANETOPO_SEED", "abc")
+    out = tmp_path / "scene.json"
+    assert main(["synth", "--seed", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_viz_refuses_a_non_finite_score_floor(tmp_path, capsys, value):
+    scene = tmp_path / "scene.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    capsys.readouterr()
+    svg = tmp_path / "plot.svg"
+    assert main(["viz", "--scene", str(scene), f"--min-score={value}", "--out", str(svg)]) == 2
+    err = _one_line_error(capsys, "invalid --min-score: ")
+    assert err == f"invalid --min-score: must be a finite number, got {float(value)}\n"
+    assert not svg.exists()
+
+
 def _run_in_a_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -609,3 +653,30 @@ def test_huge_finite_weights_give_predictions_or_exit_2(tmp_path, desk_config_pa
         last = done.stderr.splitlines()[-1]
         assert last.startswith("numeric error: infer produced non-finite "), done.stderr
         assert not pred.exists()
+
+
+def test_an_overflowing_sd_interaction_exits_2(tmp_path):
+    """Finite SD feed-forward weights that overflow the SD grid stop the run
+    with one line naming the stage, not a traceback."""
+    scene = tmp_path / "scene.json"
+    config = tmp_path / "config.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "3", "--out", str(scene)])
+    cfg = PipelineConfig.desk(seed=3, sd=True)
+    cfg.save(config)
+    tensors, meta = model_weights_to_tensors(init_model_weights(cfg))
+    scaled = {
+        name: t * 1e200 if name.startswith("sd.layers.0.ffn.") else t
+        for name, t in tensors.items()
+    }
+    save_model_weights(model_weights_from_tensors(scaled, meta), weights)
+    done = _run_in_a_fresh_process(
+        ["run", "--scene", str(scene), "--config", str(config), "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2
+    last = done.stderr.splitlines()[-1]
+    assert last == "numeric error: sd_interact layer 0 produced non-finite BEV features", done.stderr
+    assert not pred.exists()

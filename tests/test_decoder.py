@@ -173,6 +173,52 @@ def plain_deform_weights(c, heads, points, rng=None, zero_offsets=False):
     )
 
 
+def four_corner_samples(g: BevGrid, locs: np.ndarray, heads: int) -> np.ndarray:
+    """The per-head bilinear sampler as it was before the sparse product: one
+    flat gather per corner from the grid viewed as (h * w * heads, c // heads)
+    rows. ``locs`` (..., heads, points, 2) gives (..., heads, points, c // heads).
+    """
+    h, w = g.h, g.w
+    head = np.arange(heads)[:, None]
+    table = g.data.reshape(h * w * heads, g.c // heads)
+    r, c = locs[..., 0], locs[..., 1]
+    inside = (r >= 0) & (r <= h - 1) & (c >= 0) & (c <= w - 1)
+    r = np.where(inside, r, 0.0)
+    c = np.where(inside, c, 0.0)
+    r0 = np.floor(r).astype(np.int64)
+    c0 = np.floor(c).astype(np.int64)
+    fr, fc = r - r0, c - c0
+    row0, row1 = np.clip(r0, 0, h - 1) * w, np.clip(r0 + 1, 0, h - 1) * w
+    c0c, c1c = np.clip(c0, 0, w - 1), np.clip(c0 + 1, 0, w - 1)
+
+    def corner(row, col):
+        return np.take(table, (row + col) * heads + head, axis=0)
+
+    out = (
+        ((1 - fr) * (1 - fc))[..., None] * corner(row0, c0c)
+        + ((1 - fr) * fc)[..., None] * corner(row0, c1c)
+        + (fr * (1 - fc))[..., None] * corner(row1, c0c)
+        + (fr * fc)[..., None] * corner(row1, c1c)
+    )
+    out[~inside] = 0.0
+    return out
+
+
+def four_corner_deformable_block(
+    q: np.ndarray, b: BevGrid, refs: np.ndarray, w: DeformableWeights
+) -> np.ndarray:
+    """Reference deformable attention: two projections, four corner gathers of
+    (n, heads, P, c // heads), and one einsum over the P points."""
+    n, c = q.shape
+    heads, points = w.heads, w.points
+    offsets = np.einsum("hoc,nc->nho", w.w_offset, q) + w.b_offset[None]
+    offsets = offsets.reshape(n, heads, points, 2)
+    attn = softmax(np.einsum("hpc,nc->nhp", w.w_attn, q) + w.b_attn[None], axis=-1)
+    samples = four_corner_samples(b, refs[:, None, None, :] + offsets, heads)
+    head_out = np.einsum("nhp,nhpd->nhd", attn, samples)
+    return head_out.reshape(n, c) @ w.w_out.T + w.b_out
+
+
 class TestDeformableAttention:
     def test_zero_offsets_single_point_is_projected_sample(self):
         rng = np.random.default_rng(8)
@@ -233,7 +279,6 @@ class TestDeformableAttention:
         q = rng.normal(size=(n, c))
         w = plain_deform_weights(c, heads=heads, points=points, rng=rng)
         refs = rng.uniform(-0.5, [5.5, 8.5], size=(n, 2))
-        # the decoder's deformable block as it was before the per-head gather:
         # sample every channel at every head's points, then keep each head's slice
         offsets = (np.einsum("hoc,nc->nho", w.w_offset, q) + w.b_offset[None]).reshape(
             n, heads, points, 2
@@ -243,8 +288,48 @@ class TestDeformableAttention:
         idx = np.arange(heads)
         sliced = samples.reshape(n, heads, points, heads, c // heads)[:, idx, :, idx, :]
         head_out = np.einsum("hnp,hnpd->nhd", attn.transpose(1, 0, 2), sliced)
-        expected = head_out.reshape(n, c) @ w.w_out.T + w.b_out
-        assert np.array_equal(deformable_attention_core(q, g, refs, w), expected)
+        all_channel = head_out.reshape(n, c) @ w.w_out.T + w.b_out
+        # the sparse product sums the corners and points in another order than the gathers
+        out = deformable_attention_core(q, g, refs, w)
+        assert np.allclose(out, four_corner_deformable_block(q, g, refs, w), rtol=0, atol=1e-12)
+        assert np.allclose(out, all_channel, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "h, w, heads, zero_offsets",
+        [
+            (6, 9, 4, False),
+            (6, 9, 4, True),
+            (5, 7, 1, False),
+            (5, 7, 1, True),
+            (1, 9, 2, True),
+            (6, 1, 2, True),
+            (1, 1, 4, False),
+            (1, 1, 1, True),
+        ],
+    )
+    def test_sparse_product_matches_the_four_corner_reference(self, h, w, heads, zero_offsets):
+        rng = np.random.default_rng(13 + 10 * h + w + heads)
+        c, points = 8, 3
+        g = BevGrid(rng.normal(size=(h, w, c)), GridSpec(h, w, 0.0, 0.0, 1.0))
+        wts = plain_deform_weights(c, heads=heads, points=points, rng=rng, zero_offsets=zero_offsets)
+        last_r, last_c = h - 1.0, w - 1.0
+        edges = [
+            (last_r, last_c), (last_r, 0.0), (0.0, last_c), (last_r, 0.4 * last_c),
+            (0.6 * last_r, last_c), (0.0, 0.0),
+            (np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0), (-np.inf, 0.0), (0.0, np.inf),
+            (1e300, -1e300), (-0.5, 0.0), (last_r + 0.5, last_c), (last_r, last_c + 1e-9),
+        ]
+        refs = np.concatenate([rng.uniform(-0.7, [h - 0.3, w - 0.3], size=(23, 2)), edges])
+        q = rng.normal(size=(len(refs), c))
+        # a block of 7 leaves a partial last block
+        out = deformable_attention_core(q, g, refs, wts, block=7)
+        assert len(refs) % 7 != 0
+        expected = four_corner_deformable_block(q, g, refs, wts)
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+        if zero_offsets:
+            # every point of a non-finite or out-of-grid reference samples zero
+            outside = ~((refs >= 0) & (refs <= [last_r, last_c])).all(axis=1)
+            assert np.array_equal(out[outside], np.broadcast_to(wts.b_out, (outside.sum(), c)))
 
 
 class TestAttentionMaskBuilder:
