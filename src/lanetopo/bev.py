@@ -50,10 +50,6 @@ class GridSpec:
     def y_max(self) -> float:
         return self.y_min + self.h * self.resolution
 
-    @classmethod
-    def default(cls) -> GridSpec:
-        return cls(h=100, w=200, x_min=-50.0, y_min=-25.0, resolution=0.5)
-
     def metric_to_cell(self, xy: np.ndarray) -> np.ndarray:
         """Map metric (x, y) to fractional (row, col); shapes (..., 2)."""
         xy = np.asarray(xy, dtype=np.float64)

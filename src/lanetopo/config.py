@@ -12,6 +12,13 @@ from pathlib import Path
 
 from .bev import GridSpec
 
+# The BEV working area (meters) that every scene lies in and every grid starts
+# from, the z range of decoded points, and the number of SD road types.
+X_MIN, X_MAX = -50.0, 50.0
+Y_MIN, Y_MAX = -25.0, 25.0
+Z_MIN, Z_MAX = -5.0, 5.0
+N_SEMANTIC_TYPES = 3
+
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent pipeline configuration."""
@@ -46,12 +53,7 @@ class PipelineConfig:
     grid_h: int = 100
     grid_w: int = 200
     resolution: float = 0.5
-    x_min: float = -50.0
-    y_min: float = -25.0
-    z_min: float = -5.0
-    z_max: float = 5.0
 
-    n_semantic_types: int = 3
     sd_layers: int = 1
     sd_heads: int = 8
     sd_sample_points: int = 4
@@ -84,10 +86,18 @@ class PipelineConfig:
             raise ConfigError("decoder needs at least one layer")
         if self.heads < 1 or self.sd_heads < 1:
             raise ConfigError("heads and sd_heads must be at least 1")
-        if self.grid_h < 1 or self.grid_w < 1 or self.resolution <= 0:
-            raise ConfigError("grid_h, grid_w and resolution must be positive")
+        if self.sd_layers < 0:
+            raise ConfigError("sd_layers must be at least 0")
+        if self.grid_h < 2 or self.grid_w < 2:
+            raise ConfigError("grid_h and grid_w must be at least 2 (row and column readouts)")
+        if self.resolution <= 0:
+            raise ConfigError("resolution must be positive")
         if self.sample_points < 1 or self.sd_sample_points < 1:
             raise ConfigError("sample_points and sd_sample_points must be at least 1")
+        if self.ffn_dim < 1:
+            raise ConfigError("ffn_dim must be at least 1")
+        if self.channels < 4:
+            raise ConfigError("channels must be at least 4 (BEV feature bands)")
         if self.channels % self.heads != 0:
             raise ConfigError("channels must be divisible by heads")
         if self.channels % 4 != 0:
@@ -107,11 +117,7 @@ class PipelineConfig:
     @property
     def grid(self) -> GridSpec:
         return GridSpec(
-            h=self.grid_h,
-            w=self.grid_w,
-            x_min=self.x_min,
-            y_min=self.y_min,
-            resolution=self.resolution,
+            h=self.grid_h, w=self.grid_w, x_min=X_MIN, y_min=Y_MIN, resolution=self.resolution
         )
 
     @classmethod

@@ -26,7 +26,7 @@ from .bev import (
     sigmoid,
     softmax,
 )
-from .config import PipelineConfig
+from .config import Z_MAX, Z_MIN, PipelineConfig
 from .geometry import Polyline
 from .points_mask import encode_mask_query, generate_mask
 from .weights import DeformableWeights, ModelWeights
@@ -174,13 +174,13 @@ def attention_mask_from_instance_masks(mask_logits: np.ndarray) -> np.ndarray:
 def points_from_queries(
     q: np.ndarray, points_head: MlpWeights, cfg: PipelineConfig
 ) -> np.ndarray:
-    """Decode each query into K metric points inside the configured BEV range."""
+    """Decode each query into K metric points inside the grid and the z range."""
     grid = cfg.grid
     u = sigmoid(mlp_forward(points_head, q)).reshape(q.shape[0], cfg.k, 3)
     pts = np.empty_like(u)
     pts[..., 0] = grid.x_min + u[..., 0] * (grid.x_max - grid.x_min)
     pts[..., 1] = grid.y_min + u[..., 1] * (grid.y_max - grid.y_min)
-    pts[..., 2] = cfg.z_min + u[..., 2] * (cfg.z_max - cfg.z_min)
+    pts[..., 2] = Z_MIN + u[..., 2] * (Z_MAX - Z_MIN)
     return pts
 
 
@@ -209,8 +209,9 @@ def decoder_forward(
     The queries are ``weights.decoder``'s real then virtual rows. Layer 0
     attends everywhere in the masked branch and uses the learnable initial
     reference points; later layers take masks and references from the
-    previous layer's predicted geometry. With ``rvs_self_attention`` off no
-    row is real-only, so the block self-attention is plain self-attention.
+    previous layer's predicted geometry, and build no mask with
+    ``hybrid_attention`` off. With ``rvs_self_attention`` off no row is
+    real-only, so the block self-attention is plain self-attention.
     Returns the final layer's queries (n, c), points (n, k, 3) and detection
     probabilities (n,).
     """
@@ -233,7 +234,8 @@ def decoder_forward(
         if li < cfg.layers - 1:
             centroids = pts[:, :, :2].mean(axis=1)
             refs = b.spec.metric_to_cell(centroids)
-            mask_logits, _ = instance_mask_logits(q, pts, b, weights, cfg.pgm)
-            attn_mask = attention_mask_from_instance_masks(mask_logits)
+            if cfg.hybrid_attention:
+                mask_logits, _ = instance_mask_logits(q, pts, b, weights, cfg.pgm)
+                attn_mask = attention_mask_from_instance_masks(mask_logits)
     scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
     return q, pts, scores

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bev import GridSpec, finite_diff_grad, sigmoid, softmax
 from .config import LossCoefficients
@@ -117,6 +116,9 @@ class Assignment:
 
 
 def _optimal_cost(cost: np.ndarray) -> float:
+    # imported here so that the run path does not load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
 

@@ -76,6 +76,12 @@ def _readouts(
     return readouts[0], readouts[1]
 
 
+# Huge finite weights overflow inside these stages; their finiteness checks
+# turn that into one NonFiniteError, so numpy does not warn first.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
     """BEV features augmented with the scene's SD map: rasterize it, add the
     position encoding, and run the SD interaction."""
@@ -85,6 +91,7 @@ def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
     return sd_interact(b, e_s, e_p, weights.sd)
 
 
+@_QUIET_OVERFLOW
 def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutputs:
     """Decoder, topology, mask logits and readouts on a feature grid.
 

@@ -19,13 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .bev import BevGrid, GridSpec
-from .config import PipelineConfig
+from .config import N_SEMANTIC_TYPES, X_MAX, X_MIN, Y_MAX, Y_MIN, PipelineConfig
 from .geometry import Polyline, resample_polyline
 from .sdmap import SdMapInstance, trace_cells
 
 GT_POINTS = 201
-X_MIN, X_MAX = -50.0, 50.0
-Y_MIN, Y_MAX = -25.0, 25.0
 ADJACENCY_GAP = 0.5  # max end-to-start distance for a generated edge, meters
 SCENE_SCHEMA_VERSION = 1
 _NOISE_STREAM = 0xBEF
@@ -184,7 +182,7 @@ def synth_scene(seed: int, params: SceneParams | None = None) -> Scene:
             centerlines=lanes,
             is_real=[True] * n,
             adjacency=np.zeros((n, n), dtype=np.int64),
-            sd_instances=[SdMapInstance(sd, int(rng.integers(1, 4)))],
+            sd_instances=[SdMapInstance(sd, int(rng.integers(1, N_SEMANTIC_TYPES + 1)))],
             seed=seed,
         )
         validate_scene(scene)
@@ -232,9 +230,9 @@ def synth_scene(seed: int, params: SceneParams | None = None) -> Scene:
         )
     )
     sd_instances = [
-        SdMapInstance(sd_left, int(rng.integers(1, 4))),
-        SdMapInstance(sd_right, int(rng.integers(1, 4))),
-        SdMapInstance(junction, int(rng.integers(1, 4))),
+        SdMapInstance(sd_left, int(rng.integers(1, N_SEMANTIC_TYPES + 1))),
+        SdMapInstance(sd_right, int(rng.integers(1, N_SEMANTIC_TYPES + 1))),
+        SdMapInstance(junction, int(rng.integers(1, N_SEMANTIC_TYPES + 1))),
     ]
     scene = Scene(
         centerlines=lanes,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bev import BevGrid, GridSpec, NonFiniteError, layer_norm, mlp_forward
+from .config import N_SEMANTIC_TYPES
 from .decoder import deformable_attention_core
 from .geometry import Polyline, integer_crossings
 from .weights import SdInteractWeights
@@ -27,8 +28,8 @@ class SdMapInstance:
     semantic_type: int
 
     def __post_init__(self):
-        if self.semantic_type < 1:
-            raise ValueError("semantic type ids start at 1")
+        if not 1 <= self.semantic_type <= N_SEMANTIC_TYPES:
+            raise ValueError(f"semantic type {self.semantic_type} outside 1..{N_SEMANTIC_TYPES}")
 
 
 @dataclass

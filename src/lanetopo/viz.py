@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import X_MAX, X_MIN, Y_MAX, Y_MIN
 from .geometry import Polyline
-from .scene import Scene, X_MAX, X_MIN, Y_MAX, Y_MIN
+from .scene import Scene
 
 _SCALE = 8.0  # px per meter
 _PAD = 10.0

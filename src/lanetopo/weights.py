@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import LayerNormWeights, MlpWeights
-from .config import PipelineConfig
+from .config import N_SEMANTIC_TYPES, PipelineConfig
 
 WEIGHTS_FORMAT = "lanetopo-weights-v1"
 
@@ -175,7 +175,7 @@ def _layout(cfg: PipelineConfig) -> list[tuple]:
         layout += deformable(f"{p}.cross_deform", cfg.sd_heads, cfg.sd_sample_points)
         layout += layer_norm(f"{p}.ffn_ln")
         layout.append(("mlp", f"{p}.ffn", *ffn))
-    layout.append(("tensor", "semantic_table", (cfg.n_semantic_types + 1, c), "normal"))
+    layout.append(("tensor", "semantic_table", (N_SEMANTIC_TYPES + 1, c), "normal"))
     return layout
 
 

@@ -139,7 +139,7 @@ def test_gradient_checks():
 
 def test_fusion_recovery_on_arc_scenes():
     rng = np.random.default_rng(106)
-    grid = GridSpec.default()
+    grid = PipelineConfig().grid
     k = 11
     refined_errors = []
     for scene_idx in range(20):

@@ -20,6 +20,7 @@ from lanetopo.bev import (
     sinusoidal_pe_2d,
     softmax,
 )
+from lanetopo.config import PipelineConfig
 
 
 def random_grid(rng, h=4, w=5, c=3) -> BevGrid:
@@ -310,14 +311,14 @@ class TestLayerNorm:
 
 class TestGridSpec:
     def test_metric_cell_round_trip(self):
-        spec = GridSpec.default()
+        spec = PipelineConfig().grid
         rng = np.random.default_rng(12)
         xy = rng.uniform([-50, -25], [50, 25], size=(100, 2))
         back = spec.cell_to_metric(spec.metric_to_cell(xy))
         assert np.max(np.abs(back - xy)) < 1e-9
 
     def test_orientation(self):
-        spec = GridSpec.default()
+        spec = PipelineConfig().grid
         rc = spec.metric_to_cell(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         assert rc[1, 1] > rc[0, 1]  # column grows with x
         assert rc[2, 0] > rc[0, 0]  # row grows with y

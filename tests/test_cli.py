@@ -410,6 +410,33 @@ def test_scene_missing_a_key_exits_2(tmp_path, desk_config_path, capsys, command
     assert main(argv + ["--config", desk_config_path]) == 2
     err = capsys.readouterr().err
     assert err == "invalid scene file: scene document lacks key 'sd_instances'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "run-sd", "eval", "viz", "render-bev"])
+def test_a_scene_with_an_unknown_sd_type_exits_2(tmp_path, desk_config_path, capsys, command):
+    """An SD semantic type outside 1..N_SEMANTIC_TYPES is refused when the
+    scene loads, whether or not the run reads the SD map."""
+    scene = tmp_path / "scene.json"
+    pred = tmp_path / "pred.json"
+    sd_config = tmp_path / "sd-config.json"
+    PipelineConfig.desk(sd=True).save(sd_config)
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    main(["run", "--scene", str(scene), "--config", desk_config_path, "--out", str(pred)])
+    doc = json.loads(scene.read_text())
+    doc["sd_instances"][0]["semantic_type"] = 9
+    scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {
+        "run": ["run", "--scene", str(scene), "--config", desk_config_path],
+        "run-sd": ["run", "--scene", str(scene), "--config", str(sd_config)],
+        "eval": ["eval", "--pred", str(pred), "--gt", str(scene), "--config", desk_config_path],
+        "viz": ["viz", "--scene", str(scene)],
+        "render-bev": ["render-bev", "--scene", str(scene), "--config", desk_config_path],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid scene file: semantic type 9 outside 1..3\n"
+    assert not out.exists()
     assert not out.exists()
 
 
@@ -488,10 +515,14 @@ def test_run_rejects_a_weights_file_whose_tensors_are_a_list(tmp_path, desk_conf
     ["{not json", "[1, 2]", '{"channels": "x"}', '{"pgm": "no"}', '{"loss": {"zz": 1}}',
      '{"grid_h": 0}', '{"resolution": NaN}', '{"x_min": NaN}', '{"sample_points": 0}',
      '{"sd_sample_points": 0, "sd": true}', '{"det_thresholds": []}',
-     '{"det_thresholds": [1%s]}' % ("0" * 400), '{"resolution": 1%s}' % ("0" * 400)],
+     '{"det_thresholds": [1%s]}' % ("0" * 400), '{"resolution": 1%s}' % ("0" * 400),
+     '{"sd_layers": -1}', '{"ffn_dim": -1}', '{"ffn_dim": 0}', '{"channels": 0}',
+     '{"grid_h": 1}', '{"grid_w": 1}'],
     ids=["malformed-json", "list", "string-int", "string-bool", "unknown-loss-key", "empty-grid",
          "nan-resolution", "nan-x-min", "no-sample-points", "no-sd-sample-points",
-         "no-det-thresholds", "huge-int-det-threshold", "huge-int-resolution"],
+         "no-det-thresholds", "huge-int-det-threshold", "huge-int-resolution",
+         "negative-sd-layers", "negative-ffn-dim", "no-ffn-dim", "no-channels", "one-row",
+         "one-column"],
 )
 @pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
 def test_a_bad_config_file_exits_2(tmp_path, desk_config_path, capsys, command, content):
@@ -620,10 +651,12 @@ def test_viz_refuses_a_non_finite_score_floor(tmp_path, capsys, value):
 
 
 def _run_in_a_fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a new interpreter, with numpy's RuntimeWarnings raised as
+    errors, so a warning before the error line shows as a traceback."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lanetopo.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lanetopo.cli", *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -679,4 +712,29 @@ def test_an_overflowing_sd_interaction_exits_2(tmp_path):
     assert done.returncode == 2
     last = done.stderr.splitlines()[-1]
     assert last == "numeric error: sd_interact layer 0 produced non-finite BEV features", done.stderr
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("exponent", [150, 300])
+def test_huge_finite_weights_with_the_sd_map_exit_2(tmp_path, exponent):
+    """All weights scaled far up, with the SD map on, stop the run at the SD
+    interaction with the one error line and no warning before it."""
+    scene = tmp_path / "scene.json"
+    config = tmp_path / "config.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "3", "--out", str(scene)])
+    cfg = PipelineConfig.desk(sd=True)
+    cfg.save(config)
+    tensors, meta = model_weights_to_tensors(init_model_weights(cfg))
+    scaled = {name: t * 10.0**exponent for name, t in tensors.items()}
+    save_model_weights(model_weights_from_tensors(scaled, meta), weights)
+    done = _run_in_a_fresh_process(
+        ["run", "--scene", str(scene), "--config", str(config), "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        "numeric error: sd_interact layer 0 produced non-finite BEV features\n"
+    ), done.stderr
     assert not pred.exists()

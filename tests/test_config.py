@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from lanetopo import metrics, points_mask
+from lanetopo import config, metrics, points_mask
 from lanetopo.config import ConfigError, LossCoefficients, PipelineConfig
 
-# fields an older PipelineConfig carried, at their old defaults; the values are
-# now fixed constants of the method and the scoring protocol
+# fields an older PipelineConfig carried, at their old defaults; the thresholds
+# are now fixed constants of the method and the scoring protocol, the working
+# area, the z range and the SD type count constants of lanetopo.config
 REMOVED_FIELDS = {
     "mask_threshold": 0.5,
     "validity_threshold": 0.5,
@@ -17,6 +18,11 @@ REMOVED_FIELDS = {
     "det_thresholds": [1.0, 2.0, 3.0],
     "top_match_threshold": 1.0,
     "mask_iou_thresholds": [0.5, 0.75],
+    "x_min": -50.0,
+    "y_min": -25.0,
+    "z_min": -5.0,
+    "z_max": 5.0,
+    "n_semantic_types": 3,
 }
 
 
@@ -26,7 +32,9 @@ def test_full_size_defaults():
     assert (cfg.channels, cfg.layers, cfg.heads, cfg.ffn_dim) == (256, 4, 8, 512)
     assert (cfg.grid_h, cfg.grid_w, cfg.resolution) == (100, 200, 0.5)
     assert cfg.loss == LossCoefficients(top=5.0, cls=1.5, det=0.025, mask=1.0, mp=7.0)
-    assert len(dataclasses.fields(cfg)) == 27
+    assert len(dataclasses.fields(cfg)) == 22
+    assert (config.X_MIN, config.X_MAX, config.Y_MIN, config.Y_MAX) == (-50.0, 50.0, -25.0, 25.0)
+    assert (config.Z_MIN, config.Z_MAX, config.N_SEMANTIC_TYPES) == (-5.0, 5.0, 3)
     assert (points_mask.OUTLIER_THRESHOLD, points_mask.VALIDITY_THRESHOLD) == (1.5, 0.5)
     assert metrics.DET_THRESHOLDS == (1.0, 2.0, 3.0)
     assert metrics.TOP_MATCH_THRESHOLD == 1.0
@@ -88,16 +96,22 @@ def test_a_config_with_the_removed_threshold_fields_is_refused(tmp_path):
         {"heads": 0},
         {"pgm": "no"},
         {"resolution": float("nan")},
-        {"x_min": float("nan")},
-        {"z_max": float("inf")},
+        {"loss": {"cls": float("nan")}},
+        {"resolution": float("inf")},
         {"noise_sigma": float("nan")},
         {"loss": {"top": float("-inf")}},
         {"sample_points": 0},
         {"sd_sample_points": 0, "sd": True},
-        {"z_min": float("-inf")},
+        {"noise_sigma": float("-inf")},
         {"grid_w": 0},
         {"loss": {"mask": 10**400}},  # an int beyond the float range
         {"resolution": 10**400},
+        {"sd_layers": -1},
+        {"ffn_dim": -1},
+        {"ffn_dim": 0},
+        {"channels": 0},  # divisible by 4 and by every head count
+        {"grid_h": 1},  # the row readout needs two rows
+        {"grid_w": 1},
     ],
 )
 def test_invalid_values_rejected(overrides):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lanetopo import decoder
 from lanetopo.bev import (
     BevGrid,
     GridSpec,
@@ -13,12 +14,13 @@ from lanetopo.bev import (
     sigmoid,
     softmax,
 )
-from lanetopo.config import PipelineConfig
+from lanetopo.config import Z_MAX, Z_MIN, PipelineConfig
 from lanetopo.decoder import (
     attention_mask_from_instance_masks,
     decoder_forward,
     deformable_attention_core,
     deformable_cross_attention,
+    instance_mask_logits,
     masked_cross_attention,
     points_from_queries,
     rvs_self_attention,
@@ -384,7 +386,7 @@ class TestDecoderForward:
         assert np.all(pts[..., 0] <= grid.x_max)
         assert np.all(pts[..., 1] >= grid.y_min)
         assert np.all(pts[..., 1] <= grid.y_max)
-        assert np.all(np.abs(pts[..., 2]) <= cfg.z_max)
+        assert np.all((pts[..., 2] >= Z_MIN) & (pts[..., 2] <= Z_MAX))
         preds = infer(b, cfg, weights).predictions
         assert len(preds) == cfg.n_queries
         assert sum(p.is_real for p in preds) == cfg.n_real
@@ -446,3 +448,18 @@ class TestDecoderForward:
         bad_cfg = PipelineConfig.from_dict({**cfg.to_dict(), "layers": 3})
         with pytest.raises(ValueError):
             decoder_forward(b, weights, bad_cfg)
+
+    @pytest.mark.parametrize("hybrid", [True, False], ids=["hybrid-on", "hybrid-off"])
+    def test_attention_masks_are_built_only_for_hybrid_attention(self, monkeypatch, hybrid):
+        """Without hybrid attention no masked branch reads a mask, so no
+        layer computes mask logits for one."""
+        cfg, weights, b = self._setup(layers=3, hybrid_attention=hybrid)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return instance_mask_logits(*args)
+
+        monkeypatch.setattr(decoder, "instance_mask_logits", counted)
+        decoder_forward(b, weights, cfg)
+        assert len(calls) == (cfg.layers - 1 if hybrid else 0)

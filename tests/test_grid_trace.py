@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanetopo.bev import GridSpec, sigmoid
-from lanetopo.config import PipelineConfig
+from lanetopo.config import X_MIN, Y_MIN, PipelineConfig
 from lanetopo.geometry import Polyline, integer_crossings
 from lanetopo.losses import mask_point_targets
 from lanetopo.metrics import mask_iou, mask_iou_matrix
@@ -243,7 +243,7 @@ def test_mask_iou_matrix_matches_pairwise():
 
 # --- edge geometry -----------------------------------------------------------------
 
-SMALL = GridSpec(h=5, w=7, x_min=-1.0, y_min=-0.5, resolution=0.5)
+SMALL = GridSpec(h=5, w=7, x_min=X_MIN, y_min=Y_MIN, resolution=0.5)
 # whole and half cells from two cells before the grid to two cells past it,
 # so vertices land on grid lines and on cell centers
 ON_LINES_X = [SMALL.x_min + 0.25 * k for k in range(-8, 4 * SMALL.w + 9)]
@@ -254,8 +254,8 @@ ON_LINES_Y = [SMALL.y_min + 0.25 * k for k in range(-8, 4 * SMALL.h + 9)]
 def edge_polylines(draw) -> Polyline:
     """Polylines whose steps stay put, move along one axis or move freely,
     with coordinates on grid lines or anywhere, inside or outside the grid."""
-    coord_x = st.one_of(st.sampled_from(ON_LINES_X), st.floats(-4.0, 4.0))
-    coord_y = st.one_of(st.sampled_from(ON_LINES_Y), st.floats(-3.0, 3.0))
+    coord_x = st.one_of(st.sampled_from(ON_LINES_X), st.floats(X_MIN - 3.0, X_MIN + 5.0))
+    coord_y = st.one_of(st.sampled_from(ON_LINES_Y), st.floats(Y_MIN - 2.5, Y_MIN + 3.5))
     pts = [(draw(coord_x), draw(coord_y))]
     for step in draw(st.lists(st.sampled_from(["stay", "x", "y", "xy"]), min_size=1, max_size=8)):
         x, y = pts[-1]
@@ -273,8 +273,7 @@ def edge_polylines(draw) -> Polyline:
 def test_edge_polylines_match_references(lane):
     assert_lane_equal(lane, SMALL)
     cfg = PipelineConfig.desk(
-        grid_h=SMALL.h, grid_w=SMALL.w, x_min=SMALL.x_min, y_min=SMALL.y_min,
-        resolution=SMALL.resolution, channels=4,
+        grid_h=SMALL.h, grid_w=SMALL.w, resolution=SMALL.resolution, channels=4,
     )
     for real in (True, False):
         scene = Scene(
@@ -294,7 +293,7 @@ def test_integer_crossings_enumerates_each_segment_in_bounds():
 
 
 def test_far_sd_polyline_is_bounded_by_the_grid():
-    spec = GridSpec.default()
+    spec = PipelineConfig().grid
     far = Polyline(np.array([[-1e9, 3.2, 0.0], [1e9, 3.7, 0.0]]))
     start = time.perf_counter()
     cells = supercover_cells(far, spec)

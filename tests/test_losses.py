@@ -3,6 +3,10 @@ instance matching, the composite objective, and gradient checks."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,23 @@ class TestHungarian:
         assert a.pairs == [] and a.unmatched_predictions == [0, 1]
         with pytest.raises(ValueError):
             hungarian(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+
+    def test_the_run_path_does_not_load_the_assignment_solver(self):
+        """Importing the package and the pipeline leaves scipy.optimize
+        unloaded in a fresh process; the first hungarian call loads it."""
+        code = (
+            "import sys; import numpy as np; import lanetopo, lanetopo.pipeline; "
+            "before = 'scipy.optimize' in sys.modules; "
+            "lanetopo.losses.hungarian(np.eye(2)); "
+            "print(before, 'scipy.optimize' in sys.modules)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.stdout == "False True\n", done.stderr
 
 
 def make_pred(points: np.ndarray, score: float, is_real: bool = True) -> CenterlinePrediction:

@@ -15,7 +15,7 @@ from scipy.special import logit
 
 from lanetopo import pipeline
 from lanetopo.bev import GridSpec, MlpWeights, sigmoid
-from lanetopo.config import ConfigError, PipelineConfig
+from lanetopo.config import Z_MAX, Z_MIN, ConfigError, PipelineConfig
 from lanetopo.decoder import CenterlinePrediction
 from lanetopo.geometry import Polyline, resample_polyline
 from lanetopo.losses import ModelOutputs, total_loss
@@ -154,7 +154,7 @@ class TestOracleWeights:
             u = np.empty_like(gt_k)
             u[:, 0] = (gt_k[:, 0] - grid.x_min) / (grid.x_max - grid.x_min)
             u[:, 1] = (gt_k[:, 1] - grid.y_min) / (grid.y_max - grid.y_min)
-            u[:, 2] = (gt_k[:, 2] - cfg.z_min) / (cfg.z_max - cfg.z_min)
+            u[:, 2] = (gt_k[:, 2] - Z_MIN) / (Z_MAX - Z_MIN)
             u_targets[i] = np.clip(u, 1e-6, 1 - 1e-6)
             score_targets[i] = 8.0
 

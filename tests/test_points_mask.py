@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lanetopo.bev import BevGrid, GridSpec, MlpWeights, sigmoid
+from lanetopo.config import PipelineConfig
 from lanetopo.geometry import Polyline
 from lanetopo.points_mask import (
     AXIS_COLUMNS,
@@ -202,7 +203,7 @@ class TestSelectPointSet:
 
 class TestFusePoints:
     def _grid(self):
-        return GridSpec.default()
+        return PipelineConfig().grid
 
     # span aligned to column centers so readout points coincide with detected x
     X0, X1 = 0.25, 9.75
