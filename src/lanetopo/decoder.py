@@ -209,8 +209,8 @@ def decoder_forward(
     The queries are ``weights.decoder``'s real then virtual rows. Layer 0
     attends everywhere in the masked branch and uses the learnable initial
     reference points; later layers take masks and references from the
-    previous layer's predicted geometry, and build no mask with
-    ``hybrid_attention`` off. With ``rvs_self_attention`` off no row is
+    previous layer's predicted geometry. With ``hybrid_attention`` off no
+    layer builds a mask. With ``rvs_self_attention`` off no row is
     real-only, so the block self-attention is plain self-attention.
     Returns the final layer's queries (n, c), points (n, k, 3) and detection
     probabilities (n,).
@@ -223,7 +223,7 @@ def decoder_forward(
     q = np.concatenate([dec.real_queries, dec.virtual_queries])
     n_sep = len(dec.real_queries) if cfg.rvs_self_attention else 0
     refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1, b.w - 1], dtype=np.float64)
-    attn_mask = np.ones((q.shape[0], b.h * b.w), dtype=bool)
+    attn_mask = np.ones((q.shape[0], b.h * b.w), dtype=bool) if cfg.hybrid_attention else None
     for li, lw in enumerate(dec.layers):
         if cfg.hybrid_attention:
             q = masked_cross_attention(q, b, attn_mask, lw.masked_ln)

@@ -410,6 +410,7 @@ def test_scene_missing_a_key_exits_2(tmp_path, desk_config_path, capsys, command
     assert main(argv + ["--config", desk_config_path]) == 2
     err = capsys.readouterr().err
     assert err == "invalid scene file: scene document lacks key 'sd_instances'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "run-sd", "eval", "viz", "render-bev"])
@@ -436,7 +437,6 @@ def test_a_scene_with_an_unknown_sd_type_exits_2(tmp_path, desk_config_path, cap
     }[command]
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "invalid scene file: semantic type 9 outside 1..3\n"
-    assert not out.exists()
     assert not out.exists()
 
 
