@@ -203,9 +203,11 @@ class LayerNormWeights:
 def layer_norm(x: np.ndarray, ln: LayerNormWeights, eps: float = LN_EPS) -> np.ndarray:
     """Normalize over the last axis, then apply the affine parameters."""
     x = np.asarray(x, dtype=np.float64)
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * ln.scale + ln.shift
+    d = x - np.mean(x, axis=-1, keepdims=True)
+    d /= np.sqrt(np.mean(d * d, axis=-1, keepdims=True) + eps)
+    d *= ln.scale
+    d += ln.shift
+    return d
 
 
 def bilinear_sample_batch(

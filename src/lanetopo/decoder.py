@@ -45,24 +45,40 @@ class CenterlinePrediction:
 def masked_cross_attention(
     q: np.ndarray,
     b: BevGrid,
-    m: np.ndarray,
+    m: np.ndarray | None,
     ln: LayerNormWeights | None = None,
     return_weights: bool = False,
 ):
     """Attend from each query to the BEV cells allowed by its mask row.
 
-    ``m`` is a boolean (n_queries, h*w) keep matrix. Scores are
-    ``q @ cells^T`` where kept and -inf elsewhere; the attention output is
-    added residually and layer-normalized.
+    ``m`` is a boolean (n_queries, h*w) keep matrix, or None to attend
+    everywhere. Scores are ``q @ cells^T``; each row's softmax runs over its
+    kept cells, and a dropped cell gets weight exactly 0. The attention
+    output is added residually and layer-normalized.
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
         raise ValueError("query and BEV channel dimensions differ")
-    if m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool:
+    if m is not None and (m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool):
         raise ValueError(f"mask must be boolean (n_queries, h*w), got {m.dtype} {m.shape}")
     scores = q @ cells.T
-    np.copyto(scores, -np.inf, where=~m)
-    weights = softmax(scores, axis=-1)
+    if m is None:
+        weights = softmax(scores, axis=-1)
+    else:
+        top = np.where(m, scores, -np.inf).max(axis=1, keepdims=True)
+        if np.any(np.isneginf(top)):
+            raise ValueError("softmax over a fully masked row")
+        # After the shift a kept cell is <= 0 wherever top is finite, so the
+        # clamp changes only dropped cells: their exp stays finite (NaN
+        # scores too), times False it is exactly 0, and exp never sees -inf.
+        # A row whose top is NaN or +inf is all NaN, as softmax makes it.
+        scores -= top
+        np.fmin(scores, 0.0, out=scores)
+        np.exp(scores, out=scores)
+        scores *= m
+        scores /= scores.sum(axis=1, keepdims=True)
+        scores[~np.isfinite(top[:, 0])] = np.nan
+        weights = scores
     out = q + weights @ cells
     if ln is not None:
         out = layer_norm(out, ln)
@@ -110,38 +126,69 @@ def rvs_self_attention(
     return out_r, out_v
 
 
+def softmax_over_points(logits: np.ndarray) -> np.ndarray:
+    """Softmax over axis 1 of (n, points, heads) logits, returned as an
+    (n, heads, points) view.
+
+    The bits are those of ``bev.softmax`` over the last axis of the same
+    logits laid out contiguously as (n, heads, points): the max is
+    elementwise over the point slices, and the sum adds them in order, which
+    is how numpy sums fewer than 8 contiguous values. From 8 points on numpy
+    sums pairwise, so those logits go through ``softmax`` itself.
+    """
+    points = logits.shape[1]
+    if points >= 8:
+        return softmax(np.ascontiguousarray(logits.transpose(0, 2, 1)), axis=-1)
+    top = logits[:, 0]
+    for p in range(1, points):
+        top = np.maximum(top, logits[:, p])
+    if np.any(np.isneginf(top)):
+        raise ValueError("softmax over a fully masked row")
+    e = logits - top[:, None]
+    np.exp(e, out=e)
+    total = e[:, 0].copy()
+    for p in range(1, points):
+        total += e[:, p]
+    e /= total[:, None]
+    return e.transpose(0, 2, 1)
+
+
 def deformable_attention_core(
     q: np.ndarray,
     b: BevGrid,
     refs: np.ndarray,
     w: DeformableWeights,
-    block: int = 4096,
 ) -> np.ndarray:
     """Pre-residual deformable attention contribution for each query.
 
     Per head, the query predicts P (row, col) offsets around its reference
     point and a softmax-normalized weight per sampling point, both from one
-    GEMM with the stacked projections. Each head bilinearly samples only its
-    own C/heads channel slice of the value grid and sums its P samples by
-    those weights, zero outside the grid: one sparse product per block of
-    queries in :func:`bilinear_sample_batch`, blocked to bound the sparse
-    matrix. The concatenated heads go through the output projection.
+    GEMM with the stacked projections. Their rows are stacked coordinate-major
+    and point-major, so the locations and the softmax are elementwise over
+    long slices. Each head bilinearly samples only its own C/heads channel
+    slice of the value grid and sums its P samples by those weights, zero
+    outside the grid: one sparse product in :func:`bilinear_sample_batch`, so
+    callers bound n. The concatenated heads go through the output projection.
     """
     n, c = q.shape
     heads, points = w.heads, w.points
     if c % heads != 0:
         raise ValueError("channels must divide evenly across heads")
-    refs = np.asarray(refs, dtype=np.float64).reshape(n, 1, 1, 2)
     n_off = heads * 2 * points
-    proj = np.concatenate([w.w_offset.reshape(n_off, c), w.w_attn.reshape(heads * points, c)])
-    bias = np.concatenate([w.b_offset.reshape(-1), w.b_attn.reshape(-1)])
-    head_out = np.empty((n, heads, c // heads))
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        z = q[rows] @ proj.T + bias
-        locs = refs[rows] + z[:, :n_off].reshape(-1, heads, points, 2)
-        attn = softmax(z[:, n_off:].reshape(-1, heads, points), axis=-1)
-        head_out[rows] = bilinear_sample_batch(b, locs, heads, attn)
+    # offset rows as (coordinate, head, point), logit rows as (point, head)
+    proj = np.concatenate([
+        w.w_offset.reshape(heads, points, 2, c).transpose(2, 0, 1, 3).reshape(n_off, c),
+        w.w_attn.transpose(1, 0, 2).reshape(heads * points, c),
+    ])
+    bias = np.concatenate([
+        w.b_offset.reshape(heads, points, 2).transpose(2, 0, 1).reshape(-1),
+        w.b_attn.T.reshape(-1),
+    ])
+    z = q @ proj.T + bias
+    refs = np.asarray(refs, dtype=np.float64).reshape(n, 2, 1)
+    locs = (z[:, :n_off].reshape(n, 2, heads * points) + refs).reshape(n, 2, heads, points)
+    attn = softmax_over_points(z[:, n_off:].reshape(n, points, heads))
+    head_out = bilinear_sample_batch(b, locs.transpose(0, 2, 3, 1), heads, attn)
     return head_out.reshape(n, c) @ w.w_out.T + w.b_out
 
 
@@ -223,7 +270,7 @@ def decoder_forward(
     q = np.concatenate([dec.real_queries, dec.virtual_queries])
     n_sep = len(dec.real_queries) if cfg.rvs_self_attention else 0
     refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1, b.w - 1], dtype=np.float64)
-    attn_mask = np.ones((q.shape[0], b.h * b.w), dtype=bool) if cfg.hybrid_attention else None
+    attn_mask = None  # layer 0 attends everywhere
     for li, lw in enumerate(dec.layers):
         if cfg.hybrid_attention:
             q = masked_cross_attention(q, b, attn_mask, lw.masked_ln)

@@ -184,16 +184,22 @@ def filter_outliers(pts: PointSet2, threshold: float) -> PointSet2:
     order = np.flatnonzero(keep)
     if order.size == 1:
         return PointSet2(pts.points, keep)
+    valid = pts.points[order]
+    step = np.diff(valid, axis=0)
+    # gap[k] is the distance from valid point k to valid point k + 1, rounded
+    # as np.linalg.norm rounds a 2-vector
+    gap = np.sqrt(np.vecdot(step, step)).tolist()
     prev: int | None = None
-    for pos, i in enumerate(order):
+    for pos in range(order.size):
         dmin = np.inf
-        if prev is not None:
-            dmin = min(dmin, float(np.linalg.norm(pts.points[i] - pts.points[prev])))
-        if pos + 1 < order.size:
-            nxt = order[pos + 1]
-            dmin = min(dmin, float(np.linalg.norm(pts.points[i] - pts.points[nxt])))
+        if prev == pos - 1:
+            dmin = min(dmin, gap[prev])
+        elif prev is not None:
+            dmin = min(dmin, float(np.linalg.norm(valid[pos] - valid[prev])))
+        if pos < len(gap):
+            dmin = min(dmin, gap[pos])
         if dmin > threshold:
-            keep[i] = False
+            keep[order[pos]] = False
         else:
-            prev = i
+            prev = pos
     return PointSet2(pts.points, keep)

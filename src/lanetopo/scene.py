@@ -354,6 +354,14 @@ def _integral(value, field: str) -> int:
     return int(value)
 
 
+def _sd_type(value, field: str) -> int:
+    """An SD semantic type id in 1..N_SEMANTIC_TYPES, or a ValueError naming ``field``."""
+    t = _integral(value, field)
+    if not 1 <= t <= N_SEMANTIC_TYPES:
+        raise ValueError(f"{field} must be in 1..{N_SEMANTIC_TYPES}, got {t}")
+    return t
+
+
 def _flag(value, field: str) -> bool:
     """A JSON boolean, or a ValueError naming ``field``."""
     if not isinstance(value, bool):
@@ -408,7 +416,7 @@ def scene_from_dict(d: dict) -> Scene:
             sd_instances=[
                 SdMapInstance(
                     _polyline(s["points"], f"sd_instances[{i}]"),
-                    _integral(s["semantic_type"], f"sd_instances[{i}].semantic_type"),
+                    _sd_type(s["semantic_type"], f"sd_instances[{i}].semantic_type"),
                 )
                 for i, s in enumerate(sd)
             ],

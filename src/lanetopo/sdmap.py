@@ -19,6 +19,8 @@ from .decoder import deformable_attention_core
 from .geometry import Polyline, integer_crossings
 from .weights import SdInteractWeights
 
+ROW_BLOCK = 2048  # BEV cells per block of an SD layer; bounds the layer's temporaries
+
 
 @dataclass(frozen=True)
 class SdMapInstance:
@@ -125,8 +127,9 @@ def sd_interact(
     deformable cross-attention into e_s + e_p, then a feed-forward block.
     Sublayers are pre-norm residual, so zeroing every learned projection
     leaves the input exactly unchanged. Reference points are the cells' own
-    integer coordinates. A layer whose output is not finite raises
-    :class:`~lanetopo.bev.NonFiniteError`.
+    integer coordinates. Each layer runs over blocks of ``ROW_BLOCK`` cells,
+    which every sublayer treats independently. A layer whose output is not
+    finite raises :class:`~lanetopo.bev.NonFiniteError`.
     """
     if not (b.data.shape == e_s.data.shape == e_p.data.shape):
         raise ValueError("BEV, semantic, and positional grids must share h, w, c")
@@ -134,16 +137,22 @@ def sd_interact(
     sd_grid = BevGrid(e_s.data + e_p.data, b.spec)
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     refs = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=-1).astype(np.float64)
-    x = b.flat().copy()
+    x = b.flat()
     for i, layer in enumerate(weights.layers):
-        self_grid = BevGrid(x.reshape(h, w, b.c), b.spec)
-        x = x + deformable_attention_core(
-            layer_norm(x, layer.self_ln), self_grid, refs, layer.self_deform
-        )
-        x = x + deformable_attention_core(
-            layer_norm(x, layer.cross_ln), sd_grid, refs, layer.cross_deform
-        )
-        x = x + mlp_forward(layer.ffn, layer_norm(x, layer.ffn_ln))
+        # the self branch samples the whole old grid, so the layer writes a new one
+        grid = BevGrid(x.reshape(h, w, b.c), b.spec)
+        new = np.empty_like(x)
+        for start in range(0, h * w, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            y = x[block] + deformable_attention_core(
+                layer_norm(x[block], layer.self_ln), grid, refs[block], layer.self_deform
+            )
+            y += deformable_attention_core(
+                layer_norm(y, layer.cross_ln), sd_grid, refs[block], layer.cross_deform
+            )
+            y += mlp_forward(layer.ffn, layer_norm(y, layer.ffn_ln))
+            new[block] = y
+        x = new
         if not np.isfinite(x).all():
             raise NonFiniteError(f"sd_interact layer {i} produced non-finite BEV features")
     return BevGrid(x.reshape(h, w, b.c), b.spec)

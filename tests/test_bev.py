@@ -308,6 +308,17 @@ class TestLayerNorm:
         assert abs(base.mean()) < 1e-9
         assert abs(base.std() - 1.0) < 1e-3  # eps slightly shrinks the std
 
+    def test_equals_the_two_subtraction_formula(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(2.0, 3.0, size=(500, 32))
+        ln = LayerNormWeights(rng.uniform(0.5, 1.5, 32), rng.normal(size=32))
+        mean = np.mean(x, axis=-1, keepdims=True)
+        var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
+        expected = (x - mean) / np.sqrt(var + 1e-5) * ln.scale + ln.shift
+        out = layer_norm(x, ln)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(layer_norm(x[7], ln), expected[7])
+
 
 class TestGridSpec:
     def test_metric_cell_round_trip(self):

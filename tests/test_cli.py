@@ -436,7 +436,9 @@ def test_a_scene_with_an_unknown_sd_type_exits_2(tmp_path, desk_config_path, cap
         "render-bev": ["render-bev", "--scene", str(scene), "--config", desk_config_path],
     }[command]
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == "invalid scene file: semantic type 9 outside 1..3\n"
+    assert capsys.readouterr().err == (
+        "invalid scene file: sd_instances[0].semantic_type must be in 1..3, got 9\n"
+    )
     assert not out.exists()
 
 

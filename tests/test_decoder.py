@@ -24,6 +24,7 @@ from lanetopo.decoder import (
     masked_cross_attention,
     points_from_queries,
     rvs_self_attention,
+    softmax_over_points,
 )
 from lanetopo.pipeline import infer
 from lanetopo.weights import DeformableWeights, init_model_weights
@@ -274,7 +275,7 @@ class TestDeformableAttention:
         assert np.array_equal(out, expected)
 
     def test_blocked_per_head_gather_equals_all_channel_reference(self):
-        # more queries than one block, so the blocking loop runs, with a partial last block
+        # more queries than the sparse sampler sees in one SD-layer block
         rng = np.random.default_rng(12)
         c, heads, points, n = 16, 8, 3, 4096 + 37
         g = BevGrid(rng.normal(size=(6, 9, c)), GridSpec(6, 9, 0.0, 0.0, 1.0))
@@ -323,15 +324,38 @@ class TestDeformableAttention:
         ]
         refs = np.concatenate([rng.uniform(-0.7, [h - 0.3, w - 0.3], size=(23, 2)), edges])
         q = rng.normal(size=(len(refs), c))
-        # a block of 7 leaves a partial last block
-        out = deformable_attention_core(q, g, refs, wts, block=7)
-        assert len(refs) % 7 != 0
+        out = deformable_attention_core(q, g, refs, wts)
         expected = four_corner_deformable_block(q, g, refs, wts)
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
         if zero_offsets:
             # every point of a non-finite or out-of-grid reference samples zero
             outside = ~((refs >= 0) & (refs <= [last_r, last_c])).all(axis=1)
             assert np.array_equal(out[outside], np.broadcast_to(wts.b_out, (outside.sum(), c)))
+
+
+class TestSoftmaxOverPoints:
+    @pytest.mark.parametrize("points", range(1, 11))
+    def test_equals_softmax_over_the_point_axis(self, points):
+        rng = np.random.default_rng(40 + points)
+        logits = rng.normal(0.0, 3.0, size=(257, points, 8))
+        out = softmax_over_points(logits)
+        assert out.shape == (257, 8, points)
+        # the reference sums contiguous (n, heads, points) logits
+        expected = softmax(np.ascontiguousarray(logits.transpose(0, 2, 1)), axis=-1)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("points", [1, 4, 9])
+    def test_huge_logits_and_their_error_match_softmax(self, points):
+        rng = np.random.default_rng(60 + points)
+        logits = rng.choice([-1e300, 1e300], size=(64, points, 3))
+        logits[0, :, 0] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = softmax_over_points(logits)
+            expected = softmax(np.ascontiguousarray(logits.transpose(0, 2, 1)), axis=-1)
+        assert np.array_equal(out, expected, equal_nan=True)
+        logits[5, :, 1] = -np.inf
+        with pytest.raises(ValueError, match="fully masked"):
+            softmax_over_points(logits)
 
 
 class TestAttentionMaskBuilder:

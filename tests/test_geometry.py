@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -274,6 +274,28 @@ class TestPolylineProperties:
         assert discrete_frechet(pa, pa) == 0.0
 
 
+def filter_outliers_scalar(pts: PointSet2, threshold: float) -> np.ndarray:
+    """Reference keep mask: one np.linalg.norm per neighbor distance, walked
+    over the valid points in order."""
+    keep = pts.validity.copy()
+    order = np.flatnonzero(keep)
+    if order.size <= 1:
+        return keep
+    prev = None
+    for pos, i in enumerate(order):
+        dmin = np.inf
+        if prev is not None:
+            dmin = min(dmin, float(np.linalg.norm(pts.points[i] - pts.points[prev])))
+        if pos + 1 < order.size:
+            nxt = order[pos + 1]
+            dmin = min(dmin, float(np.linalg.norm(pts.points[i] - pts.points[nxt])))
+        if dmin > threshold:
+            keep[i] = False
+        else:
+            prev = i
+    return keep
+
+
 class TestFilterOutliers:
     def _all_valid(self, pts):
         return PointSet2(np.asarray(pts, dtype=float), np.ones(len(pts), dtype=bool))
@@ -334,3 +356,25 @@ class TestFilterOutliers:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             filter_outliers(self._all_valid([(0, 0), (1, 0)]), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, (n, 2), elements=st.floats(-6.0, 6.0)),
+                arrays(np.bool_, n),
+            )
+        ),
+        threshold=st.floats(0.05, 4.0),
+    )
+    @example((np.zeros((0, 2)), np.zeros(0, dtype=bool)), 1.5)
+    @example((np.array([[3.0, 4.0]]), np.array([True])), 1.5)
+    @example((np.array([[0.0, 0.0], [9.0, 0.0]]), np.array([True, True])), 1.5)
+    @example((np.array([[0.0, 0.0], [9.0, 0.0], [0.5, 0.0]]), np.array([True, False, True])), 1.5)
+    # the far point is dropped, so the last point's previous kept one is not adjacent
+    @example((np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [1.0, 0.0]]), np.ones(4, dtype=bool)), 1.5)
+    def test_matches_the_scalar_walk(self, pts, threshold):
+        ps = PointSet2(*pts)
+        out = filter_outliers(ps, threshold)
+        assert np.array_equal(out.validity, filter_outliers_scalar(ps, threshold))
+        assert np.array_equal(out.points, ps.points)

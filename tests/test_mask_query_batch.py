@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from lanetopo import decoder
-from lanetopo.bev import layer_norm, mlp_forward, sigmoid, softmax
+from lanetopo.bev import (
+    BevGrid,
+    GridSpec,
+    LayerNormWeights,
+    layer_norm,
+    mlp_forward,
+    sigmoid,
+    softmax,
+)
 from lanetopo.config import PipelineConfig
 from lanetopo.decoder import decoder_forward, instance_mask_logits
 from lanetopo.pipeline import infer
@@ -64,12 +72,22 @@ def readouts_loop(mask_logits, q_prime, mh, axis):
 
 def float_mask_attention(q, b, m, ln=None):
     """Masked cross-attention with a float {0, -inf} mask added to the scores;
-    layer 0's all-True keep matrix becomes the all-zero mask."""
-    if m.dtype == bool:
-        m = np.where(m, 0.0, -np.inf)
+    layer 0's None (attend everywhere) becomes the all-zero mask."""
     cells = b.flat()
+    if m is None:
+        m = np.zeros((len(q), len(cells)))
+    elif m.dtype == bool:
+        m = np.where(m, 0.0, -np.inf)
     out = q + softmax(q @ cells.T + m, axis=-1) @ cells
     return out if ln is None else layer_norm(out, ln)
+
+
+def sentinel_mask_attention(q, b, m):
+    """Attention weights with -inf written into every dropped score, then the
+    generic softmax."""
+    scores = q @ b.flat().T
+    np.copyto(scores, -np.inf, where=~m)
+    return softmax(scores, axis=-1)
 
 
 def float_attention_mask(mask_logits, threshold=0.5):
@@ -164,3 +182,55 @@ def test_keep_matrix_equals_the_float_mask():
     assert keep.dtype == bool
     assert np.array_equal(np.where(keep, 0.0, -np.inf), float_attention_mask(logits, 0.5))
     assert keep[4].all() and not keep[0, 7] and keep[0, 8:11].all()
+
+
+def random_grid_and_mask(seed, n=6, h=5, w=7, c=4):
+    rng = np.random.default_rng(seed)
+    b = BevGrid(rng.normal(size=(h, w, c)), GridSpec(h, w, 0.0, 0.0, 1.0))
+    m = rng.random((n, h * w)) < 0.5
+    m[np.arange(n), rng.integers(0, h * w, size=n)] = True  # no fully masked row
+    return b, rng.normal(size=(n, c)), m
+
+
+def test_a_dropped_cell_far_above_the_kept_ones_gets_weight_zero():
+    # exp of a dropped score 1e300 above the kept maximum overflows, and
+    # inf * False would be NaN
+    b, q, m = random_grid_and_mask(4)
+    b.data[0, 0] = 1e150
+    q[:3] = 1e150
+    m[:3, 0] = False
+    assert (q[:3] @ b.flat()[0] > 1e300).all()
+    out, weights = decoder.masked_cross_attention(q, b, m, return_weights=True)
+    assert np.isfinite(out).all()
+    assert np.array_equal(out, float_mask_attention(q, b, m))
+    assert np.array_equal(weights, sentinel_mask_attention(q, b, m))
+    assert not weights[~m].any()
+
+
+def test_non_finite_scores_give_the_sentinel_softmax_weights():
+    b, q, m = random_grid_and_mask(5)
+    b.data[0, 0, 0] = np.nan  # past the grid's check: scores NaN, as an overflow can make them
+    b.data[0, 1] = 1e200  # scores +inf
+    q[:4] = 1e200
+    m[0, :2] = (False, False)  # dropped NaN and +inf, finite kept cells
+    m[1, :2] = (True, False)  # kept NaN
+    m[2, :2] = (False, True)  # kept +inf: the row is NaN, as softmax makes it
+    m[3, :2] = (True, True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = decoder.masked_cross_attention(q, b, m, return_weights=True)[1]
+        expected = sentinel_mask_attention(q, b, m)
+    assert np.isfinite(weights[0]).all() and np.isnan(weights[1:4]).all()
+    assert np.array_equal(weights, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_no_mask_equals_the_all_true_mask(seed):
+    b, q, m = random_grid_and_mask(seed, n=48, h=20, w=40, c=32)
+    rng = np.random.default_rng(seed)
+    ln = LayerNormWeights(rng.uniform(0.5, 1.5, size=32), rng.normal(size=32))
+    out, weights = decoder.masked_cross_attention(q, b, None, ln, return_weights=True)
+    ref, ref_weights = decoder.masked_cross_attention(
+        q, b, np.ones_like(m), ln, return_weights=True
+    )
+    assert np.array_equal(out, ref)
+    assert np.array_equal(weights, ref_weights)

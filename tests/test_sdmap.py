@@ -1,8 +1,11 @@
 """SD map rasterization and the BEV augmentation decoder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lanetopo import sdmap
 from lanetopo.bev import BevGrid, GridSpec, LayerNormWeights, MlpWeights, sinusoidal_pe_2d
 from lanetopo.geometry import Polyline
 from lanetopo.sdmap import (
@@ -19,6 +22,8 @@ from lanetopo.weights import (
     init_model_weights,
 )
 from lanetopo.config import PipelineConfig
+from lanetopo.pipeline import sd_features
+from lanetopo.scene import render_bev_features, synth_scene
 
 
 def small_spec(h=8, w=12) -> GridSpec:
@@ -247,3 +252,41 @@ class TestSdInteract:
         e_p = BevGrid(rng.normal(size=(2, 2, 8)), spec)
         with pytest.raises(ValueError):
             sd_interact(b, e_s, e_p, zeroed_sd_weights(4, 1, 1))
+
+    @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
+    def test_row_blocks_give_the_same_features(self, monkeypatch, row_block):
+        # 1200 cells: blocks of 7 and 500 leave a partial last block, the
+        # others make one block
+        cfg = PipelineConfig.desk(grid_h=30, grid_w=40, sd=True)
+        weights = init_model_weights(cfg, seed=2)
+        rng = np.random.default_rng(4)
+        spec = GridSpec(h=30, w=40, x_min=0.0, y_min=0.0, resolution=1.0)
+        b = BevGrid(rng.normal(size=(30, 40, cfg.channels)), spec)
+        e_s = BevGrid(rng.normal(size=(30, 40, cfg.channels)), spec)
+        e_p = sinusoidal_pe_2d(30, 40, cfg.channels, spec)
+        assert sdmap.ROW_BLOCK >= 1200
+        whole = sd_interact(b, e_s, e_p, weights.sd).data
+        monkeypatch.setattr(sdmap, "ROW_BLOCK", row_block)
+        out = sd_interact(b, e_s, e_p, weights.sd).data
+        assert np.allclose(out, whole, rtol=0, atol=1e-12)
+        if row_block >= 40:
+            # OpenBLAS multiplies a matrix of fewer rows than about 40 with
+            # another kernel, which can round a row differently
+            assert np.array_equal(out, whole)
+
+
+def test_sd_features_memory_stays_bounded_at_full_pair_size():
+    # the benchmark's full-pair size: the full 100 x 200 grid and 8-head SD
+    # layers at 32 channels; a grid is 5 MB, and an unblocked layer peaked
+    # at 58.6 MiB
+    cfg = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=True)
+    weights = init_model_weights(cfg)
+    scene = synth_scene(0)
+    b = render_bev_features(scene, cfg, cfg.noise_sigma)
+    tracemalloc.start()
+    try:
+        sd_features(b, scene, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
