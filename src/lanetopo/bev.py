@@ -11,10 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.special import expit as sigmoid
 
 LN_EPS = 1e-5
+
+
+# SciPy loads on the first call of each wrapper, not at import: scipy.sparse
+# takes about 0.26 s to import and scipy.special 0.14 s, which scoring a
+# prediction file never needs
+def csr_array(arg, shape):
+    """``scipy.sparse.csr_array(arg, shape=shape)``."""
+    from scipy.sparse import csr_array
+
+    return csr_array(arg, shape=shape)
+
+
+def sigmoid(x):
+    """``scipy.special.expit(x)``: the logistic function, exactly as SciPy rounds it."""
+    from scipy.special import expit
+
+    return expit(x)
 
 
 class NonFiniteError(ValueError):

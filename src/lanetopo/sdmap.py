@@ -137,10 +137,10 @@ def sd_interact(
     sd_grid = BevGrid(e_s.data + e_p.data, b.spec)
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     refs = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=-1).astype(np.float64)
-    x = b.flat()
+    grid = b
     for i, layer in enumerate(weights.layers):
         # the self branch samples the whole old grid, so the layer writes a new one
-        grid = BevGrid(x.reshape(h, w, b.c), b.spec)
+        x = grid.flat()
         new = np.empty_like(x)
         for start in range(0, h * w, ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
@@ -152,7 +152,10 @@ def sd_interact(
             )
             y += mlp_forward(layer.ffn, layer_norm(y, layer.ffn_ln))
             new[block] = y
-        x = new
-        if not np.isfinite(x).all():
-            raise NonFiniteError(f"sd_interact layer {i} produced non-finite BEV features")
-    return BevGrid(x.reshape(h, w, b.c), b.spec)
+        # the grid's own finiteness check is the layer's one scan of its output;
+        # the shape is the input's, so non-finite cells are its only ValueError
+        try:
+            grid = BevGrid(new.reshape(h, w, b.c), b.spec)
+        except ValueError:
+            raise NonFiniteError(f"sd_interact layer {i} produced non-finite BEV features") from None
+    return grid

@@ -4,6 +4,7 @@ finite differences."""
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
+from scipy.special import expit
 
 from lanetopo import bev
 from lanetopo.bev import (
@@ -79,6 +80,38 @@ class TestBinarizeLogits:
         assert want.any() and not want.all()  # the band holds both answers
         assert np.array_equal(binarize_logits(x), want)
         assert np.array_equal(binarize_logits(x.reshape(1, -1, 1)), want.reshape(1, -1, 1))
+
+
+class TestScipyWrappers:
+    """``bev.sigmoid`` and ``bev.csr_array`` load SciPy on first use and
+    return what SciPy returns."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -709.0, 745.0, -745.0,
+             np.inf, -np.inf, np.nan]
+
+    def test_sigmoid_is_expit_bit_for_bit(self):
+        # bytes, so -0.0 against 0.0 and NaN against NaN count
+        rng = np.random.default_rng(12)
+        for x in (np.array(self.EDGES), rng.normal(scale=8.0, size=(48, 20000))):
+            assert sigmoid(x).tobytes() == expit(x).tobytes()
+
+    @pytest.mark.parametrize("x", [-0.0, 1.5, np.float64(-745.0), np.array(-36.7),
+                                   np.arange(-3.0, 3.0).reshape(2, 3)])
+    def test_sigmoid_keeps_expit_type_and_shape(self, x):
+        got, want = sigmoid(x), expit(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_csr_array_is_scipy_csr_array(self):
+        data = np.array([0.5, -2.0, 1.25, 3.0])
+        indices = np.array([3, 0, 2, 3], dtype=np.int32)
+        indptr = np.array([0, 2, 2, 4], dtype=np.int32)
+        got = bev.csr_array((data, indices, indptr), shape=(3, 5))
+        want = csr_array((data, indices, indptr), shape=(3, 5))
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
 
 
 class TestMlp:

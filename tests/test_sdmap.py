@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from lanetopo import sdmap
-from lanetopo.bev import BevGrid, GridSpec, LayerNormWeights, MlpWeights, sinusoidal_pe_2d
+from lanetopo.bev import (
+    BevGrid,
+    GridSpec,
+    LayerNormWeights,
+    MlpWeights,
+    NonFiniteError,
+    sinusoidal_pe_2d,
+)
 from lanetopo.geometry import Polyline
 from lanetopo.sdmap import (
     SdMapInstance,
@@ -252,6 +259,58 @@ class TestSdInteract:
         e_p = BevGrid(rng.normal(size=(2, 2, 8)), spec)
         with pytest.raises(ValueError):
             sd_interact(b, e_s, e_p, zeroed_sd_weights(4, 1, 1))
+
+    def test_each_layer_output_is_scanned_once(self, monkeypatch):
+        # the SD grid e_s + e_p and each layer's output are checked once; the
+        # input grid is checked already and is not scanned again
+        c, layers = 8, 3
+        cfg = PipelineConfig.desk(grid_h=6, grid_w=5, channels=c, sd=True, sd_layers=layers)
+        weights = init_model_weights(cfg, seed=3)
+        rng = np.random.default_rng(5)
+        spec = small_spec(6, 5)
+        b = BevGrid(rng.normal(size=(6, 5, c)), spec)
+        e_s = BevGrid(rng.normal(size=(6, 5, c)), spec)
+        e_p = sinusoidal_pe_2d(6, 5, c, spec)
+        isfinite = np.isfinite
+        grid_scans = []
+
+        def counting_isfinite(x, *args, **kwargs):
+            if np.shape(x) in ((6, 5, c), (30, c)):
+                grid_scans.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        out = sd_interact(b, e_s, e_p, weights.sd)
+        monkeypatch.undo()
+        assert len(grid_scans) == 1 + layers
+        assert np.isfinite(out.data).all()
+
+    def test_a_later_layer_that_overflows_is_named(self):
+        # each layer adds 1e308 through its FFN bias: layer 0 stays finite,
+        # layer 1 overflows
+        c = 4
+        w = zeroed_sd_weights(c, heads=1, points=1, layers=2)
+        for layer in w.layers:
+            (w1, b1, a1), (w2, _, a2) = layer.ffn.layers
+            layer.ffn = MlpWeights([(w1, b1, a1), (w2, np.full(c, 1e308), a2)])
+        rng = np.random.default_rng(6)
+        spec = small_spec(3, 4)
+        b = BevGrid(rng.normal(size=(3, 4, c)), spec)
+        e_s = BevGrid(rng.normal(size=(3, 4, c)), spec)
+        e_p = sinusoidal_pe_2d(3, 4, c, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = sd_interact(b, e_s, e_p, SdInteractWeights(w.layers[:1]))
+            assert np.isfinite(one.data).all()
+            with pytest.raises(NonFiniteError, match="^sd_interact layer 1 produced non-finite"):
+                sd_interact(b, e_s, e_p, w)
+
+    def test_no_layers_return_the_input_features(self):
+        rng = np.random.default_rng(8)
+        spec = small_spec(3, 4)
+        b = BevGrid(rng.normal(size=(3, 4, 4)), spec)
+        e_s = BevGrid(rng.normal(size=(3, 4, 4)), spec)
+        out = sd_interact(b, e_s, sinusoidal_pe_2d(3, 4, 4, spec), SdInteractWeights([]))
+        assert np.array_equal(out.data, b.data)
 
     @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
     def test_row_blocks_give_the_same_features(self, monkeypatch, row_block):
