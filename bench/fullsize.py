@@ -12,7 +12,7 @@ the output holds ``import_s`` (process start to ``import lanetopo`` done),
 ``ru_maxrss_kb``, each span's ``s``/``self_s``/``calls`` and the counters.
 The op is the process's first run, so it includes loading ``scipy.sparse``
 and ``scipy.special``, which load on first use. This is a one-shot probe,
-not a gated benchmark: each process peaks at about 1.3 GB.
+not a gated benchmark: each process peaks at about 0.3–0.4 GB.
 """
 
 from __future__ import annotations

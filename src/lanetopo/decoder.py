@@ -31,6 +31,10 @@ from .geometry import Polyline
 from .points_mask import encode_mask_query, generate_mask
 from .weights import DeformableWeights, ModelWeights
 
+# smallest sum of a row's kept exps, shifted by the row maximum, that
+# masked_cross_attention normalizes by; rows below it take the exact path
+MIN_KEPT_SUM = 2.0**-52
+
 
 @dataclass
 class CenterlinePrediction:
@@ -55,6 +59,14 @@ def masked_cross_attention(
     everywhere. Scores are ``q @ cells^T``; each row's softmax runs over its
     kept cells, and a dropped cell gets weight exactly 0. The attention
     output is added residually and layer-normalized.
+
+    Each row is shifted by its maximum over all cells, so no exp overflows,
+    and normalized after the value product. A row whose kept exps sum below
+    :data:`MIN_KEPT_SUM` (its kept cells sit far below a dropped maximum, or
+    none is kept) or whose maximum is not finite goes through
+    :func:`_kept_softmax` instead. Above that sum the shift by the maximum
+    over all cells in place of the kept maximum adds at most about
+    ``ln(h*w / MIN_KEPT_SUM) * 2**-53`` of rounding to a weight.
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
@@ -62,29 +74,47 @@ def masked_cross_attention(
     if m is not None and (m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool):
         raise ValueError(f"mask must be boolean (n_queries, h*w), got {m.dtype} {m.shape}")
     scores = q @ cells.T
-    if m is None:
-        weights = softmax(scores, axis=-1)
-    else:
-        top = np.where(m, scores, -np.inf).max(axis=1, keepdims=True)
-        if np.any(np.isneginf(top)):
-            raise ValueError("softmax over a fully masked row")
-        # After the shift a kept cell is <= 0 wherever top is finite, so the
-        # clamp changes only dropped cells: their exp stays finite (NaN
-        # scores too), times False it is exactly 0, and exp never sees -inf.
-        # A row whose top is NaN or +inf is all NaN, as softmax makes it.
-        scores -= top
-        np.fmin(scores, 0.0, out=scores)
+    # a row whose maximum is NaN or +-inf turns NaN here, which fails the
+    # sum test below; the exact path redoes it with the usual warnings
+    with np.errstate(invalid="ignore"):
+        scores -= scores.max(axis=1, keepdims=True)
         np.exp(scores, out=scores)
-        scores *= m
-        scores /= scores.sum(axis=1, keepdims=True)
-        scores[~np.isfinite(top[:, 0])] = np.nan
-        weights = scores
-    out = q + weights @ cells
+        if m is not None:
+            scores *= m
+        total = scores.sum(axis=1, keepdims=True)
+    rows = np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM))
+    if rows.size:
+        scores[rows] = _kept_softmax(q[rows] @ cells.T, None if m is None else m[rows])
+        total[rows] = 1.0
+    out = q + (scores @ cells) / total
     if ln is not None:
         out = layer_norm(out, ln)
     if return_weights:
-        return out, weights
+        scores /= total
+        return out, scores
     return out
+
+
+def _kept_softmax(scores: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """Softmax of each row of ``scores`` over its kept cells, shifted by the
+    kept maximum, in place: the exact path of :func:`masked_cross_attention`.
+
+    After the shift a kept cell is <= 0 wherever the kept maximum is finite,
+    so the clamp changes only dropped cells: their exp stays finite (NaN
+    scores too), times False it is exactly 0, and exp never sees -inf. A row
+    whose kept maximum is NaN or +inf is all NaN, as softmax makes it.
+    """
+    top = (scores if m is None else np.where(m, scores, -np.inf)).max(axis=1, keepdims=True)
+    if np.any(np.isneginf(top)):
+        raise ValueError("softmax over a fully masked row")
+    scores -= top
+    np.fmin(scores, 0.0, out=scores)
+    np.exp(scores, out=scores)
+    if m is not None:
+        scores *= m
+    scores /= scores.sum(axis=1, keepdims=True)
+    scores[~np.isfinite(top[:, 0])] = np.nan
+    return scores
 
 
 def rvs_self_attention(

@@ -127,8 +127,10 @@ def sd_interact(
     deformable cross-attention into e_s + e_p, then a feed-forward block.
     Sublayers are pre-norm residual, so zeroing every learned projection
     leaves the input exactly unchanged. Reference points are the cells' own
-    integer coordinates. Each layer runs over blocks of ``ROW_BLOCK`` cells,
-    which every sublayer treats independently. A layer whose output is not
+    integer coordinates. Each layer runs over ceil(h*w / ``ROW_BLOCK``)
+    blocks of cells whose sizes differ by at most one, which every sublayer
+    treats independently: no block is a short remainder, which OpenBLAS
+    would multiply with another kernel. A layer whose output is not
     finite raises :class:`~lanetopo.bev.NonFiniteError`.
     """
     if not (b.data.shape == e_s.data.shape == e_p.data.shape):
@@ -137,13 +139,15 @@ def sd_interact(
     sd_grid = BevGrid(e_s.data + e_p.data, b.spec)
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     refs = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=-1).astype(np.float64)
+    n_blocks = -(-h * w // ROW_BLOCK)
+    bounds = [i * h * w // n_blocks for i in range(n_blocks + 1)]
     grid = b
     for i, layer in enumerate(weights.layers):
         # the self branch samples the whole old grid, so the layer writes a new one
         x = grid.flat()
         new = np.empty_like(x)
-        for start in range(0, h * w, ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            block = slice(start, stop)
             y = x[block] + deformable_attention_core(
                 layer_norm(x[block], layer.self_ln), grid, refs[block], layer.self_deform
             )

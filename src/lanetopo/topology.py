@@ -10,6 +10,8 @@ import numpy as np
 
 from .bev import MlpWeights, mlp_forward, sigmoid
 
+PAIR_BLOCK = 32  # rows i of pairs (i, j) per block of the topology classifier
+
 
 def enhance_queries(
     q: np.ndarray,
@@ -32,13 +34,26 @@ def predict_topology(e: np.ndarray, classifier: MlpWeights) -> np.ndarray:
     """Pairwise adjacency probabilities from concatenated embedding pairs.
 
     Pair (i, j) feeds concat(E_i, E_j) to the classifier; the sigmoid output
-    is the probability that lane i flows into lane j.
+    is the probability that lane i flows into lane j. The first layer is
+    affine, so W1 [E_i; E_j] + b1 = A_i + B_j with A = E W1a^T + b1 and
+    B = E W1b^T, computed once; the rest of the classifier runs over blocks
+    of ``PAIR_BLOCK`` rows of pairs, so no (n*n, 2c) input is built.
     """
     e = np.asarray(e, dtype=np.float64)
     n, c = e.shape
     if classifier.in_dim != 2 * c:
         raise ValueError(f"classifier input dim must be {2 * c}, got {classifier.in_dim}")
-    src = np.repeat(e, n, axis=0)
-    dst = np.tile(e, (n, 1))
-    logits = mlp_forward(classifier, np.concatenate([src, dst], axis=1)).reshape(n, n)
+    (w1, b1, act), *rest = classifier.layers
+    tail = MlpWeights(rest) if rest else None
+    src = e @ w1[:, :c].T + b1
+    dst = e @ w1[:, c:].T
+    logits = np.empty((n, n))
+    for start in range(0, n, PAIR_BLOCK):
+        x = src[start:start + PAIR_BLOCK, None, :] + dst[None, :, :]
+        if act == "relu":
+            np.maximum(x, 0.0, out=x)
+        x = x.reshape(-1, x.shape[-1])
+        if tail is not None:
+            x = mlp_forward(tail, x)
+        logits[start:start + PAIR_BLOCK] = x.reshape(-1, n)
     return sigmoid(logits)

@@ -3,8 +3,10 @@
 The loops below are the reference: mask queries q', mask logits, both soft-
 argmax readouts, the existence heads and the direction heads, one instance at
 a time. The batched path sums in another order (GEMMs in place of
-per-instance matvecs), so it is held to atol=1e-12. The boolean attention
-mask is held to exact equality with the float 0/-inf mask it replaced.
+per-instance matvecs), so it is held to atol=1e-12. The boolean keep
+matrix is held to exact equality with the float 0/-inf mask it replaced;
+the masked attention, which normalizes after its value product, is held to
+the float-mask softmax at atol=1e-12, and its exact path bit for bit.
 """
 
 import numpy as np
@@ -167,9 +169,10 @@ def test_boolean_attention_mask_equals_the_float_mask(monkeypatch, name):
     monkeypatch.setattr(decoder, "masked_cross_attention", float_mask_attention)
     monkeypatch.setattr(decoder, "attention_mask_from_instance_masks", float_attention_mask)
     ref_q, ref_pts, ref_scores = decoder_forward(b, weights, cfg)
-    assert np.array_equal(pts, ref_pts)
-    assert np.array_equal(scores, ref_scores)
-    assert np.array_equal(q, ref_q)
+    # the kernel normalizes after the value product, the reference before
+    assert np.allclose(pts, ref_pts, rtol=0.0, atol=ATOL)
+    assert np.allclose(scores, ref_scores, rtol=0.0, atol=ATOL)
+    assert np.allclose(q, ref_q, rtol=0.0, atol=ATOL)
 
 
 def test_keep_matrix_equals_the_float_mask():
@@ -202,8 +205,12 @@ def test_a_dropped_cell_far_above_the_kept_ones_gets_weight_zero():
     assert (q[:3] @ b.flat()[0] > 1e300).all()
     out, weights = decoder.masked_cross_attention(q, b, m, return_weights=True)
     assert np.isfinite(out).all()
-    assert np.array_equal(out, float_mask_attention(q, b, m))
-    assert np.array_equal(weights, sentinel_mask_attention(q, b, m))
+    assert np.allclose(out, float_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+    expected = sentinel_mask_attention(q, b, m)
+    # rows 0-2 take the exact path; the others are shifted by their maximum
+    # over all cells, not over the kept ones, which can move a last bit
+    assert np.array_equal(weights[:3], expected[:3])
+    assert np.allclose(weights[3:], expected[3:], rtol=0.0, atol=ATOL)
     assert not weights[~m].any()
 
 
@@ -234,3 +241,69 @@ def test_no_mask_equals_the_all_true_mask(seed):
     )
     assert np.array_equal(out, ref)
     assert np.array_equal(weights, ref_weights)
+
+
+def exact_path_rows(monkeypatch):
+    """Record the rows that masked_cross_attention sends to its exact path."""
+    seen = []
+    kept_softmax = decoder._kept_softmax
+
+    def recording(scores, m):
+        seen.append(len(scores))
+        return kept_softmax(scores, m)
+
+    monkeypatch.setattr(decoder, "_kept_softmax", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n, h, w, c", [(48, 100, 200, 32), (32, 50, 100, 32)],
+                         ids=["full-pair", "desk"])
+def test_the_fast_path_equals_the_float_mask(monkeypatch, n, h, w, c):
+    b, q, m = random_grid_and_mask(8, n=n, h=h, w=w, c=c)
+    m[:4] = True  # layer 0's everywhere rows among masked ones
+    seen = exact_path_rows(monkeypatch)
+    out, weights = decoder.masked_cross_attention(q, b, m, return_weights=True)
+    assert seen == []
+    assert np.allclose(out, float_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+    assert np.allclose(weights, sentinel_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+    assert not weights[~m].any()
+    out, weights = decoder.masked_cross_attention(q, b, None, return_weights=True)
+    assert seen == []
+    assert np.allclose(out, float_mask_attention(q, b, None), rtol=0.0, atol=ATOL)
+    assert np.allclose(weights, softmax(q @ b.flat().T), rtol=0.0, atol=ATOL)
+
+
+def test_kept_cells_far_below_a_dropped_maximum_take_the_exact_path(monkeypatch):
+    # row 1 keeps only cells about 800 below its dropped maximum: shifted by
+    # that maximum, every kept exp underflows to 0
+    b, q, m = random_grid_and_mask(9, n=4, h=5, w=7, c=4)
+    b.data[0, 0] = 200.0
+    q[1] = 1.0
+    m[1] = True
+    m[1, 0] = False
+    scores = q[1] @ b.flat().T
+    assert 780 < scores[0] - scores[m[1]].max() < 820
+    seen = exact_path_rows(monkeypatch)
+    out, weights = decoder.masked_cross_attention(q, b, m, return_weights=True)
+    assert seen == [1]
+    assert np.isfinite(out).all() and np.isfinite(weights).all()
+    assert weights[1, 0] == 0.0
+    assert abs(weights[1].sum() - 1.0) < 1e-15
+    # the exact path scores its rows in a product of their own, which OpenBLAS
+    # can round apart from the same row in the n-row product
+    assert np.array_equal(weights[1:2], sentinel_mask_attention(q[1:2], b, m[1:2]))
+    assert np.allclose(weights, sentinel_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+    assert np.allclose(out, float_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+
+
+def test_a_fully_masked_row_raises_with_and_without_a_mask():
+    b, q, m = random_grid_and_mask(10)
+    m[2] = False
+    with pytest.raises(ValueError, match="^softmax over a fully masked row$"):
+        decoder.masked_cross_attention(q, b, m)
+    b.data[..., 0] = 1e200  # past the grid's check
+    q[3] = (-1e200, 0.0, 0.0, 0.0)  # every score of row 3 overflows to -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isneginf(q[3] @ b.flat().T).all()
+        with pytest.raises(ValueError, match="^softmax over a fully masked row$"):
+            decoder.masked_cross_attention(q, b, None)

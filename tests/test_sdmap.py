@@ -314,8 +314,8 @@ class TestSdInteract:
 
     @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
     def test_row_blocks_give_the_same_features(self, monkeypatch, row_block):
-        # 1200 cells: blocks of 7 and 500 leave a partial last block, the
-        # others make one block
+        # 1200 cells: 172 blocks of 6 or 7 cells and 3 of 400 (below about
+        # 40 cells OpenBLAS switches kernels), the others make one block
         cfg = PipelineConfig.desk(grid_h=30, grid_w=40, sd=True)
         weights = init_model_weights(cfg, seed=2)
         rng = np.random.default_rng(4)
@@ -332,6 +332,22 @@ class TestSdInteract:
             # OpenBLAS multiplies a matrix of fewer rows than about 40 with
             # another kernel, which can round a row differently
             assert np.array_equal(out, whole)
+
+
+def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
+    # 2049 cells make two blocks of 1025 and 1024 cells, not 2048 and a
+    # 1-cell remainder that OpenBLAS would multiply with another kernel
+    cfg = PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683)
+    weights = init_model_weights(cfg, seed=2)
+    rng = np.random.default_rng(5)
+    spec = GridSpec(h=3, w=683, x_min=0.0, y_min=0.0, resolution=1.0)
+    b = BevGrid(rng.normal(size=(3, 683, cfg.channels)), spec)
+    e_s = BevGrid(rng.normal(size=(3, 683, cfg.channels)), spec)
+    e_p = sinusoidal_pe_2d(3, 683, cfg.channels, spec)
+    assert sdmap.ROW_BLOCK == 2048
+    blocked = sd_interact(b, e_s, e_p, weights.sd).data
+    monkeypatch.setattr(sdmap, "ROW_BLOCK", 2049)
+    assert np.array_equal(blocked, sd_interact(b, e_s, e_p, weights.sd).data)
 
 
 def test_sd_features_memory_stays_bounded_at_full_pair_size():

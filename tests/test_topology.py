@@ -1,9 +1,18 @@
 """Lane-lane connectivity head."""
 
 import numpy as np
+import pytest
 
-from lanetopo.bev import MlpWeights, sigmoid
+from lanetopo.bev import MlpWeights, mlp_forward, sigmoid
 from lanetopo.topology import enhance_queries, predict_topology
+
+
+def concat_topology(e, classifier):
+    """The reference head: every (i, j) concatenation built with repeat and
+    tile, then the whole classifier on the (n*n, 2c) matrix."""
+    n = len(e)
+    pairs = np.concatenate([np.repeat(e, n, axis=0), np.tile(e, (n, 1))], axis=1)
+    return sigmoid(mlp_forward(classifier, pairs).reshape(n, n))
 
 
 def identity_mlp(c):
@@ -83,3 +92,19 @@ class TestPredictTopology:
         perm = rng.permutation(4)
         a_perm = predict_topology(e[perm], clf)
         assert np.array_equal(a_perm, a[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("n, c, layers", [(300, 256, 2), (70, 64, 1), (70, 64, 3)])
+    def test_factorised_head_matches_the_concatenation(self, n, c, layers):
+        # 300 and 70 rows: blocks of PAIR_BLOCK with a partial last one;
+        # (300, 256) is the full-size head, whose reference input is 369 MB
+        rng = np.random.default_rng(7)
+        e = rng.normal(size=(n, c))
+        dims = [2 * c] + [c] * (layers - 1) + [1]
+        clf = MlpWeights([
+            (rng.normal(size=(d_out, d_in)) / np.sqrt(d_in), rng.normal(size=d_out),
+             "relu" if i < layers - 1 else "none")
+            for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))
+        ])
+        a = predict_topology(e, clf)
+        assert a.shape == (n, n)
+        assert np.allclose(a, concat_topology(e, clf), rtol=0.0, atol=1e-12)
