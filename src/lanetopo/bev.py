@@ -160,9 +160,14 @@ def mlp_forward(w: MlpWeights, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != w.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} != MLP input dim {w.in_dim}")
     for mat, bias, act in w.layers:
-        x = x @ mat.T + bias
-        if act == "relu":
-            x = np.maximum(x, 0.0)
+        x = activate(x @ mat.T + bias, act)
+    return x
+
+
+def activate(x: np.ndarray, act: str) -> np.ndarray:
+    """Apply an MLP layer's activation to ``x`` in place and return it."""
+    if act == "relu":
+        np.maximum(x, 0.0, out=x)
     return x
 
 

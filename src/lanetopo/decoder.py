@@ -63,10 +63,14 @@ def masked_cross_attention(
     Each row is shifted by its maximum over all cells, so no exp overflows,
     and normalized after the value product. A row whose kept exps sum below
     :data:`MIN_KEPT_SUM` (its kept cells sit far below a dropped maximum, or
-    none is kept) or whose maximum is not finite goes through
-    :func:`_kept_softmax` instead. Above that sum the shift by the maximum
-    over all cells in place of the kept maximum adds at most about
-    ``ln(h*w / MIN_KEPT_SUM) * 2**-53`` of rounding to a weight.
+    none is kept) or whose maximum is not finite is rescored on its own and
+    goes through :func:`_kept_softmax` instead. Above that sum the shift by
+    the maximum over all cells in place of the kept maximum adds at most
+    about ``ln(h*w / MIN_KEPT_SUM) * 2**-53`` of rounding to a weight.
+
+    With ``return_weights`` every row goes through :func:`_kept_softmax`, so
+    the weights are the kept softmax to the bit and the output is computed
+    from them; it can differ from the output without weights in a last bit.
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
@@ -74,23 +78,27 @@ def masked_cross_attention(
     if m is not None and (m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool):
         raise ValueError(f"mask must be boolean (n_queries, h*w), got {m.dtype} {m.shape}")
     scores = q @ cells.T
-    # a row whose maximum is NaN or +-inf turns NaN here, which fails the
-    # sum test below; the exact path redoes it with the usual warnings
-    with np.errstate(invalid="ignore"):
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        if m is not None:
-            scores *= m
-        total = scores.sum(axis=1, keepdims=True)
-    rows = np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM))
-    if rows.size:
-        scores[rows] = _kept_softmax(q[rows] @ cells.T, None if m is None else m[rows])
-        total[rows] = 1.0
-    out = q + (scores @ cells) / total
+    if return_weights:
+        out = q + _kept_softmax(scores, m) @ cells
+    else:
+        # a row whose maximum is NaN or +-inf turns NaN here, which fails the
+        # sum test below; the exact path redoes it with the usual warnings
+        with np.errstate(invalid="ignore"):
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            if m is not None:
+                scores *= m
+            total = scores.sum(axis=1, keepdims=True)
+        # one row at a time, so that a row's bits do not depend on how many
+        # other rows take the exact path
+        for r in np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM)):
+            keep = None if m is None else m[r:r + 1]
+            scores[r] = _kept_softmax(q[r:r + 1] @ cells.T, keep)[0]
+            total[r] = 1.0
+        out = q + (scores @ cells) / total
     if ln is not None:
         out = layer_norm(out, ln)
     if return_weights:
-        scores /= total
         return out, scores
     return out
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bev import MlpWeights, mlp_forward, sigmoid
+from .bev import MlpWeights, activate, mlp_forward, sigmoid
 
 PAIR_BLOCK = 32  # rows i of pairs (i, j) per block of the topology classifier
 
@@ -44,16 +44,13 @@ def predict_topology(e: np.ndarray, classifier: MlpWeights) -> np.ndarray:
     if classifier.in_dim != 2 * c:
         raise ValueError(f"classifier input dim must be {2 * c}, got {classifier.in_dim}")
     (w1, b1, act), *rest = classifier.layers
-    tail = MlpWeights(rest) if rest else None
     src = e @ w1[:, :c].T + b1
     dst = e @ w1[:, c:].T
     logits = np.empty((n, n))
     for start in range(0, n, PAIR_BLOCK):
-        x = src[start:start + PAIR_BLOCK, None, :] + dst[None, :, :]
-        if act == "relu":
-            np.maximum(x, 0.0, out=x)
+        x = activate(src[start:start + PAIR_BLOCK, None, :] + dst[None, :, :], act)
         x = x.reshape(-1, x.shape[-1])
-        if tail is not None:
-            x = mlp_forward(tail, x)
+        for mat, bias, layer_act in rest:
+            x = activate(x @ mat.T + bias, layer_act)
         logits[start:start + PAIR_BLOCK] = x.reshape(-1, n)
     return sigmoid(logits)
