@@ -7,7 +7,9 @@ direction, y to the left, z up, units in meters. Point order is semantic
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,8 +69,10 @@ def arc_length(p: Polyline) -> float:
     return float(np.sum(np.linalg.norm(seg, axis=1)))
 
 
-def _resample(points: np.ndarray, k: int) -> np.ndarray:
-    """Arc-length-uniform resampling of an (n, d) point array to k points."""
+def resample_points(points: np.ndarray, k: int) -> np.ndarray:
+    """Arc-length-uniform resampling of an (n, d) float64 point array to k
+    points, as :func:`resample_polyline` does; the points are not checked,
+    so they should be a valid polyline's."""
     if k < 2:
         raise ValueError("resampling needs k >= 2")
     seg_len = np.linalg.norm(np.diff(points, axis=0), axis=1)
@@ -93,7 +97,7 @@ def resample_polyline(p: Polyline, k: int) -> Polyline:
     output points equal the input endpoints exactly. A zero-length polyline
     collapses to k copies of its single location.
     """
-    return Polyline(_resample(p.pts, k))
+    return Polyline(resample_points(p.pts, k))
 
 
 def resample_points_2d(points: np.ndarray, k: int) -> np.ndarray:
@@ -101,7 +105,7 @@ def resample_points_2d(points: np.ndarray, k: int) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points to resample")
-    return _resample(points, k)
+    return resample_points(points, k)
 
 
 def integer_crossings(x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,6 +125,56 @@ def integer_crossings(x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.n
     return seg, k, (k - a[seg]) / (b[seg] - a[seg])
 
 
+# the most pair-cells (one point pair of one curve pair) whose distances
+# frechet_matrix holds at once, unless a single diagonal has more
+FRECHET_CELL_BLOCK = 2**16
+
+
+@lru_cache(maxsize=32)
+def _diagonal_cells(
+    n: int, m: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
+    """The cells (i, j) of an n x m coupling grid in anti-diagonal order
+    k = i + j, i ascending within a diagonal: each diagonal's lowest and
+    highest row, the start of each diagonal's run of cells (n + m entries,
+    the last is the cell count), and every cell's i and j."""
+    k = np.arange(n + m - 1)
+    lo, hi = np.maximum(0, k - m + 1), np.minimum(k, n - 1)
+    count = hi - lo + 1
+    starts = np.concatenate([[0], np.cumsum(count)])
+    cell_i = np.repeat(lo - starts[:-1], count) + np.arange(starts[-1])
+    cell_j = np.repeat(k, count) - cell_i
+    cell_i.flags.writeable = cell_j.flags.writeable = False
+    return tuple(lo.tolist()), tuple(hi.tolist()), tuple(starts.tolist()), cell_i, cell_j
+
+
+def _pair_cell_distances(
+    ax: np.ndarray, bx: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
+) -> np.ndarray:
+    """Distances between the points at rows ``rows_a`` of ``ax`` and rows
+    ``rows_b`` of ``bx``, coordinate-major stacks (d, n, K) and (d, m, K)
+    with one column per curve pair, as a (len(rows_a), K) array.
+
+    They round as ``np.linalg.norm(..., axis=-1)`` rounds the difference
+    vectors. For 0 < d < 8 numpy sums the squared differences left to right
+    and takes ``np.sqrt``, which this fold does one coordinate at a time;
+    other d go through ``np.linalg.norm`` itself.
+    """
+    d = len(ax)
+    if not 0 < d < 8:
+        diff = np.take(ax, rows_a, axis=1) - np.take(bx, rows_b, axis=1)
+        # norm's sum over 8 or more components depends on the memory
+        # layout, so the vectors are made contiguous, as in (..., d) arrays
+        return np.linalg.norm(np.moveaxis(diff, 0, -1).copy(), axis=-1)
+    total = None
+    for xa, xb in zip(ax, bx):
+        diff = np.take(xa, rows_a, axis=0)
+        diff -= np.take(xb, rows_b, axis=0)
+        diff *= diff
+        total = diff if total is None else np.add(total, diff, out=total)
+    return np.sqrt(total, out=total)
+
+
 def frechet_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Discrete Frechet distance between every curve of ``a`` (P, n, d) and
     every curve of ``b`` (G, m, d), as a (P, G) array.
@@ -128,10 +182,24 @@ def frechet_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The Eiter-Mannila dynamic program
     ``f[i, j] = max(d[i, j], min(f[i-1, j], f[i-1, j-1], f[i, j-1]))``
     is swept along anti-diagonals ``i + j = k``: each of the n + m - 1 steps
-    updates one diagonal of all P * G pairs at once. Only the two previous
-    diagonals are kept, and the point distances of a diagonal are computed
-    when it is reached, so the working set is O(P * G * n). ``max``/``min``
-    are exact, so the result equals the scalar recurrence bit for bit.
+    updates one diagonal of all P * G pairs with three in-place ufuncs on
+    contiguous row slices of three (n + 1, P * G) diagonal buffers, the
+    current one and the two it reads.
+
+    The point distances are laid out pairs-minor, one row of P * G per
+    cell, with the cells in diagonal order (:func:`_diagonal_cells`, built
+    once per (n, m)), so each diagonal is one contiguous run of rows. They
+    are computed a block of whole diagonals at a time, when the sweep
+    reaches it, from coordinate-major copies of the points with one column
+    per pair. A block holds at most ``FRECHET_CELL_BLOCK`` pair-cells, or
+    one diagonal if a diagonal has more. So the working set is the buffers
+    and the point copies, 8 * P * G * (3 * (n + 1) + d * (n + m)) bytes,
+    plus a few block-sized arrays; a whole distance table would take
+    8 * P * G * n * m bytes (96 MB for 300 x 16 pairs of 50-point curves).
+
+    The distances round as ``np.linalg.norm`` rounds them
+    (:func:`_pair_cell_distances`) and ``max``/``min`` are exact, so the
+    result equals the scalar recurrence bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -140,23 +208,37 @@ def frechet_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, m = a.shape[1], b.shape[1]
     if n == 0 or m == 0:
         raise ValueError("curves need at least one point")
+    n_a, n_b = a.shape[0], b.shape[0]
+    pairs = n_a * n_b
+    if pairs == 0:
+        return np.empty((n_a, n_b))
+    lo, hi, starts, cell_i, cell_j = _diagonal_cells(n, m)
+    # coordinate-major points, (d, n, P * G) and (d, m, P * G): column
+    # p * G + g holds curve p of a and curve g of b
+    ax = np.repeat(a.transpose(2, 1, 0), n_b, axis=2)
+    bx = np.tile(b.transpose(2, 1, 0), (1, 1, n_a))
+    block_cells = max(1, FRECHET_CELL_BLOCK // pairs)
     # diagonal buffers indexed by row i + 1; slot 0 is a permanent +inf for
     # the missing row -1, and rows a diagonal does not reach stay +inf
-    shape = (a.shape[0], b.shape[0], n + 1)
-    prev2, prev1, cur = (np.full(shape, np.inf) for _ in range(3))
-    a = a[:, None]
-    b = b[None, :]
-    cur[..., 1] = np.linalg.norm(a[:, :, 0] - b[:, :, 0], axis=-1)
-    for k in range(1, n + m - 1):
+    prev2, prev1, cur = np.full((3, n + 1, pairs), np.inf)
+    block_end = 0
+    for k in range(n + m - 1):
+        if k == block_end:
+            first = starts[k]
+            block_end = max(k + 1, bisect_right(starts, first + block_cells) - 1)
+            cells = slice(first, starts[block_end])
+            dist = _pair_cell_distances(ax, bx, cell_i[cells], cell_j[cells])
         prev2, prev1, cur = prev1, cur, prev2
-        lo, hi = max(0, k - m + 1), min(k, n - 1)
-        # cells (i, k - i) for i = lo..hi, so j runs from k - lo down to k - hi
-        d = np.linalg.norm(a[:, :, lo:hi + 1] - b[:, :, k - hi:k - lo + 1][:, :, ::-1], axis=-1)
-        out = cur[..., lo + 1:hi + 2]
-        np.minimum(prev1[..., lo:hi + 1], prev1[..., lo + 1:hi + 2], out=out)  # up, left
-        np.minimum(out, prev2[..., lo:hi + 1], out=out)  # diagonal
+        d = dist[starts[k] - first:starts[k + 1] - first]
+        out = cur[lo[k] + 1:hi[k] + 2]
+        if k == 0:
+            out[...] = d
+            continue
+        # cells (i, k - i) for i = lo..hi: up, left, then diagonal neighbour
+        np.minimum(prev1[lo[k]:hi[k] + 1], prev1[lo[k] + 1:hi[k] + 2], out=out)
+        np.minimum(out, prev2[lo[k]:hi[k] + 1], out=out)
         np.maximum(out, d, out=out)
-    return cur[..., n].copy()
+    return cur[n].reshape(n_a, n_b).copy()
 
 
 def discrete_frechet(a: Polyline, b: Polyline) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import binarize_logits
-from .geometry import Polyline, frechet_matrix, resample_polyline
+from .geometry import Polyline, frechet_matrix, resample_points
 
 # polylines are resampled to a common density before the Frechet coupling;
 # otherwise a sparse prediction of the exact lane geometry would still sit
@@ -97,7 +97,7 @@ def _frechet_matrix(
     if rows.size:
 
         def stack(lines: list[Polyline], index: np.ndarray) -> np.ndarray:
-            return np.array([resample_polyline(lines[i], n_eval).pts for i in index])
+            return np.array([resample_points(lines[i].pts, n_eval) for i in index])
 
         dist[np.ix_(rows, cols)] = frechet_matrix(stack(preds, rows), stack(gts, cols))
     return dist

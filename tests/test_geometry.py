@@ -1,11 +1,15 @@
 """Polyline arithmetic: lengths, resampling, Frechet distance, outlier rule."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lanetopo import geometry
 from lanetopo.geometry import (
     PointSet2,
     Polyline,
@@ -240,6 +244,99 @@ class TestFrechetMatrix:
             frechet_matrix(np.zeros((5, 3)), np.zeros((2, 5, 3)))
         with pytest.raises(ValueError):
             frechet_matrix(np.zeros((2, 0, 3)), np.zeros((2, 5, 3)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_row_dp_for_every_small_shape_and_block_size(self, d, monkeypatch):
+        """Every stack shape up to 4 x 4 curves of 12 points, with blocks of
+        one diagonal, of a few and of all of them."""
+        rng = np.random.default_rng(70 + d)
+        for n, m, p_count, g_count in itertools.product(range(1, 13), range(1, 13), range(5), range(5)):
+            if (n + m + p_count + g_count) % 2:
+                # a coarse lattice: ties and zero distances
+                a = rng.integers(-2, 3, size=(p_count, n, d)) * 0.5
+                b = rng.integers(-2, 3, size=(g_count, m, d)) * 0.5
+            else:
+                a = rng.normal(size=(p_count, n, d))
+                b = rng.normal(size=(g_count, m, d))
+            want = reference_matrix(a, b)
+            pairs = max(p_count * g_count, 1)
+            for block in (1, 5 * pairs, 2**40):
+                monkeypatch.setattr(geometry, "FRECHET_CELL_BLOCK", block)
+                assert np.array_equal(frechet_matrix(a, b), want), (n, m, p_count, g_count, block)
+
+    @pytest.mark.parametrize("d", [0, 1, 8, 9])
+    def test_short_and_long_point_vectors(self, d):
+        # 8 and more components round through np.linalg.norm's own pairwise sum
+        rng = np.random.default_rng(80 + d)
+        a = rng.normal(size=(3, 7, d)) * 1e3
+        b = rng.normal(size=(2, 9, d)) * 1e3
+        assert np.array_equal(frechet_matrix(a, b), reference_matrix(a, b))
+
+    def test_working_set_is_bounded_at_full_size(self):
+        """300 x 16 pairs of 50-point curves: the whole distance table would
+        be 96 MB; the sweep keeps the diagonal buffers, the point copies and
+        a few blocks."""
+        rng = np.random.default_rng(63)
+        a = rng.normal(size=(300, 50, 3))
+        b = rng.normal(size=(16, 50, 3))
+        frechet_matrix(a[:1], b[:1])  # the per-shape tables are cached
+        tracemalloc.start()
+        try:
+            frechet_matrix(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+def point_pairs(shape: tuple[int, ...]):
+    """Two point arrays of ``shape`` at one scale from 1e-150 to 1e150, so
+    that squared differences stay finite and are often of one size, where
+    the summation order shows in the last bit. Zeros come with the
+    mantissas."""
+    return st.builds(
+        lambda mantissas, e: tuple(mantissas * 10.0**e),
+        arrays(np.float64, (2, *shape), elements=st.floats(-10.0, 10.0)),
+        st.integers(-150, 149),
+    )
+
+
+def pair_cell_norms(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """The sweep's distance fold on two (cells, P, G, d) point blocks that
+    pair cell by cell, as a (cells, P, G) array."""
+    cells, p_count, g_count, d = xa.shape
+    rows = np.arange(cells)
+
+    def coordinate_major(x):
+        return x.reshape(cells, p_count * g_count, d).transpose(2, 0, 1)
+
+    out = geometry._pair_cell_distances(coordinate_major(xa), coordinate_major(xb), rows, rows)
+    return out.reshape(cells, p_count, g_count)
+
+
+class TestDistanceFold:
+    """The bit-identity of :func:`frechet_matrix` rests on numpy's rounding
+    of ``np.linalg.norm`` over short vectors; a numpy change shows here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]))
+    def test_single_row_rounds_as_norm(self, data, d):
+        xa, xb = data.draw(point_pairs((d,)))
+        got = pair_cell_norms(xa.reshape(1, 1, 1, d), xb.reshape(1, 1, 1, d))
+        assert np.array_equal(got.reshape(()), np.linalg.norm(xa - xb, axis=-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.sampled_from([2, 3])),
+    )
+    def test_block_rounds_as_norm(self, data, shape):
+        xa, xb = data.draw(point_pairs(shape))
+        assert np.array_equal(pair_cell_norms(xa, xb), np.linalg.norm(xa - xb, axis=-1))
+
+    def test_zeros(self):
+        zero = np.zeros((2, 3, 1, 3))
+        assert np.array_equal(pair_cell_norms(zero, -zero), np.zeros((2, 3, 1)))
 
 
 finite_points = arrays(

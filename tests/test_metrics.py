@@ -140,17 +140,17 @@ class TestPrunedFrechetMatrix:
 
     def test_only_lines_of_kept_pairs_are_resampled(self, monkeypatch):
         resampled = []
-        real = metrics.resample_polyline
+        real = metrics.resample_points
 
-        def counting(p, k):
-            resampled.append(p)
-            return real(p, k)
+        def counting(pts, k):
+            resampled.append(pts)
+            return real(pts, k)
 
-        monkeypatch.setattr(metrics, "resample_polyline", counting)
+        monkeypatch.setattr(metrics, "resample_points", counting)
         preds = [lane(0.5), lane(50.0), lane(60.0)]
         gts = [lane(0.0), lane(-40.0)]
         got = _frechet_matrix(preds, gts, 3.0)
-        assert [id(p) for p in resampled] == [id(preds[0]), id(gts[0])]
+        assert [id(pts) for pts in resampled] == [id(preds[0].pts), id(gts[0].pts)]
         assert got[0, 0] == 0.5 and np.isposinf(got).sum() == 5
 
         resampled.clear()
