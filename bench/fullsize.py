@@ -1,18 +1,19 @@
-"""Full-size probe: one traced op of the full-size config, sd off and sd on.
+"""Full-size probe: traced ops of the full-size config, sd off and sd on.
 
 Run from the root of a checkout:
 
     python3 bench/fullsize.py [--out bench/BENCH_fullsize.json]
 
-Each config runs in a fresh process with BLAS at one thread. The op is
-``init_model_weights(cfg, 0)``, ``synth_scene(0)``, ``run_pipeline`` and
-``dump_predictions_json``, traced by ``perfbench/spans.Tracer``. Per config
-the output holds ``import_s`` (process start to ``import lanetopo`` done),
-``init_s`` (the weight init), ``op_s`` (the scene, the run and the dump),
-``ru_maxrss_kb``, each span's ``s``/``self_s``/``calls`` and the counters.
-The op is the process's first run, so it includes loading ``scipy.sparse``
-and ``scipy.special``, which load on first use. This is a one-shot probe,
-not a gated benchmark: each process peaks at about 0.3–0.4 GB.
+Each config runs in ``RUNS`` fresh processes, one after another, with BLAS
+at one thread. The op is ``init_model_weights(cfg, 0)``, ``synth_scene(0)``,
+``run_pipeline`` and ``dump_predictions_json``, traced by
+``perfbench/spans.Tracer``. Per config the output holds the median over the
+processes of each number: ``import_s`` (process start to ``import lanetopo``
+done), ``init_s`` (the weight init), ``op_s`` (the scene, the run and the
+dump), ``ru_maxrss_kb``, each span's ``s``/``self_s``/``calls`` and the
+counters. The op is the process's first run, so it includes loading
+``scipy.sparse`` and ``scipy.special``, which load on first use. This is a
+probe, not a gated benchmark: each process peaks at about 0.3–0.4 GB.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -35,6 +37,7 @@ BLAS_ENV = {var: str(BLAS_THREADS) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = ROOT / "bench" / "BENCH_fullsize.json"
 PROBE_TIMEOUT_S = 600
+RUNS = 3
 CONFIGS = {"sd_off": {}, "sd_on": {"sd": True}}
 
 
@@ -110,6 +113,21 @@ def probe(cfg) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def median_record(records: list[dict]) -> dict:
+    """Field-wise median of the numbers in equally shaped records, nested
+    dicts included; any other field is the first record's."""
+    out = {}
+    for key, value in records[0].items():
+        values = [r[key] for r in records]
+        if isinstance(value, dict):
+            out[key] = median_record(values)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            out[key] = statistics.median(values)
+        else:
+            out[key] = value
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", type=Path, default=DEFAULT_OUT)
@@ -125,8 +143,8 @@ def main(argv=None) -> int:
 
     runs = {}
     for name, overrides in CONFIGS.items():
-        runs[name] = probe(PipelineConfig(**overrides))
-        r = runs[name]
+        cfg = PipelineConfig(**overrides)
+        r = runs[name] = {**median_record([probe(cfg) for _ in range(RUNS)]), "runs": RUNS}
         print(f"{name}: import {r['import_s']:.3f} s  init {r['init_s']:.3f} s  "
               f"op {r['op_s']:.3f} s  peak RSS {r['ru_maxrss_kb'] / 1024:.0f} MB  "
               f"predictions {r['pred_bytes'] / 1e6:.2f} MB")

@@ -63,12 +63,6 @@ class PointSet2:
         return self.points[self.validity]
 
 
-def arc_length(p: Polyline) -> float:
-    """Total length of the polyline: sum of consecutive segment norms."""
-    seg = np.diff(p.pts, axis=0)
-    return float(np.sum(np.linalg.norm(seg, axis=1)))
-
-
 def resample_points(points: np.ndarray, k: int) -> np.ndarray:
     """Arc-length-uniform resampling of an (n, d) float64 point array to k
     points, as :func:`resample_polyline` does; the points are not checked,

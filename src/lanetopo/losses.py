@@ -9,6 +9,7 @@ finite differences.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,14 +234,20 @@ def mask_point_targets(
 
 @dataclass
 class ModelOutputs:
-    """Everything the loss needs from one forward pass."""
+    """Everything the loss needs from one forward pass.
+
+    ``col_readouts`` and ``row_readouts`` hold one readout per prediction.
+    From :func:`lanetopo.pipeline.infer` they are lazy sequences: a readout
+    is computed when it is read, so only fusion (the real rows) and
+    :func:`total_loss` (all rows, once) pay for them.
+    """
 
     predictions: list[CenterlinePrediction]
     adjacency: np.ndarray
     grid: GridSpec
     mask_logits: np.ndarray | None = None
-    col_readouts: list[MaskPointReadout] | None = None
-    row_readouts: list[MaskPointReadout] | None = None
+    col_readouts: Sequence[MaskPointReadout] | None = None
+    row_readouts: Sequence[MaskPointReadout] | None = None
 
 
 @dataclass

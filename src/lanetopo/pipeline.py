@@ -7,6 +7,7 @@ from __future__ import annotations
 import base64
 import json
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -56,24 +57,56 @@ class PipelineResult:
 
 
 def _readouts(
-    q_prime: np.ndarray, mask_logits: np.ndarray, weights: ModelWeights
-) -> tuple[list[MaskPointReadout], list[MaskPointReadout]]:
-    """Column and row readouts of every instance: each coordinate, existence
-    and direction head runs once over all n instances."""
+    q_prime: np.ndarray,
+    mask_logits: np.ndarray,
+    weights: ModelWeights,
+    axis: str,
+    rows: Sequence[int] | None = None,
+) -> list[MaskPointReadout]:
+    """The ``axis`` readouts of the instances ``rows``, all n when None.
+
+    The coordinate and existence heads run once over those rows' mask logits.
+    The direction head runs over all n mask queries q', and the rows are taken
+    from its output: a subset product can round differently from the all-row
+    one, and the head costs one (n, c) MLP.
+    """
     mh = weights.mask_head
-    readouts = []
-    for axis, exist, direction in (
-        (AXIS_COLUMNS, mh.exist_col, mh.dir_col),
-        (AXIS_ROWS, mh.exist_row, mh.dir_row),
-    ):
-        coords = sample_mask_points(mask_logits, axis)
-        existence = predict_existence(mask_logits, exist, axis)
-        directions = predict_direction(q_prime, direction)
-        readouts.append([
-            MaskPointReadout(axis=axis, coords=c, existence=e, direction=float(d))
-            for c, e, d in zip(coords, existence, directions)
-        ])
-    return readouts[0], readouts[1]
+    exist, direction = (mh.exist_col, mh.dir_col) if axis == AXIS_COLUMNS else (
+        mh.exist_row, mh.dir_row)
+    directions = predict_direction(q_prime, direction)
+    if rows is not None:
+        mask_logits, directions = mask_logits[rows], directions[rows]
+    coords = sample_mask_points(mask_logits, axis)
+    existence = predict_existence(mask_logits, exist, axis)
+    return [
+        MaskPointReadout(axis=axis, coords=c, existence=e, direction=float(d))
+        for c, e, d in zip(coords, existence, directions)
+    ]
+
+
+class LazyReadouts(Sequence):
+    """One axis's readouts of all n instances, as a read-only sequence.
+
+    Nothing is computed until an item is read; the first read runs
+    :func:`_readouts` over all n rows and keeps the result. :meth:`rows`
+    computes just the rows it is given, each call anew.
+    """
+
+    def __init__(self, q_prime: np.ndarray, mask_logits: np.ndarray,
+                 weights: ModelWeights, axis: str):
+        self._args = (q_prime, mask_logits, weights, axis)
+        self._all: list[MaskPointReadout] | None = None
+
+    def rows(self, idx: Sequence[int]) -> list[MaskPointReadout]:
+        return _readouts(*self._args, rows=idx)
+
+    def __len__(self) -> int:
+        return len(self._args[0])
+
+    def __getitem__(self, i):
+        if self._all is None:
+            self._all = _readouts(*self._args)
+        return self._all[i]
 
 
 # Huge finite weights overflow inside these stages; their finiteness checks
@@ -93,13 +126,15 @@ def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
 
 @_QUIET_OVERFLOW
 def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutputs:
-    """Decoder, topology, mask logits and readouts on a feature grid.
+    """Decoder, topology and mask logits on a feature grid.
 
     The final layer's mask queries q' are computed once, for all queries, and
-    feed both the mask logits and the direction heads. Stops before fusion.
-    Reads the ``pgm``, ``hybrid_attention`` and ``rvs_self_attention``
-    toggles, not ``sd`` or ``pmf``: an SD-map run passes the grid from
-    :func:`sd_features`.
+    feed the mask logits. No mask readout is computed here:
+    ``col_readouts``/``row_readouts`` are :class:`LazyReadouts` over the mask
+    logits and q', computed for the rows a caller reads (:func:`fuse` asks
+    for the real rows). Stops before fusion. Reads the ``pgm``,
+    ``hybrid_attention`` and ``rvs_self_attention`` toggles, not ``sd`` or
+    ``pmf``: an SD-map run passes the grid from :func:`sd_features`.
     """
     q, decoder_points, scores = decoder_forward(b, weights, cfg)
     enhanced = enhance_queries(
@@ -112,7 +147,6 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
                          ("adjacency", adjacency), ("mask logits", mask_logits)):
         if not np.isfinite(tensor).all():
             raise NonFiniteError(f"infer produced non-finite {name}")
-    col_readouts, row_readouts = _readouts(q_prime, mask_logits, weights)
     n_real = len(weights.decoder.real_queries)
     predictions = [
         CenterlinePrediction(points=Polyline(pts), score=float(s), is_real=i < n_real, query=qi)
@@ -123,22 +157,29 @@ def infer(b: BevGrid, cfg: PipelineConfig, weights: ModelWeights) -> ModelOutput
         adjacency=adjacency,
         grid=b.spec,
         mask_logits=mask_logits,
-        col_readouts=col_readouts,
-        row_readouts=row_readouts,
+        col_readouts=LazyReadouts(q_prime, mask_logits, weights, AXIS_COLUMNS),
+        row_readouts=LazyReadouts(q_prime, mask_logits, weights, AXIS_ROWS),
     )
 
 
 def fuse(outputs: ModelOutputs) -> ModelOutputs:
     """Points-mask fusion: each real prediction's points refined by its
     selected mask readout. Returns new predictions; ``outputs`` is unchanged,
-    so one :func:`infer` result serves both a fused and an unfused run."""
-    preds = []
-    for pred, col, row in zip(outputs.predictions, outputs.col_readouts, outputs.row_readouts):
-        if pred.is_real:
-            readout = select_point_set(col, row)
-            points = fuse_points(pred.points, readout, outputs.grid, len(pred.points))
-            pred = replace(pred, points=points)
-        preds.append(pred)
+    so one :func:`infer` result serves both a fused and an unfused run.
+
+    The readouts of the real rows are asked for in one batched call per axis
+    (:meth:`LazyReadouts.rows`); no virtual row's readout is computed.
+    """
+    real = [i for i, p in enumerate(outputs.predictions) if p.is_real]
+    cols, rows = (
+        r.rows(real) if isinstance(r, LazyReadouts) else [r[i] for i in real]
+        for r in (outputs.col_readouts, outputs.row_readouts)
+    )
+    preds = list(outputs.predictions)
+    for i, col, row in zip(real, cols, rows):
+        readout = select_point_set(col, row)
+        points = fuse_points(preds[i].points, readout, outputs.grid, len(preds[i].points))
+        preds[i] = replace(preds[i], points=points)
     return replace(outputs, predictions=preds)
 
 
@@ -363,7 +404,9 @@ def ablation_grid(
     masks are computed once, and :func:`infer` runs once per ``(pgm, sd)``
     pair, since ``pmf`` changes only fusion. Fusion moves only the points, so
     a fused row takes AP_l from its unfused row. Each row equals its own
-    :func:`run_pipeline` run exactly.
+    :func:`run_pipeline` run exactly. Mask readouts are computed only by the
+    fused rows, for their real instances: the pgm-off runs and the virtual
+    rows read none.
     """
     check_weights(cfg, weights)
     rows: dict[tuple[bool, bool, bool], dict] = {}

@@ -1,8 +1,10 @@
 """The determinism contract of the predictions file (README, File formats).
 
-At a fixed BLAS thread count repeated runs are byte-identical; across thread
-counts values differ by at most 1e-12. The thread count is fixed when BLAS
-loads, so each run is a fresh interpreter.
+At a fixed BLAS thread count repeated runs are byte-identical. Across thread
+counts each value differs by at most 1e-12 of its scale: points of the
+working area's span, mask logits of the largest logit of the run, scores and
+adjacency absolutely. The thread count is fixed when BLAS loads, so each run
+is a fresh interpreter.
 """
 
 import io
@@ -14,11 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
+from lanetopo.config import PipelineConfig
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# one desk run with the SD map on; writes the predictions JSON and the raw
-# mask logits next to the path it is given
+# one run of the config given as JSON, on synth_scene(cfg.seed); writes the
+# predictions JSON and the raw mask logits next to the path it is given
 CHILD = """
+import json
 import sys
 import numpy as np
 from lanetopo.config import PipelineConfig
@@ -26,18 +31,46 @@ from lanetopo.pipeline import dump_predictions_json, run_pipeline
 from lanetopo.scene import synth_scene
 from lanetopo.weights import init_model_weights
 
-cfg = PipelineConfig.desk(seed=3, sd=True)
-outputs = run_pipeline(synth_scene(3), cfg, init_model_weights(cfg)).outputs
+cfg = PipelineConfig.from_dict(json.loads(sys.argv[2]))
+outputs = run_pipeline(synth_scene(cfg.seed), cfg, init_model_weights(cfg)).outputs
 with open(sys.argv[1] + ".json", "w") as fh:
     fh.write(dump_predictions_json(outputs))
 np.save(sys.argv[1] + ".npy", outputs.mask_logits)
 """
 
+# full-size fusion, on each seed given, from the real rows' readouts (what
+# fuse computes) and from the all-row readouts read first; saves both points
+FUSION_CHILD = """
+import sys
+from dataclasses import replace
+import numpy as np
+from lanetopo.config import PipelineConfig
+from lanetopo.pipeline import fuse, infer
+from lanetopo.scene import render_bev_features, synth_scene
+from lanetopo.weights import init_model_weights
 
-def run_child(out: Path, threads: int) -> tuple[bytes, bytes]:
+points = {}
+for seed in map(int, sys.argv[2:]):
+    cfg = PipelineConfig(seed=seed)
+    out = infer(render_bev_features(synth_scene(seed), cfg, cfg.noise_sigma), cfg,
+                init_model_weights(cfg))
+    real_rows = fuse(out)
+    all_rows = fuse(replace(out, col_readouts=list(out.col_readouts),
+                            row_readouts=list(out.row_readouts)))
+    for name, fused in (("real", real_rows), ("all", all_rows)):
+        points[f"{name}_{seed}"] = np.stack([p.points.pts for p in fused.predictions])
+np.savez(sys.argv[1], **points)
+"""
+
+
+def run_fresh(code: str, threads: int, *args: str) -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", CHILD, str(out)], env=env, check=True, timeout=300)
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True, timeout=300)
+
+
+def run_child(out: Path, cfg: PipelineConfig, threads: int) -> tuple[bytes, bytes]:
+    run_fresh(CHILD, threads, str(out), json.dumps(cfg.to_dict()))
     return Path(f"{out}.json").read_bytes(), Path(f"{out}.npy").read_bytes()
 
 
@@ -52,12 +85,38 @@ def numeric_content(doc_bytes: bytes, logits_bytes: bytes) -> dict[str, np.ndarr
 
 
 def test_bytes_repeat_at_one_thread_and_values_agree_across_thread_counts(tmp_path):
-    first = run_child(tmp_path / "a", threads=1)
-    second = run_child(tmp_path / "b", threads=1)
+    cfg = PipelineConfig.desk(seed=3, sd=True)
+    first = run_child(tmp_path / "a", cfg, threads=1)
+    second = run_child(tmp_path / "b", cfg, threads=1)
     assert first == second
 
-    two = run_child(tmp_path / "c", threads=2)
+    two = run_child(tmp_path / "c", cfg, threads=2)
     ref, other = numeric_content(*first), numeric_content(*two)
     for key, value in ref.items():
         assert value.shape == other[key].shape, key
         assert np.max(np.abs(value - other[key])) <= 1e-12, key
+
+
+def test_full_size_values_agree_across_thread_counts_within_their_scale(tmp_path):
+    """The default config with the SD map on, whose large products OpenBLAS
+    splits across threads: points differ by up to about 2e-12 m there."""
+    cfg = PipelineConfig(sd=True)
+    ref = numeric_content(*run_child(tmp_path / "a", cfg, threads=1))
+    other = numeric_content(*run_child(tmp_path / "b", cfg, threads=2))
+    scale = {
+        "points": max(cfg.grid.h, cfg.grid.w) * cfg.grid.resolution,
+        "scores": 1.0,
+        "adjacency": 1.0,
+        "mask_logits": np.max(np.abs(ref["mask_logits"])),
+    }
+    for key, value in ref.items():
+        assert value.shape == other[key].shape, key
+        assert np.max(np.abs(value - other[key])) <= 1e-12 * scale[key], key
+
+
+def test_full_size_fusion_from_the_real_rows_keeps_the_bits_at_one_thread(tmp_path):
+    out = tmp_path / "points.npz"
+    run_fresh(FUSION_CHILD, 1, str(out), "0", "7")
+    points = np.load(out)
+    for seed in (0, 7):
+        assert np.array_equal(points[f"real_{seed}"], points[f"all_{seed}"]), seed

@@ -13,12 +13,17 @@ from lanetopo import geometry
 from lanetopo.geometry import (
     PointSet2,
     Polyline,
-    arc_length,
     discrete_frechet,
     filter_outliers,
     frechet_matrix,
     resample_polyline,
 )
+
+
+def arc_length(p: Polyline) -> float:
+    """Total length of the polyline: sum of consecutive segment norms."""
+    seg = np.diff(p.pts, axis=0)
+    return float(np.sum(np.linalg.norm(seg, axis=1)))
 
 
 def frechet_by_coupling_enumeration(a: np.ndarray, b: np.ndarray) -> float:

@@ -232,7 +232,7 @@ def assert_outputs_equal(a, b):
     assert np.array_equal(a.adjacency, b.adjacency)
     assert np.array_equal(a.mask_logits, b.mask_logits)
     assert a.grid == b.grid
-    for ra, rb in zip(a.col_readouts + a.row_readouts, b.col_readouts + b.row_readouts):
+    for ra, rb in zip([*a.col_readouts, *a.row_readouts], [*b.col_readouts, *b.row_readouts]):
         assert ra.axis == rb.axis and ra.direction == rb.direction
         assert np.array_equal(ra.coords, rb.coords)
         assert np.array_equal(ra.existence, rb.existence)
