@@ -61,23 +61,21 @@ def _readouts(
     mask_logits: np.ndarray,
     weights: ModelWeights,
     axis: str,
-    rows: Sequence[int] | None = None,
+    rows: slice = slice(None),
 ) -> list[MaskPointReadout]:
-    """The ``axis`` readouts of the instances ``rows``, all n when None.
+    """The ``axis`` readouts of the instances in ``rows``, all n by default.
 
-    The coordinate and existence heads run once over those rows' mask logits.
-    The direction head runs over all n mask queries q', and the rows are taken
-    from its output: a subset product can round differently from the all-row
-    one, and the head costs one (n, c) MLP.
+    The coordinate and existence heads run once over those rows' mask logits,
+    a view of them. The direction head runs over all n mask queries q', and
+    the rows are taken from its output: a subset product can round
+    differently from the all-row one, and the head costs one (n, c) MLP.
     """
     mh = weights.mask_head
     exist, direction = (mh.exist_col, mh.dir_col) if axis == AXIS_COLUMNS else (
         mh.exist_row, mh.dir_row)
-    directions = predict_direction(q_prime, direction)
-    if rows is not None:
-        mask_logits, directions = mask_logits[rows], directions[rows]
-    coords = sample_mask_points(mask_logits, axis)
-    existence = predict_existence(mask_logits, exist, axis)
+    directions = predict_direction(q_prime, direction)[rows]
+    coords = sample_mask_points(mask_logits[rows], axis)
+    existence = predict_existence(mask_logits[rows], exist, axis)
     return [
         MaskPointReadout(axis=axis, coords=c, existence=e, direction=float(d))
         for c, e, d in zip(coords, existence, directions)
@@ -89,7 +87,7 @@ class LazyReadouts(Sequence):
 
     Nothing is computed until an item is read; the first read runs
     :func:`_readouts` over all n rows and keeps the result. :meth:`rows`
-    computes just the rows it is given, each call anew.
+    computes just the rows of a slice, each call anew.
     """
 
     def __init__(self, q_prime: np.ndarray, mask_logits: np.ndarray,
@@ -97,8 +95,8 @@ class LazyReadouts(Sequence):
         self._args = (q_prime, mask_logits, weights, axis)
         self._all: list[MaskPointReadout] | None = None
 
-    def rows(self, idx: Sequence[int]) -> list[MaskPointReadout]:
-        return _readouts(*self._args, rows=idx)
+    def rows(self, rows: slice) -> list[MaskPointReadout]:
+        return _readouts(*self._args, rows=rows)
 
     def __len__(self) -> int:
         return len(self._args[0])
@@ -167,16 +165,14 @@ def fuse(outputs: ModelOutputs) -> ModelOutputs:
     selected mask readout. Returns new predictions; ``outputs`` is unchanged,
     so one :func:`infer` result serves both a fused and an unfused run.
 
-    The readouts of the real rows are asked for in one batched call per axis
+    The real predictions come first, as :func:`infer` orders them, and
+    their readouts are asked for in one batched call per axis
     (:meth:`LazyReadouts.rows`); no virtual row's readout is computed.
     """
-    real = [i for i, p in enumerate(outputs.predictions) if p.is_real]
-    cols, rows = (
-        r.rows(real) if isinstance(r, LazyReadouts) else [r[i] for i in real]
-        for r in (outputs.col_readouts, outputs.row_readouts)
-    )
+    real = slice(sum(p.is_real for p in outputs.predictions))
+    cols, rows = outputs.col_readouts.rows(real), outputs.row_readouts.rows(real)
     preds = list(outputs.predictions)
-    for i, col, row in zip(real, cols, rows):
+    for i, (col, row) in enumerate(zip(cols, rows)):
         readout = select_point_set(col, row)
         points = fuse_points(preds[i].points, readout, outputs.grid, len(preds[i].points))
         preds[i] = replace(preds[i], points=points)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,28 +39,32 @@ with open(sys.argv[1] + ".json", "w") as fh:
 np.save(sys.argv[1] + ".npy", outputs.mask_logits)
 """
 
-# full-size fusion, on each seed given, from the real rows' readouts (what
-# fuse computes) and from the all-row readouts read first; saves both points
-FUSION_CHILD = """
+# the readouts of the real rows, as fuse asks for them, and the first n_real
+# of the all-row readouts, for each config given as JSON, on
+# synth_scene(cfg.seed); saves both. fuse is a pure function of the real rows'
+# readouts, so equal readouts give equal fused points.
+READOUT_CHILD = """
+import json
 import sys
-from dataclasses import replace
 import numpy as np
 from lanetopo.config import PipelineConfig
-from lanetopo.pipeline import fuse, infer
+from lanetopo.pipeline import infer, sd_features
 from lanetopo.scene import render_bev_features, synth_scene
 from lanetopo.weights import init_model_weights
 
-points = {}
-for seed in map(int, sys.argv[2:]):
-    cfg = PipelineConfig(seed=seed)
-    out = infer(render_bev_features(synth_scene(seed), cfg, cfg.noise_sigma), cfg,
-                init_model_weights(cfg))
-    real_rows = fuse(out)
-    all_rows = fuse(replace(out, col_readouts=list(out.col_readouts),
-                            row_readouts=list(out.row_readouts)))
-    for name, fused in (("real", real_rows), ("all", all_rows)):
-        points[f"{name}_{seed}"] = np.stack([p.points.pts for p in fused.predictions])
-np.savez(sys.argv[1], **points)
+arrays = {}
+for k, fields in enumerate(json.loads(sys.argv[2])):
+    cfg = PipelineConfig.from_dict(fields)
+    scene, weights = synth_scene(cfg.seed), init_model_weights(cfg)
+    b = render_bev_features(scene, cfg, cfg.noise_sigma)
+    out = infer(sd_features(b, scene, weights) if cfg.sd else b, cfg, weights)
+    for axis, seq in (("col", out.col_readouts), ("row", out.row_readouts)):
+        for name, readouts in (("real", seq.rows(slice(cfg.n_real))),
+                               ("all", list(seq)[:cfg.n_real])):
+            for field in ("coords", "existence", "direction"):
+                arrays[f"{name}_{k}_{axis}_{field}"] = np.array(
+                    [getattr(r, field) for r in readouts])
+np.savez(sys.argv[1], **arrays)
 """
 
 
@@ -114,9 +119,25 @@ def test_full_size_values_agree_across_thread_counts_within_their_scale(tmp_path
         assert np.max(np.abs(value - other[key])) <= 1e-12 * scale[key], key
 
 
-def test_full_size_fusion_from_the_real_rows_keeps_the_bits_at_one_thread(tmp_path):
-    out = tmp_path / "points.npz"
-    run_fresh(FUSION_CHILD, 1, str(out), "0", "7")
-    points = np.load(out)
-    for seed in (0, 7):
-        assert np.array_equal(points[f"real_{seed}"], points[f"all_{seed}"]), seed
+def test_real_row_readouts_keep_the_bits_at_one_thread(tmp_path):
+    """The readouts fuse computes equal the all-row ones field by field at
+    full size (seeds 0 and 7) and at the desk and full-pair benchmark shapes,
+    each with the SD map off and on."""
+    configs = [
+        cfg(seed=seed, sd=sd)
+        for cfg, seed in (
+            (PipelineConfig, 0),
+            (PipelineConfig, 7),
+            (PipelineConfig.desk, 7),
+            # the full-pair benchmark's shape: 48 queries and 32 channels
+            (partial(PipelineConfig, n_real=24, n_virtual=24, channels=32, ffn_dim=64), 7),
+        )
+        for sd in (False, True)
+    ]
+    out = tmp_path / "readouts.npz"
+    run_fresh(READOUT_CHILD, 1, str(out), json.dumps([c.to_dict() for c in configs]))
+    arrays = np.load(out)
+    real = [key for key in arrays.files if key.startswith("real_")]
+    assert len(real) == len(configs) * 2 * 3
+    for key in real:
+        assert np.array_equal(arrays[key], arrays["all_" + key[len("real_"):]]), key

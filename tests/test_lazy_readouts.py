@@ -4,7 +4,7 @@
 per axis. A later read of ``col_readouts``/``row_readouts`` computes all n
 rows once, and equals the heads run over every row bit for bit: the readouts
 ``infer`` used to compute. ``tests/test_determinism.py`` pins the full-size
-fused points against fusion from those all-row readouts.
+real-row readouts, sd off and on, against the all-row ones.
 """
 
 import numpy as np
@@ -90,6 +90,8 @@ def test_fuse_reads_the_real_rows_in_one_call_per_axis(model, calls):
         assert [axis for axis, _ in calls[name]] == [AXIS_COLUMNS, AXIS_ROWS], name
         for _, m in calls[name]:
             assert np.array_equal(m, out.mask_logits[: cfg.n_real]), name
+            # a view of the kept logits, not a copy of the real rows
+            assert np.shares_memory(m, out.mask_logits), name
     virtual = zip(out.predictions[cfg.n_real:], fused.predictions[cfg.n_real:])
     assert all(p is q for p, q in virtual)
 
