@@ -3,10 +3,10 @@
 from .bev import BevGrid, GridSpec, MlpWeights
 from .config import LossCoefficients, PipelineConfig
 from .decoder import CenterlinePrediction, decoder_forward
-from .geometry import PointSet2, Polyline
-from .losses import Assignment, LossBreakdown, ModelOutputs, total_loss
+from .geometry import Polyline
+from .losses import Assignment, LossBreakdown, total_loss
 from .metrics import EvalReport
-from .pipeline import PipelineResult, ablation_grid, run_pipeline
+from .pipeline import ModelOutputs, PipelineResult, ablation_grid, run_pipeline
 from .scene import Scene, SceneParams, render_bev_features, synth_scene
 from .sdmap import SdMapInstance, SemanticEmbeddingTable
 from .weights import ModelWeights, init_model_weights, load_model_weights, save_model_weights
@@ -24,7 +24,6 @@ __all__ = [
     "ModelWeights",
     "PipelineConfig",
     "PipelineResult",
-    "PointSet2",
     "Polyline",
     "Scene",
     "SceneParams",

@@ -41,28 +41,6 @@ class Polyline:
         return Polyline(self.pts[::-1].copy())
 
 
-@dataclass(frozen=True)
-class PointSet2:
-    """Ordered 2D points with a per-point validity flag."""
-
-    points: np.ndarray
-    validity: np.ndarray
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
-        validity = np.asarray(self.validity, dtype=bool).reshape(-1)
-        if points.shape[0] != validity.shape[0]:
-            raise ValueError("validity must have one entry per point")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "validity", validity)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def valid_points(self) -> np.ndarray:
-        return self.points[self.validity]
-
-
 def resample_points(points: np.ndarray, k: int) -> np.ndarray:
     """Arc-length-uniform resampling of an (n, d) float64 point array to k
     points, as :func:`resample_polyline` does; the points are not checked,
@@ -92,14 +70,6 @@ def resample_polyline(p: Polyline, k: int) -> Polyline:
     collapses to k copies of its single location.
     """
     return Polyline(resample_points(p.pts, k))
-
-
-def resample_points_2d(points: np.ndarray, k: int) -> np.ndarray:
-    """2D variant of :func:`resample_polyline` on a raw (n, 2) array."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if points.shape[0] < 2:
-        raise ValueError("need at least 2 points to resample")
-    return resample_points(points, k)
 
 
 def integer_crossings(x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,38 +214,35 @@ def discrete_frechet(a: Polyline, b: Polyline) -> float:
     return float(frechet_matrix(a.pts[None], b.pts[None])[0, 0])
 
 
-def filter_outliers(pts: PointSet2, threshold: float) -> PointSet2:
-    """Invalidate points farther than ``threshold`` from both ordered neighbors.
+def filter_outliers(points: np.ndarray, threshold: float) -> np.ndarray:
+    """Keep mask (m,) of the ordered (m, 2) ``points``: False for each point
+    farther than ``threshold`` from both ordered neighbors.
 
     Single pass start to end: a point's neighbors are the nearest previous
-    point that is still valid and the next point in order. A single-point set
-    survives unchanged; an empty set stays empty.
+    point that is still kept and the next point in order. A single point is
+    kept; an empty array gives an empty mask.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    n = len(pts)
-    if n == 0:
-        return pts
-    keep = pts.validity.copy()
-    order = np.flatnonzero(keep)
-    if order.size == 1:
-        return PointSet2(pts.points, keep)
-    valid = pts.points[order]
-    step = np.diff(valid, axis=0)
-    # gap[k] is the distance from valid point k to valid point k + 1, rounded
-    # as np.linalg.norm rounds a 2-vector
+    m = len(points)
+    keep = np.ones(m, dtype=bool)
+    if m <= 1:
+        return keep
+    step = np.diff(points, axis=0)
+    # gap[k] is the distance from point k to point k + 1, rounded as
+    # np.linalg.norm rounds a 2-vector
     gap = np.sqrt(np.vecdot(step, step)).tolist()
     prev: int | None = None
-    for pos in range(order.size):
+    for pos in range(m):
         dmin = np.inf
         if prev == pos - 1:
             dmin = min(dmin, gap[prev])
         elif prev is not None:
-            dmin = min(dmin, float(np.linalg.norm(valid[pos] - valid[prev])))
+            dmin = min(dmin, float(np.linalg.norm(points[pos] - points[prev])))
         if pos < len(gap):
             dmin = min(dmin, gap[pos])
         if dmin > threshold:
-            keep[order[pos]] = False
+            keep[pos] = False
         else:
             prev = pos
-    return PointSet2(pts.points, keep)
+    return keep

@@ -9,7 +9,6 @@ finite differences.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ from .bev import GridSpec, finite_diff_grad, sigmoid, softmax
 from .config import LossCoefficients
 from .decoder import CenterlinePrediction
 from .geometry import Polyline, integer_crossings, resample_polyline
-from .points_mask import AXIS_COLUMNS, AXIS_ROWS, MaskPointReadout
+from .pipeline import ModelOutputs
+from .points_mask import AXIS_COLUMNS, AXIS_ROWS
 from .scene import Scene, render_gt_masks
 
 PROB_EPS = 1e-7
@@ -181,18 +181,14 @@ def match_instances(
     target) with the mean L1 distance between the prediction's K points and
     the ground truth resampled to K.
     """
-    if not gts:
+    if not preds or not gts:
         return Assignment(pairs=[], unmatched_predictions=list(range(len(preds))))
-    if not preds:
-        return Assignment(pairs=[], unmatched_predictions=[])
     k = len(preds[0].points)
+    pred_pts = np.stack([p.points.pts for p in preds])
     gt_pts = np.stack([resample_polyline(g, k).pts for g in gts])
-    cost = np.empty((len(preds), len(gts)))
-    for i, pred in enumerate(preds):
-        cls_cost = float(focal_loss(pred.score, 1.0))
-        det_cost = np.mean(np.abs(pred.points.pts[None] - gt_pts), axis=(1, 2))
-        cost[i] = lambda_cls * cls_cost + lambda_det * det_cost
-    return hungarian(cost)
+    cls_cost = focal_loss(np.array([p.score for p in preds]), 1.0)
+    det_cost = np.mean(np.abs(pred_pts[:, None] - gt_pts[None]), axis=(2, 3))
+    return hungarian(lambda_cls * cls_cost[:, None] + lambda_det * det_cost)
 
 
 # --- ground-truth targets for the mask-point readouts ---------------------------
@@ -233,24 +229,6 @@ def mask_point_targets(
 
 
 @dataclass
-class ModelOutputs:
-    """Everything the loss needs from one forward pass.
-
-    ``col_readouts`` and ``row_readouts`` hold one readout per prediction.
-    From :func:`lanetopo.pipeline.infer` they are lazy sequences: a readout
-    is computed when it is read, so only fusion (the real rows) and
-    :func:`total_loss` (all rows, once) pay for them.
-    """
-
-    predictions: list[CenterlinePrediction]
-    adjacency: np.ndarray
-    grid: GridSpec
-    mask_logits: np.ndarray | None = None
-    col_readouts: Sequence[MaskPointReadout] | None = None
-    row_readouts: Sequence[MaskPointReadout] | None = None
-
-
-@dataclass
 class LossBreakdown:
     top: float
     cls: float
@@ -271,16 +249,19 @@ class LossBreakdown:
 
 def _category_match(
     outputs: ModelOutputs, scene: Scene, coeffs: LossCoefficients, real: bool
-) -> dict[int, int]:
-    pred_idx = [i for i, p in enumerate(outputs.predictions) if p.is_real == real]
-    gt_idx = [g for g, flag in enumerate(scene.is_real) if flag == real]
+) -> np.ndarray:
+    """The matched pairs of one category as a (2, m) array: prediction
+    indices over the row of ground-truth indices."""
+    pred_idx = np.flatnonzero([p.is_real == real for p in outputs.predictions])
+    gt_idx = np.flatnonzero([flag == real for flag in scene.is_real])
     assignment = match_instances(
         [outputs.predictions[i] for i in pred_idx],
         [scene.centerlines[g] for g in gt_idx],
         coeffs.cls,
         coeffs.det,
     )
-    return {pred_idx[i]: gt_idx[j] for i, j in assignment.pairs}
+    i, g = np.array(assignment.pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.stack([pred_idx[i], gt_idx[g]])
 
 
 def total_loss(
@@ -292,6 +273,7 @@ def total_loss(
     categories; matched predictions supervise geometry, masks, and mask
     points, every prediction supervises classification, and all adjacency
     entries supervise topology (unmatched rows and columns as negatives).
+    Per-pair terms are averaged over the real pairs, then the virtual ones.
     """
     coeffs = coeffs or LossCoefficients()
     preds = outputs.predictions
@@ -300,55 +282,50 @@ def total_loss(
         raise ValueError("adjacency must be square over all predictions")
     if n == 0:
         return LossBreakdown(top=0.0, cls=0.0, det=0.0, mask=0.0, mp=0.0, total=0.0)
-    real_map = _category_match(outputs, scene, coeffs, real=True)
-    virt_map = _category_match(outputs, scene, coeffs, real=False)
-    assert not (set(real_map) & set(virt_map)), "categories must not share predictions"
-    assert not (set(real_map.values()) & set(virt_map.values()))
-    pred_to_gt = {**real_map, **virt_map}
+    # matched prediction i[p] and ground truth g[p] of pair p
+    i, g = np.concatenate(
+        [_category_match(outputs, scene, coeffs, real) for real in (True, False)], axis=1
+    )
 
     # classification: matched predictions are positives
     scores = np.array([p.score for p in preds])
     cls_targets = np.zeros(n)
-    for i in pred_to_gt:
-        cls_targets[i] = 1.0
+    cls_targets[i] = 1.0
     l_cls = float(np.mean(focal_loss(scores, cls_targets)))
 
     # geometry: mean L1 on matched point sets
-    det_terms = []
-    for i, g in pred_to_gt.items():
-        gt_k = resample_polyline(scene.centerlines[g], len(preds[i].points))
-        det_terms.append(l1_loss(preds[i].points.pts, gt_k.pts))
-    l_det = float(np.mean(det_terms)) if det_terms else 0.0
+    l_det = 0.0
+    if i.size:
+        pts = np.stack([preds[a].points.pts for a in i])
+        gt_pts = np.stack([resample_polyline(scene.centerlines[b], pts.shape[1]).pts for b in g])
+        l_det = float(np.mean(np.mean(np.abs(pts - gt_pts), axis=(1, 2))))
 
     # topology: ground-truth adjacency pulled through the matching
     adj_target = np.zeros((n, n))
-    for i, gi in pred_to_gt.items():
-        for j, gj in pred_to_gt.items():
-            adj_target[i, j] = scene.adjacency[gi, gj]
+    adj_target[np.ix_(i, i)] = scene.adjacency[np.ix_(g, g)]
     l_top = float(np.mean(focal_loss(outputs.adjacency, adj_target)))
 
     # instance masks: bce + dice against rasterized ground truth
     l_mask = 0.0
-    if outputs.mask_logits is not None and pred_to_gt:
+    if outputs.mask_logits is not None and i.size:
         gt_masks = render_gt_masks(scene, outputs.grid)
-        terms = []
-        for i, g in pred_to_gt.items():
-            probs = sigmoid(outputs.mask_logits[i])
-            terms.append(bce_loss(probs, gt_masks[g]) + dice_loss(probs, gt_masks[g]))
-        l_mask = float(np.mean(terms))
+        probs = (sigmoid(outputs.mask_logits[a]) for a in i)
+        l_mask = float(np.mean([
+            bce_loss(p, gt_masks[b]) + dice_loss(p, gt_masks[b]) for p, b in zip(probs, g)
+        ]))
 
     # mask points: coordinates, existence, direction, both readout axes
     l_mp = 0.0
-    if outputs.col_readouts is not None and pred_to_gt:
+    if outputs.col_readouts is not None and i.size:
         terms = []
-        for i, g in pred_to_gt.items():
+        for a, b in zip(i, g):
             term = 0.0
             for axis, readout in (
-                (AXIS_COLUMNS, outputs.col_readouts[i]),
-                (AXIS_ROWS, outputs.row_readouts[i]),
+                (AXIS_COLUMNS, outputs.col_readouts[a]),
+                (AXIS_ROWS, outputs.row_readouts[a]),
             ):
                 coords_t, exist_t, dir_t = mask_point_targets(
-                    scene.centerlines[g], outputs.grid, axis
+                    scene.centerlines[b], outputs.grid, axis
                 )
                 covered = exist_t > 0.0
                 if np.any(covered):

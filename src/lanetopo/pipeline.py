@@ -18,7 +18,6 @@ from .bev import BevGrid, GridSpec, NonFiniteError, binarize_logits, sinusoidal_
 from .config import ConfigError, PipelineConfig
 from .decoder import CenterlinePrediction, decoder_forward, instance_mask_logits
 from .geometry import Polyline
-from .losses import ModelOutputs
 from .metrics import (
     DET_THRESHOLDS,
     MASK_IOU_THRESHOLDS,
@@ -50,10 +49,28 @@ MASK_ZLIB_LEVEL = 6
 
 
 @dataclass
+class ModelOutputs:
+    """Everything one forward pass produces, as :func:`infer` returns it and
+    the training loss reads it.
+
+    ``col_readouts`` and ``row_readouts`` hold one readout per prediction.
+    From :func:`infer` they are lazy sequences: a readout is computed when
+    it is read, so only fusion (the real rows) and
+    :func:`~lanetopo.losses.total_loss` (all rows, once) pay for them.
+    """
+
+    predictions: list[CenterlinePrediction]
+    adjacency: np.ndarray
+    grid: GridSpec
+    mask_logits: np.ndarray | None = None
+    col_readouts: Sequence[MaskPointReadout] | None = None
+    row_readouts: Sequence[MaskPointReadout] | None = None
+
+
+@dataclass
 class PipelineResult:
     outputs: ModelOutputs
     report: EvalReport
-    bev: BevGrid
 
 
 def _readouts(
@@ -202,7 +219,7 @@ def run_pipeline(
     if cfg.pmf:
         outputs = fuse(outputs)
     report = evaluate_outputs(outputs, scene)
-    return PipelineResult(outputs=outputs, report=report, bev=bev)
+    return PipelineResult(outputs=outputs, report=report)
 
 
 def score_predictions(

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bev import BevGrid, GridSpec, mlp_forward, sigmoid, softmax
-from .geometry import (
-    PointSet2,
-    Polyline,
-    filter_outliers,
-    resample_points_2d,
-)
+from .geometry import Polyline, filter_outliers, resample_points
 from .weights import MaskHeadWeights
 
 AXIS_COLUMNS = "columns"
@@ -54,9 +49,6 @@ class MaskPointReadout:
         self.existence = np.asarray(self.existence, dtype=np.float64).reshape(-1)
         if self.coords.shape != self.existence.shape:
             raise ValueError("coords and existence must have the same length")
-
-    def valid_count(self) -> int:
-        return int(np.sum(self.existence > VALIDITY_THRESHOLD))
 
 
 def encode_mask_query(q: np.ndarray, pts: np.ndarray, w: MaskHeadWeights) -> np.ndarray:
@@ -130,7 +122,8 @@ def predict_direction(q_prime: np.ndarray, phi2) -> np.ndarray:
 
 def select_point_set(col: MaskPointReadout, row: MaskPointReadout) -> MaskPointReadout:
     """Pick the readout with more valid points; ties go to the columns readout."""
-    return row if row.valid_count() > col.valid_count() else col
+    n_row, n_col = (np.count_nonzero(r.existence > VALIDITY_THRESHOLD) for r in (row, col))
+    return row if n_row > n_col else col
 
 
 def readout_to_metric_points(readout: MaskPointReadout, grid: GridSpec) -> np.ndarray:
@@ -163,13 +156,9 @@ def fuse_points(
     metric = readout_to_metric_points(readout, grid)[valid]
     if readout.direction < 0.5:
         metric = metric[::-1]
-    kept = filter_outliers(
-        PointSet2(metric, np.ones(len(metric), dtype=bool)), OUTLIER_THRESHOLD
-    )
-    survivors = kept.valid_points()
+    survivors = metric[filter_outliers(metric, OUTLIER_THRESHOLD)]
     if survivors.shape[0] < 2:
         return detected
-    mask_pts = resample_points_2d(survivors, k)
     refined = detected.pts.copy()
-    refined[:, :2] = 0.5 * (refined[:, :2] + mask_pts)
+    refined[:, :2] = 0.5 * (refined[:, :2] + resample_points(survivors, k))
     return Polyline(refined)

@@ -13,7 +13,6 @@ from lanetopo.bev import BevGrid, GridSpec, LayerNormWeights, layer_norm, softma
 from lanetopo.config import LossCoefficients, PipelineConfig
 from lanetopo.decoder import masked_cross_attention, rvs_self_attention
 from lanetopo.geometry import (
-    PointSet2,
     Polyline,
     discrete_frechet,
     filter_outliers,
@@ -189,12 +188,12 @@ def test_fusion_recovery_on_arc_scenes():
 def test_outlier_rule_thresholds():
     # middle point 2.0 m from both ordered neighbors: removed at 1.5 m
     pts = np.array([[0, 0], [1, 0], [3, 0], [5, 0], [6, 0]], dtype=float)
-    out = filter_outliers(PointSet2(pts, np.ones(5, dtype=bool)), 1.5)
-    assert list(out.validity) == [True, True, False, True, True]
+    keep = filter_outliers(pts, 1.5)
+    assert list(keep) == [True, True, False, True, True]
     # 1.4 m from both neighbors: retained
     pts = np.array([[0, 0], [1, 0], [2.4, 0], [3.8, 0], [4.8, 0]], dtype=float)
-    out = filter_outliers(PointSet2(pts, np.ones(5, dtype=bool)), 1.5)
-    assert out.validity.all()
+    keep = filter_outliers(pts, 1.5)
+    assert keep.all()
     report("outlier rule removes at 2.0 m and retains at 1.4 m (threshold 1.5 m)")
 
 

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from lanetopo import geometry
 from lanetopo.geometry import (
-    PointSet2,
     Polyline,
     discrete_frechet,
     filter_outliers,
@@ -376,21 +375,19 @@ class TestPolylineProperties:
         assert discrete_frechet(pa, pa) == 0.0
 
 
-def filter_outliers_scalar(pts: PointSet2, threshold: float) -> np.ndarray:
+def filter_outliers_scalar(points: np.ndarray, threshold: float) -> np.ndarray:
     """Reference keep mask: one np.linalg.norm per neighbor distance, walked
-    over the valid points in order."""
-    keep = pts.validity.copy()
-    order = np.flatnonzero(keep)
-    if order.size <= 1:
+    over the points in order."""
+    keep = np.ones(len(points), dtype=bool)
+    if len(points) <= 1:
         return keep
     prev = None
-    for pos, i in enumerate(order):
+    for i in range(len(points)):
         dmin = np.inf
         if prev is not None:
-            dmin = min(dmin, float(np.linalg.norm(pts.points[i] - pts.points[prev])))
-        if pos + 1 < order.size:
-            nxt = order[pos + 1]
-            dmin = min(dmin, float(np.linalg.norm(pts.points[i] - pts.points[nxt])))
+            dmin = min(dmin, float(np.linalg.norm(points[i] - points[prev])))
+        if i + 1 < len(points):
+            dmin = min(dmin, float(np.linalg.norm(points[i] - points[i + 1])))
         if dmin > threshold:
             keep[i] = False
         else:
@@ -399,17 +396,14 @@ def filter_outliers_scalar(pts: PointSet2, threshold: float) -> np.ndarray:
 
 
 class TestFilterOutliers:
-    def _all_valid(self, pts):
-        return PointSet2(np.asarray(pts, dtype=float), np.ones(len(pts), dtype=bool))
-
     def test_evenly_spaced_all_retained(self):
-        pts = [(0.5 * i, 0.0) for i in range(10)]
-        out = filter_outliers(self._all_valid(pts), 1.5)
-        assert out.validity.all()
+        pts = np.array([(0.5 * i, 0.0) for i in range(10)])
+        keep = filter_outliers(pts, 1.5)
+        assert keep.all()
 
     def test_isolated_point_removed(self):
-        out = filter_outliers(self._all_valid([(0, 0), (0.5, 0), (5, 0)]), 1.5)
-        assert list(out.validity) == [True, True, False]
+        keep = filter_outliers(np.array([(0, 0), (0.5, 0), (5, 0)], dtype=float), 1.5)
+        assert list(keep) == [True, True, False]
 
     def test_injected_far_point_is_the_only_removal(self):
         rng = np.random.default_rng(19)
@@ -432,16 +426,16 @@ class TestFilterOutliers:
                 if min(dists) > 1.5:
                     removed.append(i)
             assert removed == [far_idx]
-            out = filter_outliers(PointSet2(pts, np.ones(n, dtype=bool)), 1.5)
-            assert list(np.flatnonzero(~out.validity)) == [far_idx]
+            keep = filter_outliers(pts, 1.5)
+            assert list(np.flatnonzero(~keep)) == [far_idx]
 
     def test_never_removes_point_near_an_ordered_neighbor(self):
         rng = np.random.default_rng(23)
         for _ in range(40):
             n = int(rng.integers(2, 12))
             pts = rng.uniform(-5, 5, size=(n, 2))
-            out = filter_outliers(PointSet2(pts, np.ones(n, dtype=bool)), 1.5)
-            for i in np.flatnonzero(~out.validity):
+            keep = filter_outliers(pts, 1.5)
+            for i in np.flatnonzero(~keep):
                 near = []
                 if i > 0:
                     near.append(np.linalg.norm(pts[i] - pts[i - 1]))
@@ -450,33 +444,27 @@ class TestFilterOutliers:
                 assert min(near) > 1.5
 
     def test_empty_and_single(self):
-        empty = PointSet2(np.zeros((0, 2)), np.zeros(0, dtype=bool))
-        assert len(filter_outliers(empty, 1.5)) == 0
-        single = PointSet2(np.array([[3.0, 4.0]]), np.array([True]))
-        assert filter_outliers(single, 1.5).validity.all()
+        assert len(filter_outliers(np.zeros((0, 2)), 1.5)) == 0
+        assert filter_outliers(np.array([[3.0, 4.0]]), 1.5).all()
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
-            filter_outliers(self._all_valid([(0, 0), (1, 0)]), 0.0)
+            filter_outliers(np.array([(0, 0), (1, 0)], dtype=float), 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
         pts=st.integers(0, 12).flatmap(
-            lambda n: st.tuples(
-                arrays(np.float64, (n, 2), elements=st.floats(-6.0, 6.0)),
-                arrays(np.bool_, n),
-            )
+            lambda n: arrays(np.float64, (n, 2), elements=st.floats(-6.0, 6.0))
         ),
         threshold=st.floats(0.05, 4.0),
     )
-    @example((np.zeros((0, 2)), np.zeros(0, dtype=bool)), 1.5)
-    @example((np.array([[3.0, 4.0]]), np.array([True])), 1.5)
-    @example((np.array([[0.0, 0.0], [9.0, 0.0]]), np.array([True, True])), 1.5)
-    @example((np.array([[0.0, 0.0], [9.0, 0.0], [0.5, 0.0]]), np.array([True, False, True])), 1.5)
+    @example(np.zeros((0, 2)), 1.5)
+    @example(np.array([[3.0, 4.0]]), 1.5)
+    @example(np.array([[0.0, 0.0], [9.0, 0.0]]), 1.5)
     # the far point is dropped, so the last point's previous kept one is not adjacent
-    @example((np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [1.0, 0.0]]), np.ones(4, dtype=bool)), 1.5)
+    @example(np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [1.0, 0.0]]), 1.5)
     def test_matches_the_scalar_walk(self, pts, threshold):
-        ps = PointSet2(*pts)
-        out = filter_outliers(ps, threshold)
-        assert np.array_equal(out.validity, filter_outliers_scalar(ps, threshold))
-        assert np.array_equal(out.points, ps.points)
+        before = pts.copy()
+        keep = filter_outliers(pts, threshold)
+        assert np.array_equal(keep, filter_outliers_scalar(pts, threshold))
+        assert np.array_equal(pts, before)

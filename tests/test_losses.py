@@ -17,6 +17,7 @@ from lanetopo.decoder import CenterlinePrediction
 from lanetopo.geometry import Polyline, resample_polyline
 from lanetopo.losses import (
     Assignment,
+    LossBreakdown,
     ModelOutputs,
     analytic_grad_check,
     bce_loss,
@@ -30,10 +31,13 @@ from lanetopo.losses import (
     run_grad_checks,
     total_loss,
 )
+from lanetopo.pipeline import run_pipeline
 from lanetopo.points_mask import AXIS_COLUMNS, AXIS_ROWS, MaskPointReadout
-from lanetopo.scene import Scene, render_gt_masks
+from lanetopo.scene import Scene, render_gt_masks, synth_scene
 from lanetopo.bev import GridSpec
+from lanetopo.config import PipelineConfig
 from lanetopo.sdmap import SdMapInstance
+from lanetopo.weights import init_model_weights
 
 
 def brute_force_assignment_cost(cost: np.ndarray) -> float:
@@ -415,6 +419,104 @@ class TestTotalLoss:
             Assignment(pairs=[(0, 0), (0, 1)], unmatched_predictions=[])
         with pytest.raises(ValueError):
             Assignment(pairs=[(0, 0), (1, 0)], unmatched_predictions=[])
+
+
+def match_instances_per_row(preds, gts, lambda_cls, lambda_det) -> Assignment:
+    """Reference matcher: the cost matrix filled one prediction row at a time."""
+    if not gts:
+        return Assignment(pairs=[], unmatched_predictions=list(range(len(preds))))
+    if not preds:
+        return Assignment(pairs=[], unmatched_predictions=[])
+    k = len(preds[0].points)
+    gt_pts = np.stack([resample_polyline(g, k).pts for g in gts])
+    cost = np.empty((len(preds), len(gts)))
+    for i, pred in enumerate(preds):
+        cls_cost = float(focal_loss(pred.score, 1.0))
+        det_cost = np.mean(np.abs(pred.points.pts[None] - gt_pts), axis=(1, 2))
+        cost[i] = lambda_cls * cls_cost + lambda_det * det_cost
+    return hungarian(cost)
+
+
+def total_loss_per_pair(outputs, scene, coeffs) -> LossBreakdown:
+    """Reference objective: the matching as a prediction -> ground truth dict,
+    real pairs first, and every term a Python loop over its pairs."""
+    preds = outputs.predictions
+    n = len(preds)
+    pred_to_gt = {}
+    for real in (True, False):
+        pred_idx = [i for i, p in enumerate(preds) if p.is_real == real]
+        gt_idx = [g for g, flag in enumerate(scene.is_real) if flag == real]
+        assignment = match_instances_per_row(
+            [preds[i] for i in pred_idx], [scene.centerlines[g] for g in gt_idx],
+            coeffs.cls, coeffs.det,
+        )
+        pred_to_gt.update({pred_idx[i]: gt_idx[j] for i, j in assignment.pairs})
+
+    scores = np.array([p.score for p in preds])
+    cls_targets = np.zeros(n)
+    for i in pred_to_gt:
+        cls_targets[i] = 1.0
+    l_cls = float(np.mean(focal_loss(scores, cls_targets)))
+
+    det_terms = []
+    for i, g in pred_to_gt.items():
+        gt_k = resample_polyline(scene.centerlines[g], len(preds[i].points))
+        det_terms.append(l1_loss(preds[i].points.pts, gt_k.pts))
+    l_det = float(np.mean(det_terms)) if det_terms else 0.0
+
+    adj_target = np.zeros((n, n))
+    for i, gi in pred_to_gt.items():
+        for j, gj in pred_to_gt.items():
+            adj_target[i, j] = scene.adjacency[gi, gj]
+    l_top = float(np.mean(focal_loss(outputs.adjacency, adj_target)))
+
+    l_mask = 0.0
+    if outputs.mask_logits is not None and pred_to_gt:
+        gt_masks = render_gt_masks(scene, outputs.grid)
+        terms = []
+        for i, g in pred_to_gt.items():
+            probs = sigmoid(outputs.mask_logits[i])
+            terms.append(bce_loss(probs, gt_masks[g]) + dice_loss(probs, gt_masks[g]))
+        l_mask = float(np.mean(terms))
+
+    l_mp = 0.0
+    if outputs.col_readouts is not None and pred_to_gt:
+        terms = []
+        for i, g in pred_to_gt.items():
+            term = 0.0
+            for axis, readout in (
+                (AXIS_COLUMNS, outputs.col_readouts[i]),
+                (AXIS_ROWS, outputs.row_readouts[i]),
+            ):
+                coords_t, exist_t, dir_t = mask_point_targets(
+                    scene.centerlines[g], outputs.grid, axis
+                )
+                covered = exist_t > 0.0
+                if np.any(covered):
+                    term += l1_loss(readout.coords[covered], coords_t[covered])
+                term += bce_loss(readout.existence, exist_t)
+                term += float(focal_loss(readout.direction, dir_t))
+            terms.append(term)
+        l_mp = float(np.mean(terms))
+
+    breakdown = LossBreakdown(top=l_top, cls=l_cls, det=l_det, mask=l_mask, mp=l_mp, total=0.0)
+    breakdown.total = breakdown.recombine(coeffs)
+    return breakdown
+
+
+@pytest.mark.parametrize("sd", [False, True], ids=["sd-off", "sd-on"])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_total_loss_equals_the_per_pair_reference_on_pipeline_outputs(seed, sd):
+    """Every field equals the per-pair loops bit for bit, on unfused and
+    fused desk outputs."""
+    cfg = PipelineConfig.desk(sd=sd, seed=seed)
+    weights = init_model_weights(cfg, seed)
+    scene = synth_scene(seed)
+    for pmf in (False, True):
+        run_cfg = PipelineConfig.desk(sd=sd, seed=seed, pmf=pmf)
+        outputs = run_pipeline(scene, run_cfg, weights).outputs
+        got = total_loss(outputs, scene, cfg.loss)
+        assert got == total_loss_per_pair(outputs, scene, cfg.loss), f"pmf={pmf}"
 
 
 class TestGradChecks:

@@ -239,6 +239,18 @@ class TestFusePoints:
         refined = fuse_points(detected, readout, grid, 11)
         assert refined is detected
 
+    def test_no_points_left_after_the_outlier_rule_falls_back(self):
+        grid = self._grid()
+        detected = self._detected(5.0)
+        readout = self._straight_readout(grid, 5.0)
+        # two valid columns 5 m apart: each is the other's only neighbor
+        readout.existence[:] = 0.01
+        readout.existence[[110, 120]] = 0.99
+        metric = readout_to_metric_points(readout, grid)[[110, 120]]
+        assert np.linalg.norm(metric[1] - metric[0]) == 5.0
+        refined = fuse_points(detected, readout, grid, 11)
+        assert refined is detected
+
     def test_offset_halves(self):
         grid = self._grid()
         detected = self._detected(6.0)  # one meter above of the mask lane
