@@ -8,7 +8,7 @@ from .losses import Assignment, LossBreakdown, total_loss
 from .metrics import EvalReport
 from .pipeline import ModelOutputs, PipelineResult, ablation_grid, run_pipeline
 from .scene import Scene, SceneParams, render_bev_features, synth_scene
-from .sdmap import SdMapInstance, SemanticEmbeddingTable
+from .sdmap import SdMapInstance
 from .weights import ModelWeights, init_model_weights, load_model_weights, save_model_weights
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Scene",
     "SceneParams",
     "SdMapInstance",
-    "SemanticEmbeddingTable",
     "ablation_grid",
     "decoder_forward",
     "init_model_weights",

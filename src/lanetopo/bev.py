@@ -289,8 +289,8 @@ def bilinear_sample_batch(
     return (m @ table).reshape(rows + table.shape[1:])
 
 
-def sinusoidal_pe_2d(h: int, w: int, c: int, spec: GridSpec | None = None) -> BevGrid:
-    """Deterministic 2D sinusoidal position encoding grid.
+def sinusoidal_pe_2d(spec: GridSpec, c: int) -> BevGrid:
+    """Deterministic 2D sinusoidal position encoding over ``spec``'s cells.
 
     The first c/2 channels encode column position, the last c/2 row position.
     Each half holds sin/cos pairs over geometrically spaced frequencies
@@ -299,10 +299,7 @@ def sinusoidal_pe_2d(h: int, w: int, c: int, spec: GridSpec | None = None) -> Be
     """
     if c % 4 != 0:
         raise ValueError("channel count must be divisible by 4")
-    if spec is None:
-        spec = GridSpec(h=h, w=w, x_min=0.0, y_min=0.0, resolution=1.0)
-    elif (spec.h, spec.w) != (h, w):
-        raise ValueError("spec dimensions must match h, w")
+    h, w = spec.h, spec.w
     quarter = c // 4
     div = np.power(10000.0, np.arange(quarter) / quarter)
     u_col = 2.0 * np.pi * np.arange(w) / w

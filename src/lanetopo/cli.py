@@ -115,11 +115,11 @@ def _cmd_synth(args) -> int:
 def _cmd_render_bev(args) -> int:
     scene = _read("scene file", load_scene, args.scene)
     cfg = _load_config(args.config)
-    noise = cfg.noise_sigma
     if args.noise is not None:
-        noise = _check_flag("--noise", args.noise, math.isfinite(args.noise) and args.noise >= 0,
-                            "a finite number at least 0")
-    grid = render_bev_features(scene, cfg, noise)
+        _check_flag("--noise", args.noise, math.isfinite(args.noise) and args.noise >= 0,
+                    "a finite number at least 0")
+        cfg = replace(cfg, noise_sigma=args.noise)
+    grid = render_bev_features(scene, cfg)
     save_bev(grid, _out_path(args.out))
     print(f"wrote {grid.h}x{grid.w}x{grid.c} BEV features to {args.out}")
     return 0

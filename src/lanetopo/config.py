@@ -92,6 +92,8 @@ class PipelineConfig:
             raise ConfigError("grid_h and grid_w must be at least 2 (row and column readouts)")
         if self.resolution <= 0:
             raise ConfigError("resolution must be positive")
+        if self.noise_sigma < 0:
+            raise ConfigError("noise_sigma must be at least 0")
         if self.sample_points < 1 or self.sd_sample_points < 1:
             raise ConfigError("sample_points and sd_sample_points must be at least 1")
         if self.ffn_dim < 1:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .bev import (
     BevGrid,
-    LayerNormWeights,
     MlpWeights,
     bilinear_sample_batch,
     binarize_logits,
@@ -46,19 +45,13 @@ class CenterlinePrediction:
     query: np.ndarray
 
 
-def masked_cross_attention(
-    q: np.ndarray,
-    b: BevGrid,
-    m: np.ndarray | None,
-    ln: LayerNormWeights | None = None,
-    return_weights: bool = False,
-):
+def masked_cross_attention(q: np.ndarray, b: BevGrid, m: np.ndarray | None) -> np.ndarray:
     """Attend from each query to the BEV cells allowed by its mask row.
 
     ``m`` is a boolean (n_queries, h*w) keep matrix, or None to attend
     everywhere. Scores are ``q @ cells^T``; each row's softmax runs over its
-    kept cells, and a dropped cell gets weight exactly 0. The attention
-    output is added residually and layer-normalized.
+    kept cells, and a dropped cell gets weight exactly 0. Returns ``q`` plus
+    the attention output; :func:`decoder_forward` applies the post-norm.
 
     Each row is shifted by its maximum over all cells, so no exp overflows,
     and normalized after the value product. A row whose kept exps sum below
@@ -67,10 +60,6 @@ def masked_cross_attention(
     goes through :func:`_kept_softmax` instead. Above that sum the shift by
     the maximum over all cells in place of the kept maximum adds at most
     about ``ln(h*w / MIN_KEPT_SUM) * 2**-53`` of rounding to a weight.
-
-    With ``return_weights`` every row goes through :func:`_kept_softmax`, so
-    the weights are the kept softmax to the bit and the output is computed
-    from them; it can differ from the output without weights in a last bit.
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
@@ -78,29 +67,21 @@ def masked_cross_attention(
     if m is not None and (m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool):
         raise ValueError(f"mask must be boolean (n_queries, h*w), got {m.dtype} {m.shape}")
     scores = q @ cells.T
-    if return_weights:
-        out = q + _kept_softmax(scores, m) @ cells
-    else:
-        # a row whose maximum is NaN or +-inf turns NaN here, which fails the
-        # sum test below; the exact path redoes it with the usual warnings
-        with np.errstate(invalid="ignore"):
-            scores -= scores.max(axis=1, keepdims=True)
-            np.exp(scores, out=scores)
-            if m is not None:
-                scores *= m
-            total = scores.sum(axis=1, keepdims=True)
-        # one row at a time, so that a row's bits do not depend on how many
-        # other rows take the exact path
-        for r in np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM)):
-            keep = None if m is None else m[r:r + 1]
-            scores[r] = _kept_softmax(q[r:r + 1] @ cells.T, keep)[0]
-            total[r] = 1.0
-        out = q + (scores @ cells) / total
-    if ln is not None:
-        out = layer_norm(out, ln)
-    if return_weights:
-        return out, scores
-    return out
+    # a row whose maximum is NaN or +-inf turns NaN here, which fails the
+    # sum test below; the exact path redoes it with the usual warnings
+    with np.errstate(invalid="ignore"):
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        if m is not None:
+            scores *= m
+        total = scores.sum(axis=1, keepdims=True)
+    # one row at a time, so that a row's bits do not depend on how many
+    # other rows take the exact path
+    for r in np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM)):
+        keep = None if m is None else m[r:r + 1]
+        scores[r] = _kept_softmax(q[r:r + 1] @ cells.T, keep)[0]
+        total[r] = 1.0
+    return q + (scores @ cells) / total
 
 
 def _kept_softmax(scores: np.ndarray, m: np.ndarray | None) -> np.ndarray:
@@ -125,42 +106,27 @@ def _kept_softmax(scores: np.ndarray, m: np.ndarray | None) -> np.ndarray:
     return scores
 
 
-def rvs_self_attention(
-    qr: np.ndarray,
-    qv: np.ndarray,
-    ln: LayerNormWeights | None = None,
-    return_weights: bool = False,
-):
+def rvs_self_attention(qr: np.ndarray, qv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block self-attention: real rows attend to real columns only, virtual rows to all.
 
-    Scores are scaled by 1/sqrt(c). The real block is computed without ever
-    touching the virtual queries, so real outputs are structurally independent
-    of them. With no real rows this is plain self-attention over ``qv``.
+    Scores are scaled by 1/sqrt(c). Returns the real and virtual rows plus
+    their attention outputs; :func:`decoder_forward` applies the post-norm.
+    The real block is computed without ever touching the virtual queries, so
+    real outputs are structurally independent of them. With no real rows
+    this is plain self-attention over ``qv``.
     """
     n_r, c = qr.shape
-    n_v = qv.shape[0]
     scale = 1.0 / np.sqrt(c)
+    # softmax over an empty axis raises, so an empty block skips it
     if n_r > 0:
-        w_r = softmax(qr @ qr.T * scale, axis=-1)
-        out_r = qr + w_r @ qr
+        out_r = qr + softmax(qr @ qr.T * scale, axis=-1) @ qr
     else:
-        w_r = np.zeros((0, n_r))
         out_r = qr.copy()
-    if n_v > 0:
-        vcat = np.concatenate([qr, qv], axis=0)
+    if len(qv) > 0:
         w_v = softmax(np.concatenate([qv @ qr.T, qv @ qv.T], axis=1) * scale, axis=-1)
-        out_v = qv + w_v @ vcat
+        out_v = qv + w_v @ np.concatenate([qr, qv], axis=0)
     else:
-        w_v = np.zeros((0, n_r + n_v))
         out_v = qv.copy()
-    if ln is not None:
-        out_r = layer_norm(out_r, ln)
-        out_v = layer_norm(out_v, ln)
-    if return_weights:
-        full = np.zeros((n_r + n_v, n_r + n_v))
-        full[:n_r, :n_r] = w_r
-        full[n_r:, :] = w_v
-        return out_r, out_v, full
     return out_r, out_v
 
 
@@ -235,13 +201,10 @@ def deformable_cross_attention(
     b: BevGrid,
     refs: np.ndarray,
     w: DeformableWeights,
-    ln: LayerNormWeights | None = None,
 ) -> np.ndarray:
-    """Deformable attention with residual add and layer normalization."""
-    out = q + deformable_attention_core(q, b, refs, w)
-    if ln is not None:
-        out = layer_norm(out, ln)
-    return out
+    """Deformable attention with residual add; :func:`decoder_forward`
+    applies the post-norm."""
+    return q + deformable_attention_core(q, b, refs, w)
 
 
 def attention_mask_from_instance_masks(mask_logits: np.ndarray) -> np.ndarray:
@@ -311,9 +274,9 @@ def decoder_forward(
     attn_mask = None  # layer 0 attends everywhere
     for li, lw in enumerate(dec.layers):
         if cfg.hybrid_attention:
-            q = masked_cross_attention(q, b, attn_mask, lw.masked_ln)
-        q = deformable_cross_attention(q, b, refs, lw.deform, lw.deform_ln)
-        q = np.concatenate(rvs_self_attention(q[:n_sep], q[n_sep:], lw.self_ln))
+            q = layer_norm(masked_cross_attention(q, b, attn_mask), lw.masked_ln)
+        q = layer_norm(deformable_cross_attention(q, b, refs, lw.deform), lw.deform_ln)
+        q = layer_norm(np.concatenate(rvs_self_attention(q[:n_sep], q[n_sep:])), lw.self_ln)
         q = layer_norm(q + mlp_forward(lw.ffn, q), lw.ffn_ln)
         pts = points_from_queries(q, dec.points_head, cfg)
         if li < cfg.layers - 1:

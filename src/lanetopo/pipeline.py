@@ -39,7 +39,7 @@ from .points_mask import (
     select_point_set,
 )
 from .scene import Scene, _flag, _objects, _polyline, render_bev_features, render_gt_masks
-from .sdmap import SemanticEmbeddingTable, rasterize_sdmap, sd_interact
+from .sdmap import rasterize_sdmap, sd_interact
 from .topology import enhance_queries, predict_topology
 from .weights import ModelWeights, check_weights
 
@@ -133,9 +133,8 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
     """BEV features augmented with the scene's SD map: rasterize it, add the
     position encoding, and run the SD interaction."""
-    table = SemanticEmbeddingTable(weights.semantic_table)
-    e_s = rasterize_sdmap(scene.sd_instances, b.spec, table)
-    e_p = sinusoidal_pe_2d(b.h, b.w, b.c, b.spec)
+    e_s = rasterize_sdmap(scene.sd_instances, b.spec, weights.semantic_table)
+    e_p = sinusoidal_pe_2d(b.spec, b.c)
     return sd_interact(b, e_s, e_p, weights.sd)
 
 
@@ -214,7 +213,7 @@ def run_pipeline(
     check_weights(cfg, weights)
     cfg.check_runnable()
     if bev is None:
-        bev = render_bev_features(scene, cfg, cfg.noise_sigma)
+        bev = render_bev_features(scene, cfg)
     outputs = infer(sd_features(bev, scene, weights) if cfg.sd else bev, cfg, weights)
     if cfg.pmf:
         outputs = fuse(outputs)
@@ -431,7 +430,7 @@ def ablation_grid(
         except ConfigError as exc:
             row["error"] = str(exc)
 
-    bev = render_bev_features(scene, cfg, cfg.noise_sigma)
+    bev = render_bev_features(scene, cfg)
     grids = {False: bev, True: sd_features(bev, scene, weights)}
     gt_masks = render_gt_masks(scene, cfg.grid)
     for pgm, sd in product((False, True), repeat=2):

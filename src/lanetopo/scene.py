@@ -277,16 +277,14 @@ def render_gt_masks(scene: Scene, spec: GridSpec) -> np.ndarray:
     return masks
 
 
-def render_bev_features(
-    scene: Scene, cfg: PipelineConfig, noise_sigma: float = 0.0
-) -> BevGrid:
+def render_bev_features(scene: Scene, cfg: PipelineConfig) -> BevGrid:
     """GT-derived BEV features: occupancy, tangent sin/cos, lane ordinal hash.
 
     Real lanes write all four bands over their dilated supercover cells; a
     cell takes the tangent of the first lane, and within it the first
     segment of nonzero length, that reaches it. Virtual lanes only add a weak
     0.2 occupancy where no real lane claims the cell. Remaining channels stay
-    zero. i.i.d. Gaussian noise with std ``noise_sigma`` is added to every
+    zero. i.i.d. Gaussian noise with std ``cfg.noise_sigma`` is added to every
     channel, seeded deterministically from the scene seed.
     """
     spec = cfg.grid
@@ -317,9 +315,9 @@ def render_bev_features(
         data[row, col, 3] = (ordinal * 0.6180339887498949) % 1.0
         ordinal += 1
     data[virtual & ~claimed, 0] = 0.2
-    if noise_sigma > 0.0:
+    if cfg.noise_sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([scene.seed, _NOISE_STREAM]))
-        data = data + rng.normal(0.0, noise_sigma, size=data.shape)
+        data = data + rng.normal(0.0, cfg.noise_sigma, size=data.shape)
     return BevGrid(data, spec)
 
 

@@ -34,25 +34,6 @@ class SdMapInstance:
             raise ValueError(f"semantic type {self.semantic_type} outside 1..{N_SEMANTIC_TYPES}")
 
 
-@dataclass
-class SemanticEmbeddingTable:
-    """Row 0 is the default (unoccupied) embedding; rows 1..n are the types."""
-
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2 or emb.shape[0] < 2:
-            raise ValueError("table needs a default row plus at least one type row")
-        if not np.all(np.isfinite(emb)):
-            raise ValueError("embeddings must be finite")
-        self.embeddings = emb
-
-    @property
-    def n_types(self) -> int:
-        return self.embeddings.shape[0] - 1
-
-
 def trace_cells(poly: Polyline, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The in-grid pieces of a polyline's supercover trace, in traversal order:
     segment index, row and column of each.
@@ -97,22 +78,18 @@ def supercover_cells(poly: Polyline, spec: GridSpec) -> np.ndarray:
     return np.stack([row[first], col[first]], axis=-1)
 
 
-def rasterize_sdmap(
-    instances: list[SdMapInstance],
-    spec: GridSpec,
-    table: SemanticEmbeddingTable,
-) -> BevGrid:
+def rasterize_sdmap(instances: list[SdMapInstance], spec: GridSpec, table: np.ndarray) -> BevGrid:
     """Semantic embedding grid: traversed cells take their instance's type
-    embedding (lowest instance index wins), the rest take the default."""
+    embedding (lowest instance index wins), the rest take the default.
+
+    ``table`` is the (N_SEMANTIC_TYPES + 1, c) embedding array: row 0 is the
+    default (unoccupied) embedding, row t the embedding of type t.
+    """
     claim = np.zeros((spec.h, spec.w), dtype=np.int64)
     for inst in instances:
-        if inst.semantic_type > table.n_types:
-            raise ValueError(
-                f"semantic type {inst.semantic_type} outside table of {table.n_types} types"
-            )
         row, col = supercover_cells(inst.polyline, spec).T
         claim[row, col] = np.where(claim[row, col] == 0, inst.semantic_type, claim[row, col])
-    return BevGrid(table.embeddings[claim], spec)
+    return BevGrid(table[claim], spec)
 
 
 def sd_interact(

@@ -63,11 +63,12 @@ def test_rvs_structure():
     for _ in range(100):
         qr = rng.normal(size=(4, 8))
         qv = rng.normal(size=(4, 8))
-        out_r, _, weights = rvs_self_attention(qr, qv, return_weights=True)
-        assert np.all(weights[:4, 4:] == 0.0)
-        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
-        out_r2, _ = rvs_self_attention(qr, rng.normal(size=(4, 8)) * 10.0)
         base_r, _ = rvs_self_attention(qr, qv)
+        # real rows put zero mass on virtual ones and their weights sum to 1
+        assert np.array_equal(base_r, rvs_self_attention(qr, qv[:0])[0])
+        plain = qr + softmax(qr @ qr.T / np.sqrt(8), axis=-1) @ qr
+        assert np.max(np.abs(base_r - plain)) < 1e-9
+        out_r2, _ = rvs_self_attention(qr, rng.normal(size=(4, 8)) * 10.0)
         assert np.array_equal(out_r2, base_r)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -83,7 +84,7 @@ def test_masked_attention_degeneration():
         grid = BevGrid(rng.normal(size=(h, w, c)), spec)
         q = rng.normal(size=(3, c))
         ln = LayerNormWeights(rng.uniform(0.5, 1.5, c), rng.normal(size=c))
-        masked = masked_cross_attention(q, grid, np.ones((3, h * w), dtype=bool), ln)
+        masked = layer_norm(masked_cross_attention(q, grid, np.ones((3, h * w), dtype=bool)), ln)
         cells = grid.flat()
         plain = layer_norm(q + softmax(q @ cells.T, axis=-1) @ cells, ln)
         assert np.max(np.abs(masked - plain)) < 1e-9

@@ -24,9 +24,12 @@ from lanetopo.bev import (
 from lanetopo.config import PipelineConfig
 
 
+def unit_spec(h: int, w: int) -> GridSpec:
+    return GridSpec(h=h, w=w, x_min=0.0, y_min=0.0, resolution=1.0)
+
+
 def random_grid(rng, h=4, w=5, c=3) -> BevGrid:
-    spec = GridSpec(h=h, w=w, x_min=0.0, y_min=0.0, resolution=1.0)
-    return BevGrid(rng.normal(size=(h, w, c)), spec)
+    return BevGrid(rng.normal(size=(h, w, c)), unit_spec(h, w))
 
 
 class TestSoftmax:
@@ -297,28 +300,30 @@ class TestPerHeadGather:
 
 class TestSinusoidalPe:
     def test_entries_bounded(self):
-        g = sinusoidal_pe_2d(6, 9, 8)
+        spec = unit_spec(6, 9)
+        g = sinusoidal_pe_2d(spec, 8)
+        assert g.spec == spec and g.data.shape == (6, 9, 8)
         assert np.all(g.data >= -1.0) and np.all(g.data <= 1.0)
 
     def test_distinct_cells_distinct_encodings(self):
         for h, w in [(8, 8), (16, 16), (5, 13)]:
-            g = sinusoidal_pe_2d(h, w, 8)
+            g = sinusoidal_pe_2d(unit_spec(h, w), 8)
             flat = g.flat()
             unique = np.unique(flat, axis=0)
             assert unique.shape[0] == h * w
 
     def test_origin_channel_zero(self):
-        g = sinusoidal_pe_2d(4, 4, 8)
+        g = sinusoidal_pe_2d(unit_spec(4, 4), 8)
         assert g.data[0, 0, 0] == 0.0
 
     def test_determinism(self):
-        a = sinusoidal_pe_2d(10, 20, 16)
-        b = sinusoidal_pe_2d(10, 20, 16)
+        a = sinusoidal_pe_2d(unit_spec(10, 20), 16)
+        b = sinusoidal_pe_2d(unit_spec(10, 20), 16)
         assert np.array_equal(a.data, b.data)
 
     def test_channels_must_divide_by_four(self):
         with pytest.raises(ValueError):
-            sinusoidal_pe_2d(4, 4, 6)
+            sinusoidal_pe_2d(unit_spec(4, 4), 6)
 
 
 class TestFiniteDiff:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from lanetopo.cli import main
 from lanetopo.config import PipelineConfig
 from lanetopo.pipeline import load_predictions
+from lanetopo.scene import load_bev, load_scene, render_bev_features
 from lanetopo.weights import (
     init_model_weights,
     model_weights_from_tensors,
@@ -219,6 +221,20 @@ def test_run_rejects_a_bev_file_with_the_wrong_channel_count(tmp_path, desk_conf
     err = _one_line_error(capsys, "invalid BEV file: ")
     assert "has 16 channels, config expects 32" in err
     assert not pred.exists()
+
+
+@pytest.mark.parametrize("noise", [None, "0", "0.2"])
+def test_render_bev_noise_overrides_the_config_sigma(tmp_path, desk_config_path, noise):
+    scene = tmp_path / "scene.json"
+    bev = tmp_path / "bev.bin"
+    main(["synth", "--seed", "5", "--out", str(scene)])
+    extra = [] if noise is None else ["--noise", noise]
+    main(["render-bev", "--scene", str(scene), "--config", desk_config_path, "--out", str(bev),
+          *extra])
+    cfg = PipelineConfig.load(desk_config_path)
+    sigma = cfg.noise_sigma if noise is None else float(noise)
+    expected = render_bev_features(load_scene(scene), replace(cfg, noise_sigma=sigma))
+    assert np.array_equal(load_bev(bev, cfg.grid).data, expected.data)
 
 
 def test_run_rejects_a_truncated_bev_file(tmp_path, desk_config_path, capsys):

@@ -103,6 +103,7 @@ def test_a_config_with_the_removed_threshold_fields_is_refused(tmp_path):
         {"sample_points": 0},
         {"sd_sample_points": 0, "sd": True},
         {"noise_sigma": float("-inf")},
+        {"noise_sigma": -1.0},
         {"grid_w": 0},
         {"loss": {"mask": 10**400}},  # an int beyond the float range
         {"resolution": 10**400},

@@ -58,7 +58,7 @@ class TestMaskedCrossAttention:
             q = rng.normal(size=(3, g.c))
             m = np.ones((3, g.h * g.w), dtype=bool)
             ln = LayerNormWeights.identity(g.c)
-            masked = masked_cross_attention(q, g, m, ln)
+            masked = layer_norm(masked_cross_attention(q, g, m), ln)
             cells = g.flat()
             plain = np.stack(
                 [q[i] + hand_softmax(q[i] @ cells.T) @ cells for i in range(3)]
@@ -73,11 +73,14 @@ class TestMaskedCrossAttention:
         m = np.zeros((2, 4), dtype=bool)
         m[0, 3] = True
         m[1, 1] = True
-        _, weights = masked_cross_attention(q, g, m, return_weights=True)
+        cells = g.flat()
+        weights = decoder._kept_softmax(q @ cells.T, m)
         assert np.array_equal(weights[0], [0, 0, 0, 1])
         assert np.array_equal(weights[1], [0, 1, 0, 0])
         # the pre-residual attention output is exactly the chosen cell feature
-        assert np.array_equal(weights[0] @ g.flat(), g.flat()[3])
+        assert np.array_equal(weights[0] @ cells, cells[3])
+        out = masked_cross_attention(q, g, m)
+        assert np.max(np.abs(out - (q + cells[[3, 1]]))) < 1e-12
 
     def test_matches_hand_rolled_oracle(self):
         rng = np.random.default_rng(2)
@@ -86,7 +89,7 @@ class TestMaskedCrossAttention:
         m = rng.random((2, 4)) >= 0.4
         m[:, 0] = True  # keep every row attendable
         ln = LayerNormWeights(rng.uniform(0.5, 1.5, g.c), rng.normal(size=g.c))
-        out = masked_cross_attention(q, g, m, ln)
+        out = layer_norm(masked_cross_attention(q, g, m), ln)
         cells = g.flat()
         for i in range(2):
             scores = q[i] @ cells.T + np.where(m[i], 0.0, -np.inf)
@@ -109,29 +112,32 @@ class TestRvsSelfAttention:
         q = rng.normal(size=(5, 8))
         ln = LayerNormWeights(rng.uniform(0.5, 1.5, 8), rng.normal(size=8))
         # no real-only rows: the decoder's rvs-off path
-        out = np.concatenate(rvs_self_attention(q[:0], q, ln))
+        out = layer_norm(np.concatenate(rvs_self_attention(q[:0], q)), ln)
         assert np.array_equal(out, self_attention(q, ln))
         # no virtual rows
-        out_r, out_v = rvs_self_attention(q, q[:0], ln)
+        out_r, out_v = rvs_self_attention(q, q[:0])
         assert out_v.shape == (0, 8)
-        assert np.array_equal(out_r, self_attention(q, ln))
+        assert np.array_equal(layer_norm(out_r, ln), self_attention(q, ln))
 
     def test_real_rows_put_zero_mass_on_virtual(self):
         rng = np.random.default_rng(5)
         qr = rng.normal(size=(4, 8))
         qv = rng.normal(size=(4, 8))
-        _, _, weights = rvs_self_attention(qr, qv, return_weights=True)
-        assert np.all(weights[:4, 4:] == 0.0)
-        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
+        out_r, _ = rvs_self_attention(qr, qv)
+        # the real rows are those of attention over the real rows alone
+        assert np.array_equal(out_r, rvs_self_attention(qr, qv[:0])[0])
+        assert np.array_equal(out_r, self_attention(qr))
+        # a virtual row's weights over all rows sum to 1: constant rows pass through
+        const = np.full((4, 8), 3.0)
+        assert np.max(np.abs(rvs_self_attention(const, const)[1] - 2.0 * const)) < 1e-12
 
     def test_real_outputs_bit_identical_under_virtual_change(self):
         rng = np.random.default_rng(6)
         qr = rng.normal(size=(4, 8))
         qv1 = rng.normal(size=(4, 8))
         qv2 = rng.normal(size=(4, 8)) * 100.0
-        ln = LayerNormWeights.identity(8)
-        out_r1, _ = rvs_self_attention(qr, qv1, ln)
-        out_r2, _ = rvs_self_attention(qr, qv2, ln)
+        out_r1, _ = rvs_self_attention(qr, qv1)
+        out_r2, _ = rvs_self_attention(qr, qv2)
         assert np.array_equal(out_r1, out_r2)
 
     def test_hand_block_computation(self):
@@ -270,7 +276,7 @@ class TestDeformableAttention:
         w = plain_deform_weights(4, heads=1, points=1, rng=rng)
         ln = LayerNormWeights(rng.uniform(0.5, 1.5, 4), rng.normal(size=4))
         refs = np.zeros((2, 2))
-        out = deformable_cross_attention(q, g, refs, w, ln)
+        out = layer_norm(deformable_cross_attention(q, g, refs, w), ln)
         expected = layer_norm(q + deformable_attention_core(q, g, refs, w), ln)
         assert np.array_equal(out, expected)
 
@@ -426,17 +432,17 @@ class TestDecoderForward:
         dec = weights.decoder
         q = np.concatenate([dec.real_queries, dec.virtual_queries])
         m = np.ones((cfg.n_queries, b.h * b.w), dtype=bool)
-        q = masked_cross_attention(q, b, m, lw.masked_ln)
+        q = layer_norm(masked_cross_attention(q, b, m), lw.masked_ln)
         refs = sigmoid(dec.init_ref_logits) * np.array([b.h - 1.0, b.w - 1.0])
-        q = deformable_cross_attention(q, b, refs, lw.deform, lw.deform_ln)
-        qr, qv = rvs_self_attention(q[: cfg.n_real], q[cfg.n_real :], lw.self_ln)
-        q = np.concatenate([qr, qv])
+        q = layer_norm(deformable_cross_attention(q, b, refs, lw.deform), lw.deform_ln)
+        qr, qv = rvs_self_attention(q[: cfg.n_real], q[cfg.n_real :])
+        q = layer_norm(np.concatenate([qr, qv]), lw.self_ln)
         q = layer_norm(q + mlp_forward(lw.ffn, q), lw.ffn_ln)
         pts = points_from_queries(q, dec.points_head, cfg)
         scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
-        assert np.max(np.abs(q_out - q)) < 1e-12
-        assert np.max(np.abs(pts_out - pts)) < 1e-12
-        assert np.max(np.abs(scores_out - scores)) < 1e-12
+        assert np.array_equal(q_out, q)
+        assert np.array_equal(pts_out, pts)
+        assert np.array_equal(scores_out, scores)
 
     def test_swapping_real_queries_permutes_outputs(self):
         cfg, weights, b = self._setup()

@@ -56,7 +56,7 @@ arrays = {}
 for k, fields in enumerate(json.loads(sys.argv[2])):
     cfg = PipelineConfig.from_dict(fields)
     scene, weights = synth_scene(cfg.seed), init_model_weights(cfg)
-    b = render_bev_features(scene, cfg, cfg.noise_sigma)
+    b = render_bev_features(scene, cfg)
     out = infer(sd_features(b, scene, weights) if cfg.sd else b, cfg, weights)
     for axis, seq in (("col", out.col_readouts), ("row", out.row_readouts)):
         for name, readouts in (("real", seq.rows(slice(cfg.n_real))),

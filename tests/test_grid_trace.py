@@ -7,6 +7,7 @@ array versions must reproduce them bit for bit (``np.array_equal``).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanetopo.bev import GridSpec, sigmoid
-from lanetopo.config import X_MIN, Y_MIN, PipelineConfig
+from lanetopo.config import N_SEMANTIC_TYPES, X_MIN, Y_MIN, PipelineConfig
 from lanetopo.geometry import Polyline, integer_crossings
 from lanetopo.losses import mask_point_targets
 from lanetopo.metrics import mask_iou, mask_iou_matrix
@@ -28,12 +29,7 @@ from lanetopo.scene import (
     render_gt_masks,
     synth_scene,
 )
-from lanetopo.sdmap import (
-    SdMapInstance,
-    SemanticEmbeddingTable,
-    rasterize_sdmap,
-    supercover_cells,
-)
+from lanetopo.sdmap import SdMapInstance, rasterize_sdmap, supercover_cells
 
 # --- scalar references ---------------------------------------------------------
 
@@ -104,7 +100,7 @@ def ref_gt_masks(scene: Scene, spec: GridSpec) -> np.ndarray:
     return masks
 
 
-def ref_bev_features(scene: Scene, cfg: PipelineConfig, noise_sigma: float = 0.0) -> np.ndarray:
+def ref_bev_features(scene: Scene, cfg: PipelineConfig) -> np.ndarray:
     """Per-segment first-claim render: real lanes in order, each segment of
     nonzero length claiming its dilated cells; then weak virtual occupancy."""
     spec = cfg.grid
@@ -136,21 +132,19 @@ def ref_bev_features(scene: Scene, cfg: PipelineConfig, noise_sigma: float = 0.0
         for r, cc in ref_lane_cells(scene.centerlines[i], spec):
             if not claimed[r, cc] and data[r, cc, 0] == 0.0:
                 data[r, cc, 0] = 0.2
-    if noise_sigma > 0.0:
+    if cfg.noise_sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([scene.seed, _NOISE_STREAM]))
-        data = data + rng.normal(0.0, noise_sigma, size=data.shape)
+        data = data + rng.normal(0.0, cfg.noise_sigma, size=data.shape)
     return data
 
 
-def ref_rasterize(
-    instances: list[SdMapInstance], spec: GridSpec, table: SemanticEmbeddingTable
-) -> np.ndarray:
+def ref_rasterize(instances: list[SdMapInstance], spec: GridSpec, table: np.ndarray) -> np.ndarray:
     claim = np.zeros((spec.h, spec.w), dtype=np.int64)
     for inst in instances:
         for r, c in ref_supercover(inst.polyline, spec):
             if claim[r, c] == 0:
                 claim[r, c] = inst.semantic_type
-    return table.embeddings[claim]
+    return table[claim]
 
 
 def ref_mask_point_targets(gt: Polyline, spec: GridSpec, axis: str):
@@ -198,9 +192,10 @@ def assert_scene_equal(scene: Scene, cfg: PipelineConfig) -> None:
     masks = render_gt_masks(scene, spec)
     assert np.array_equal(masks, ref_gt_masks(scene, spec))
     for sigma in (0.0, cfg.noise_sigma):
-        got = render_bev_features(scene, cfg, noise_sigma=sigma).data
-        assert np.array_equal(got, ref_bev_features(scene, cfg, noise_sigma=sigma)), sigma
-    table = SemanticEmbeddingTable(np.random.default_rng(0).normal(size=(4, cfg.channels)))
+        run = replace(cfg, noise_sigma=sigma)
+        got = render_bev_features(scene, run).data
+        assert np.array_equal(got, ref_bev_features(scene, run)), sigma
+    table = np.random.default_rng(0).normal(size=(N_SEMANTIC_TYPES + 1, cfg.channels))
     assert np.array_equal(
         rasterize_sdmap(scene.sd_instances, spec, table).data,
         ref_rasterize(scene.sd_instances, spec, table),

@@ -37,7 +37,7 @@ CONFIGS = {
 def model(request):
     cfg = CONFIGS[request.param]()
     weights = init_model_weights(cfg)
-    return cfg, weights, render_bev_features(synth_scene(7), cfg, cfg.noise_sigma)
+    return cfg, weights, render_bev_features(synth_scene(7), cfg)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ list's last entry) and loads the result.
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_predictions_loader_returns_or_raises_value_error(workdir, predictions_d
 @pytest.fixture(scope="module")
 def bev_bytes(workdir):
     path = workdir / "bev-valid.bin"
-    save_bev(render_bev_features(synth_scene(3), TINY, 0.0), path)
+    save_bev(render_bev_features(synth_scene(3), replace(TINY, noise_sigma=0.0)), path)
     return path.read_bytes()
 
 

@@ -6,23 +6,15 @@ a time. The batched path sums in another order (GEMMs in place of
 per-instance matvecs), so it is held to atol=1e-12. The boolean keep
 matrix is held to exact equality with the float 0/-inf mask it replaced.
 The masked attention's output, normalized after its value product, is held
-to the float-mask softmax at atol=1e-12; its weights, which come from the
-exact path, are held to the sentinel softmax bit for bit.
+to the float-mask softmax at atol=1e-12; the weights of its exact path,
+``decoder._kept_softmax``, are held to the sentinel softmax bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from lanetopo import decoder
-from lanetopo.bev import (
-    BevGrid,
-    GridSpec,
-    LayerNormWeights,
-    layer_norm,
-    mlp_forward,
-    sigmoid,
-    softmax,
-)
+from lanetopo.bev import BevGrid, GridSpec, mlp_forward, sigmoid, softmax
 from lanetopo.config import PipelineConfig
 from lanetopo.decoder import decoder_forward, instance_mask_logits
 from lanetopo.pipeline import infer
@@ -73,7 +65,7 @@ def readouts_loop(mask_logits, q_prime, mh, axis):
     return np.stack(coords), np.stack(existence), np.array(directions)
 
 
-def float_mask_attention(q, b, m, ln=None):
+def float_mask_attention(q, b, m):
     """Masked cross-attention with a float {0, -inf} mask added to the scores;
     layer 0's None (attend everywhere) becomes the all-zero mask."""
     cells = b.flat()
@@ -81,8 +73,7 @@ def float_mask_attention(q, b, m, ln=None):
         m = np.zeros((len(q), len(cells)))
     elif m.dtype == bool:
         m = np.where(m, 0.0, -np.inf)
-    out = q + softmax(q @ cells.T + m, axis=-1) @ cells
-    return out if ln is None else layer_norm(out, ln)
+    return q + softmax(q @ cells.T + m, axis=-1) @ cells
 
 
 def sentinel_mask_attention(q, b, m):
@@ -105,7 +96,7 @@ def setup(name, **overrides):
     cfg = CONFIGS[name](**overrides)
     weights = init_model_weights(cfg)
     scene = synth_scene(5, SceneParams(n_lanes=2, intersections=1))
-    return cfg, weights, render_bev_features(scene, cfg, cfg.noise_sigma)
+    return cfg, weights, render_bev_features(scene, cfg)
 
 
 @pytest.fixture(scope="module", params=[("desk", True), ("desk", False), ("full-48q-32c", True)],
@@ -204,14 +195,14 @@ def test_a_dropped_cell_far_above_the_kept_ones_gets_weight_zero():
     q[:3] = 1e150
     m[:3, 0] = False
     assert (q[:3] @ b.flat()[0] > 1e300).all()
-    out, weights = decoder.masked_cross_attention(q, b, m, return_weights=True)
-    assert np.isfinite(out).all()
-    assert np.allclose(out, float_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+    cells = b.flat()
+    weights = decoder._kept_softmax(q @ cells.T, m)
     assert np.array_equal(weights, sentinel_mask_attention(q, b, m))
     assert not weights[~m].any()
     out = decoder.masked_cross_attention(q, b, m)
     assert np.isfinite(out).all()
     assert np.allclose(out, float_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
+    assert np.allclose(out, q + weights @ cells, rtol=0.0, atol=ATOL)
 
 
 def test_non_finite_scores_give_the_sentinel_softmax_weights():
@@ -223,29 +214,25 @@ def test_non_finite_scores_give_the_sentinel_softmax_weights():
     m[1, :2] = (True, False)  # kept NaN
     m[2, :2] = (False, True)  # kept +inf: the row is NaN, as softmax makes it
     m[3, :2] = (True, True)
+    cells = b.flat()
     with np.errstate(over="ignore", invalid="ignore"):
-        out_w, weights = decoder.masked_cross_attention(q, b, m, return_weights=True)
+        weights = decoder._kept_softmax(q @ cells.T, m)
         expected = sentinel_mask_attention(q, b, m)
+        out = decoder.masked_cross_attention(q, b, m)
+        ref = q + weights @ cells
     assert np.isfinite(weights[0]).all() and np.isnan(weights[1:4]).all()
     assert np.array_equal(weights, expected, equal_nan=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = decoder.masked_cross_attention(q, b, m)
-    assert np.allclose(out, out_w, rtol=0.0, atol=ATOL, equal_nan=True)
+    assert np.allclose(out, ref, rtol=0.0, atol=ATOL, equal_nan=True)
 
 
 @pytest.mark.parametrize("seed", [6, 7])
 def test_no_mask_equals_the_all_true_mask(seed):
     b, q, m = random_grid_and_mask(seed, n=48, h=20, w=40, c=32)
-    rng = np.random.default_rng(seed)
-    ln = LayerNormWeights(rng.uniform(0.5, 1.5, size=32), rng.normal(size=32))
-    out, weights = decoder.masked_cross_attention(q, b, None, ln, return_weights=True)
-    ref, ref_weights = decoder.masked_cross_attention(
-        q, b, np.ones_like(m), ln, return_weights=True
-    )
-    assert np.array_equal(out, ref)
-    assert np.array_equal(weights, ref_weights)
-    out = decoder.masked_cross_attention(q, b, None, ln)
-    assert np.array_equal(out, decoder.masked_cross_attention(q, b, np.ones_like(m), ln))
+    scores = q @ b.flat().T
+    weights = decoder._kept_softmax(scores.copy(), None)
+    assert np.array_equal(weights, decoder._kept_softmax(scores, np.ones_like(m)))
+    out = decoder.masked_cross_attention(q, b, None)
+    assert np.array_equal(out, decoder.masked_cross_attention(q, b, np.ones_like(m)))
 
 
 def exact_path_rows(monkeypatch):
@@ -290,11 +277,12 @@ def test_kept_cells_far_below_a_dropped_maximum_take_the_exact_path(monkeypatch)
     assert seen == [1]  # row 1 alone, rescored on its own
     assert np.isfinite(out).all()
     assert np.allclose(out, float_mask_attention(q, b, m), rtol=0.0, atol=ATOL)
-    weights = decoder.masked_cross_attention(q, b, m, return_weights=True)[1]
+    weights = decoder._kept_softmax(q @ b.flat().T, m)
     assert np.isfinite(weights).all()
     assert weights[1, 0] == 0.0
     assert abs(weights[1].sum() - 1.0) < 1e-15
     assert np.array_equal(weights, sentinel_mask_attention(q, b, m))
+    assert np.allclose(out, q + weights @ b.flat(), rtol=0.0, atol=ATOL)
 
 
 def test_a_fully_masked_row_raises_with_and_without_a_mask():

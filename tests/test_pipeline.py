@@ -293,14 +293,14 @@ class TestStages:
         cfg = desk_cfg(sd=sd)
         scene = synth_scene(43)
         w = init_model_weights(cfg)
-        bev = render_bev_features(scene, cfg, cfg.noise_sigma)
+        bev = render_bev_features(scene, cfg)
         staged = fuse(infer(sd_features(bev, scene, w) if sd else bev, cfg, w))
         assert_outputs_equal(run_pipeline(scene, cfg, w).outputs, staged)
 
     def test_fuse_leaves_its_input_unchanged(self):
         cfg = desk_cfg()
         w = init_model_weights(cfg)
-        inferred = infer(render_bev_features(synth_scene(44), cfg, cfg.noise_sigma), cfg, w)
+        inferred = infer(render_bev_features(synth_scene(44), cfg), cfg, w)
         before = [p.points.pts.copy() for p in inferred.predictions]
         fused = fuse(inferred)
         assert all(

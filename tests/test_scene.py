@@ -196,14 +196,14 @@ class TestRenderBev:
             sd_instances=[],
             seed=0,
         )
-        cfg = PipelineConfig.desk()
-        grid = render_bev_features(empty, cfg, noise_sigma=0.0)
+        cfg = PipelineConfig.desk(noise_sigma=0.0)
+        grid = render_bev_features(empty, cfg)
         assert np.array_equal(grid.data, np.zeros_like(grid.data))
 
     def test_occupancy_exactly_on_dilated_cells(self):
-        cfg = PipelineConfig.desk()
+        cfg = PipelineConfig.desk(noise_sigma=0.0)
         scene = synth_scene(13, SceneParams(intersections=0))
-        grid = render_bev_features(scene, cfg, noise_sigma=0.0)
+        grid = render_bev_features(scene, cfg)
         expected = set()
         for lane, real in zip(scene.centerlines, scene.is_real):
             if real:
@@ -212,26 +212,25 @@ class TestRenderBev:
         assert occupied == expected
 
     def test_virtual_lanes_write_weak_occupancy(self):
-        cfg = PipelineConfig.desk()
+        cfg = PipelineConfig.desk(noise_sigma=0.0)
         scene = synth_scene(14, SceneParams(intersections=1))
-        grid = render_bev_features(scene, cfg, noise_sigma=0.0)
+        grid = render_bev_features(scene, cfg)
         weak = np.isclose(grid.data[:, :, 0], 0.2)
         assert weak.any()
 
     def test_noise_statistics(self):
-        cfg = PipelineConfig.desk()
         scene = synth_scene(15, SceneParams(intersections=0))
-        clean = render_bev_features(scene, cfg, noise_sigma=0.0)
-        noisy = render_bev_features(scene, cfg, noise_sigma=0.1)
+        clean = render_bev_features(scene, PipelineConfig.desk(noise_sigma=0.0))
+        noisy = render_bev_features(scene, PipelineConfig.desk(noise_sigma=0.1))
         deviation = (noisy.data - clean.data).reshape(-1)
         assert deviation.size >= 10_000
         assert 0.08 <= deviation.std() <= 0.12
 
     def test_noise_is_deterministic_per_seed(self):
-        cfg = PipelineConfig.desk()
+        cfg = PipelineConfig.desk(noise_sigma=0.05)
         scene = synth_scene(16, SceneParams(intersections=0))
-        a = render_bev_features(scene, cfg, noise_sigma=0.05)
-        b = render_bev_features(scene, cfg, noise_sigma=0.05)
+        a = render_bev_features(scene, cfg)
+        b = render_bev_features(scene, cfg)
         assert np.array_equal(a.data, b.data)
 
     def test_gt_masks_cover_lane_cells(self):
@@ -246,9 +245,9 @@ class TestRenderBev:
 
 class TestBevContainer:
     def test_binary_round_trip(self, tmp_path):
-        cfg = PipelineConfig.desk()
+        cfg = PipelineConfig.desk(noise_sigma=0.05)
         scene = synth_scene(18, SceneParams(intersections=0))
-        grid = render_bev_features(scene, cfg, noise_sigma=0.05)
+        grid = render_bev_features(scene, cfg)
         path = tmp_path / "bev.bin"
         save_bev(grid, path)
         loaded = load_bev(path, cfg.grid)
@@ -258,9 +257,9 @@ class TestBevContainer:
         assert list(header) == [grid.h, grid.w, grid.c]
 
     def test_wrong_grid_rejected(self, tmp_path):
-        cfg = PipelineConfig.desk()
+        cfg = PipelineConfig.desk(noise_sigma=0.0)
         scene = synth_scene(19, SceneParams(intersections=0))
-        grid = render_bev_features(scene, cfg, noise_sigma=0.0)
+        grid = render_bev_features(scene, cfg)
         path = tmp_path / "bev.bin"
         save_bev(grid, path)
         other = PipelineConfig.desk(grid_h=20, grid_w=40).grid
@@ -268,8 +267,8 @@ class TestBevContainer:
             load_bev(path, other)
 
     def test_truncated_payload_names_both_byte_counts(self, tmp_path):
-        cfg = PipelineConfig.desk()
-        grid = render_bev_features(synth_scene(20, SceneParams(intersections=0)), cfg, 0.0)
+        cfg = PipelineConfig.desk(noise_sigma=0.0)
+        grid = render_bev_features(synth_scene(20, SceneParams(intersections=0)), cfg)
         path = tmp_path / "bev.bin"
         save_bev(grid, path)
         path.write_bytes(path.read_bytes()[:-1])

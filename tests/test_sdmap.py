@@ -17,7 +17,6 @@ from lanetopo.bev import (
 from lanetopo.geometry import Polyline
 from lanetopo.sdmap import (
     SdMapInstance,
-    SemanticEmbeddingTable,
     rasterize_sdmap,
     sd_interact,
     supercover_cells,
@@ -28,7 +27,7 @@ from lanetopo.weights import (
     SdLayerWeights,
     init_model_weights,
 )
-from lanetopo.config import PipelineConfig
+from lanetopo.config import N_SEMANTIC_TYPES, PipelineConfig
 from lanetopo.pipeline import sd_features
 from lanetopo.scene import render_bev_features, synth_scene
 
@@ -37,9 +36,10 @@ def small_spec(h=8, w=12) -> GridSpec:
     return GridSpec(h=h, w=w, x_min=0.0, y_min=0.0, resolution=1.0)
 
 
-def table_for(c=4, n_types=3, seed=0) -> SemanticEmbeddingTable:
+def table_for(c=4, seed=0) -> np.ndarray:
+    """A (N_SEMANTIC_TYPES + 1, c) table: the default row, then one per type."""
     rng = np.random.default_rng(seed)
-    return SemanticEmbeddingTable(rng.normal(size=(n_types + 1, c)))
+    return rng.normal(size=(N_SEMANTIC_TYPES + 1, c))
 
 
 class TestRasterize:
@@ -47,7 +47,7 @@ class TestRasterize:
         spec = small_spec()
         table = table_for()
         grid = rasterize_sdmap([], spec, table)
-        assert np.allclose(grid.data, table.embeddings[0])
+        assert np.allclose(grid.data, table[0])
 
     def test_axis_aligned_line_matches_distance_oracle(self):
         spec = small_spec()
@@ -61,7 +61,7 @@ class TestRasterize:
                 center = np.array([c + 0.5, r + 0.5])
                 t = np.clip(np.dot(center - a, b - a) / np.dot(b - a, b - a), 0, 1)
                 dist = np.linalg.norm(center - (a + t * (b - a)))
-                expected = table.embeddings[2] if dist <= 0.5 else table.embeddings[0]
+                expected = table[2] if dist <= 0.5 else table[0]
                 assert np.array_equal(grid.data[r, c], expected), (r, c)
 
     def test_crossing_lines_lowest_index_wins(self):
@@ -72,15 +72,15 @@ class TestRasterize:
         grid = rasterize_sdmap(
             [SdMapInstance(horiz, 1), SdMapInstance(vert, 3)], spec, table
         )
-        assert np.array_equal(grid.data[4, 6], table.embeddings[1])
-        assert np.array_equal(grid.data[2, 6], table.embeddings[3])
+        assert np.array_equal(grid.data[4, 6], table[1])
+        assert np.array_equal(grid.data[2, 6], table[3])
 
     def test_outside_instances_contribute_nothing(self):
         spec = small_spec()
         table = table_for()
         outside = Polyline(np.array([[-30.0, -30.0, 0.0], [-20.0, -30.0, 0.0]]))
         grid = rasterize_sdmap([SdMapInstance(outside, 1)], spec, table)
-        assert np.allclose(grid.data, table.embeddings[0])
+        assert np.allclose(grid.data, table[0])
 
     def test_translation_consistency(self):
         spec = small_spec(10, 16)
@@ -93,10 +93,10 @@ class TestRasterize:
         assert expected == {rc for rc in moved if 0 < rc[1] < spec.w}
 
     def test_unknown_type_rejected(self):
-        spec = small_spec()
         line = Polyline(np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            rasterize_sdmap([SdMapInstance(line, 9)], spec, table_for(n_types=3))
+        for bad in (0, N_SEMANTIC_TYPES + 1, 9):
+            with pytest.raises(ValueError, match="semantic type"):
+                SdMapInstance(line, bad)
 
 
 def zeroed_sd_weights(c: int, heads: int, points: int, layers: int = 1) -> SdInteractWeights:
@@ -134,7 +134,7 @@ class TestSdInteract:
         c = 4
         b = BevGrid(rng.normal(size=(4, 6, c)), spec)
         e_s = BevGrid(rng.normal(size=(4, 6, c)), spec)
-        e_p = sinusoidal_pe_2d(4, 6, c, spec)
+        e_p = sinusoidal_pe_2d(spec, c)
         out = sd_interact(b, e_s, e_p, zeroed_sd_weights(c, heads=2, points=2))
         assert np.array_equal(out.data, b.data)
 
@@ -145,7 +145,7 @@ class TestSdInteract:
         spec = GridSpec(h=6, w=8, x_min=0.0, y_min=0.0, resolution=1.0)
         b = BevGrid(rng.normal(size=(6, 8, cfg.channels)), spec)
         e_s = BevGrid(rng.normal(size=(6, 8, cfg.channels)), spec)
-        e_p = sinusoidal_pe_2d(6, 8, cfg.channels, spec)
+        e_p = sinusoidal_pe_2d(spec, cfg.channels)
         out = sd_interact(b, e_s, e_p, weights.sd)
         assert out.data.shape == b.data.shape
         assert np.all(np.isfinite(out.data))
@@ -270,7 +270,7 @@ class TestSdInteract:
         spec = small_spec(6, 5)
         b = BevGrid(rng.normal(size=(6, 5, c)), spec)
         e_s = BevGrid(rng.normal(size=(6, 5, c)), spec)
-        e_p = sinusoidal_pe_2d(6, 5, c, spec)
+        e_p = sinusoidal_pe_2d(spec, c)
         isfinite = np.isfinite
         grid_scans = []
 
@@ -297,7 +297,7 @@ class TestSdInteract:
         spec = small_spec(3, 4)
         b = BevGrid(rng.normal(size=(3, 4, c)), spec)
         e_s = BevGrid(rng.normal(size=(3, 4, c)), spec)
-        e_p = sinusoidal_pe_2d(3, 4, c, spec)
+        e_p = sinusoidal_pe_2d(spec, c)
         with np.errstate(over="ignore", invalid="ignore"):
             one = sd_interact(b, e_s, e_p, SdInteractWeights(w.layers[:1]))
             assert np.isfinite(one.data).all()
@@ -309,7 +309,7 @@ class TestSdInteract:
         spec = small_spec(3, 4)
         b = BevGrid(rng.normal(size=(3, 4, 4)), spec)
         e_s = BevGrid(rng.normal(size=(3, 4, 4)), spec)
-        out = sd_interact(b, e_s, sinusoidal_pe_2d(3, 4, 4, spec), SdInteractWeights([]))
+        out = sd_interact(b, e_s, sinusoidal_pe_2d(spec, 4), SdInteractWeights([]))
         assert np.array_equal(out.data, b.data)
 
     @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
@@ -322,7 +322,7 @@ class TestSdInteract:
         spec = GridSpec(h=30, w=40, x_min=0.0, y_min=0.0, resolution=1.0)
         b = BevGrid(rng.normal(size=(30, 40, cfg.channels)), spec)
         e_s = BevGrid(rng.normal(size=(30, 40, cfg.channels)), spec)
-        e_p = sinusoidal_pe_2d(30, 40, cfg.channels, spec)
+        e_p = sinusoidal_pe_2d(spec, cfg.channels)
         assert sdmap.ROW_BLOCK >= 1200
         whole = sd_interact(b, e_s, e_p, weights.sd).data
         monkeypatch.setattr(sdmap, "ROW_BLOCK", row_block)
@@ -343,7 +343,7 @@ def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
     spec = GridSpec(h=3, w=683, x_min=0.0, y_min=0.0, resolution=1.0)
     b = BevGrid(rng.normal(size=(3, 683, cfg.channels)), spec)
     e_s = BevGrid(rng.normal(size=(3, 683, cfg.channels)), spec)
-    e_p = sinusoidal_pe_2d(3, 683, cfg.channels, spec)
+    e_p = sinusoidal_pe_2d(spec, cfg.channels)
     assert sdmap.ROW_BLOCK == 2048
     blocked = sd_interact(b, e_s, e_p, weights.sd).data
     monkeypatch.setattr(sdmap, "ROW_BLOCK", 2049)
@@ -357,7 +357,7 @@ def test_sd_features_memory_stays_bounded_at_full_pair_size():
     cfg = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=True)
     weights = init_model_weights(cfg)
     scene = synth_scene(0)
-    b = render_bev_features(scene, cfg, cfg.noise_sigma)
+    b = render_bev_features(scene, cfg)
     tracemalloc.start()
     try:
         sd_features(b, scene, weights)
