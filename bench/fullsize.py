@@ -10,10 +10,12 @@ at one thread. The op is ``init_model_weights(cfg, 0)``, ``synth_scene(0)``,
 ``perfbench/spans.Tracer``. Per config the output holds the median over the
 processes of each number: ``import_s`` (process start to ``import lanetopo``
 done), ``init_s`` (the weight init), ``op_s`` (the scene, the run and the
-dump), ``ru_maxrss_kb``, each span's ``s``/``self_s``/``calls`` and the
-counters. The op is the process's first run, so it includes loading
-``scipy.sparse`` and ``scipy.special``, which load on first use. This is a
-probe, not a gated benchmark: each process peaks at about 0.3–0.4 GB.
+dump), ``cpu_s`` (the op's process CPU time, user plus system: above
+``op_s`` when a second core worked on it), ``ru_maxrss_kb``, each span's
+``s``/``self_s``/``calls`` and the counters. The op is the process's first
+run, so it includes loading ``scipy.sparse`` and ``scipy.special``, which
+load on first use. This is a probe, not a gated benchmark: each process
+peaks at about 0.3–0.4 GB.
 """
 
 from __future__ import annotations
@@ -66,10 +68,12 @@ def child(cfg_fields: dict, spawned: float) -> dict:
     weights = weights_module.init_model_weights(cfg, 0)
     init_s = time.perf_counter() - t0
     tracer.op = "op"
+    cpu0 = os.times()
     t0 = time.perf_counter()
     result = pipeline.run_pipeline(scene.synth_scene(0), cfg, weights)
     text = pipeline.dump_predictions_json(result.outputs)
     op_s = time.perf_counter() - t0
+    cpu1 = os.times()
     tracer.op = None
 
     summary = spans.summarize(tracer, {"op": op_s})
@@ -86,6 +90,7 @@ def child(cfg_fields: dict, spawned: float) -> dict:
         "import_s": import_s,
         "init_s": init_s,
         "op_s": op_s,
+        "cpu_s": (cpu1.user - cpu0.user) + (cpu1.system - cpu0.system),
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "pred_bytes": len(text.encode()),
         "spans": per_span,
@@ -146,7 +151,8 @@ def main(argv=None) -> int:
         cfg = PipelineConfig(**overrides)
         r = runs[name] = {**median_record([probe(cfg) for _ in range(RUNS)]), "runs": RUNS}
         print(f"{name}: import {r['import_s']:.3f} s  init {r['init_s']:.3f} s  "
-              f"op {r['op_s']:.3f} s  peak RSS {r['ru_maxrss_kb'] / 1024:.0f} MB  "
+              f"op {r['op_s']:.3f} s  CPU {r['cpu_s']:.3f} s  "
+              f"peak RSS {r['ru_maxrss_kb'] / 1024:.0f} MB  "
               f"predictions {r['pred_bytes'] / 1e6:.2f} MB")
     args.out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     print(f"written to {args.out}")

@@ -9,6 +9,9 @@ features attend into the semantic-plus-positional SD grid.
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ from .decoder import deformable_attention_core
 from .geometry import Polyline, integer_crossings
 from .weights import SdInteractWeights
 
-ROW_BLOCK = 2048  # BEV cells per block of an SD layer; bounds the layer's temporaries
+ROW_BLOCK = 2048  # BEV cells live at once in an SD layer; bounds the layer's temporaries
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,33 @@ def rasterize_sdmap(instances: list[SdMapInstance], spec: GridSpec, table: np.nd
     return BevGrid(table[claim], spec)
 
 
+@functools.cache
+def _helper():
+    """The one helper thread :func:`_run_pair` runs its second half on."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanetopo-sd")
+
+
+# a forked child has no helper thread, though the parent's executor says it has
+os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def _run_pair(first, second) -> None:
+    """Run ``first()`` on this thread and ``second()`` on the helper thread.
+
+    ``second`` runs in a copy of this thread's context, which holds the
+    caller's ``np.errstate``. This returns or raises only once both are done;
+    an error in ``first`` wins over one in ``second``.
+    """
+    second_done = _helper().submit(contextvars.copy_context().run, second)
+    try:
+        first()
+    finally:
+        second_done.exception()
+    second_done.result()
+
+
 def sd_interact(
     b: BevGrid,
     e_s: BevGrid,
@@ -104,11 +134,14 @@ def sd_interact(
     deformable cross-attention into e_s + e_p, then a feed-forward block.
     Sublayers are pre-norm residual, so zeroing every learned projection
     leaves the input exactly unchanged. Reference points are the cells' own
-    integer coordinates. Each layer runs over ceil(h*w / ``ROW_BLOCK``)
+    integer coordinates. Each layer runs over 2 * ceil(h*w / ``ROW_BLOCK``)
     blocks of cells whose sizes differ by at most one, which every sublayer
-    treats independently: no block is a short remainder, which OpenBLAS
-    would multiply with another kernel. A layer whose output is not
-    finite raises :class:`~lanetopo.bev.NonFiniteError`.
+    treats independently: this thread runs the even blocks and one helper
+    thread the odd ones, so about ``ROW_BLOCK`` cells are live at once. The
+    bits are those of one thread running every block in turn, and no block
+    is a short remainder, which OpenBLAS would multiply with another kernel.
+    A layer whose output is not finite raises
+    :class:`~lanetopo.bev.NonFiniteError`.
     """
     if not (b.data.shape == e_s.data.shape == e_p.data.shape):
         raise ValueError("BEV, semantic, and positional grids must share h, w, c")
@@ -116,23 +149,27 @@ def sd_interact(
     sd_grid = BevGrid(e_s.data + e_p.data, b.spec)
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     refs = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=-1).astype(np.float64)
-    n_blocks = -(-h * w // ROW_BLOCK)
+    n_blocks = 2 * -(-h * w // ROW_BLOCK)
     bounds = [i * h * w // n_blocks for i in range(n_blocks + 1)]
+    blocks = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
     grid = b
     for i, layer in enumerate(weights.layers):
         # the self branch samples the whole old grid, so the layer writes a new one
         x = grid.flat()
         new = np.empty_like(x)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            block = slice(start, stop)
-            y = x[block] + deformable_attention_core(
-                layer_norm(x[block], layer.self_ln), grid, refs[block], layer.self_deform
-            )
-            y += deformable_attention_core(
-                layer_norm(y, layer.cross_ln), sd_grid, refs[block], layer.cross_deform
-            )
-            y += mlp_forward(layer.ffn, layer_norm(y, layer.ffn_ln))
-            new[block] = y
+
+        def run(blocks):
+            for block in blocks:
+                y = x[block] + deformable_attention_core(
+                    layer_norm(x[block], layer.self_ln), grid, refs[block], layer.self_deform
+                )
+                y += deformable_attention_core(
+                    layer_norm(y, layer.cross_ln), sd_grid, refs[block], layer.cross_deform
+                )
+                y += mlp_forward(layer.ffn, layer_norm(y, layer.ffn_ln))
+                new[block] = y
+
+        _run_pair(functools.partial(run, blocks[0::2]), functools.partial(run, blocks[1::2]))
         # the grid's own finiteness check is the layer's one scan of its output;
         # the shape is the input's, so non-finite cells are its only ValueError
         try:

@@ -1,6 +1,13 @@
 """SD map rasterization and the BEV augmentation decoder."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +37,9 @@ from lanetopo.weights import (
 from lanetopo.config import N_SEMANTIC_TYPES, PipelineConfig
 from lanetopo.pipeline import sd_features
 from lanetopo.scene import render_bev_features, synth_scene
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_spec(h=8, w=12) -> GridSpec:
@@ -314,8 +324,8 @@ class TestSdInteract:
 
     @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
     def test_row_blocks_give_the_same_features(self, monkeypatch, row_block):
-        # 1200 cells: 172 blocks of 6 or 7 cells and 3 of 400 (below about
-        # 40 cells OpenBLAS switches kernels), the others make one block
+        # 1200 cells: 344 blocks of 3 or 4 cells and 6 of 200 (below about
+        # 40 cells OpenBLAS switches kernels), the others make two of 600
         cfg = PipelineConfig.desk(grid_h=30, grid_w=40, sd=True)
         weights = init_model_weights(cfg, seed=2)
         rng = np.random.default_rng(4)
@@ -335,8 +345,9 @@ class TestSdInteract:
 
 
 def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
-    # 2049 cells make two blocks of 1025 and 1024 cells, not 2048 and a
-    # 1-cell remainder that OpenBLAS would multiply with another kernel
+    # 2049 cells make four blocks of 512 or 513 cells, and two of 1024 and
+    # 1025 at a block of 2049, not 2048 and a 1-cell remainder that OpenBLAS
+    # would multiply with another kernel
     cfg = PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683)
     weights = init_model_weights(cfg, seed=2)
     rng = np.random.default_rng(5)
@@ -348,6 +359,183 @@ def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
     blocked = sd_interact(b, e_s, e_p, weights.sd).data
     monkeypatch.setattr(sdmap, "ROW_BLOCK", 2049)
     assert np.array_equal(blocked, sd_interact(b, e_s, e_p, weights.sd).data)
+
+
+def random_sd_inputs(cfg: PipelineConfig, seed: int):
+    """Random BEV and semantic grids of ``cfg``'s shape and the positional grid."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(h=cfg.grid_h, w=cfg.grid_w, x_min=0.0, y_min=0.0, resolution=1.0)
+    shape = (cfg.grid_h, cfg.grid_w, cfg.channels)
+    return (BevGrid(rng.normal(size=shape), spec), BevGrid(rng.normal(size=shape), spec),
+            sinusoidal_pe_2d(spec, cfg.channels))
+
+
+def run_inline(first, second):
+    first()
+    second()
+
+
+@pytest.mark.parametrize("cfg", [
+    # 5000 cells: 6 blocks of 833 or 834, three on each thread
+    PipelineConfig.desk(sd=True),
+    # the benchmark's full-pair shape: 20 blocks of 1000 cells
+    PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=True),
+    # 2049 cells: 4 blocks of 512 or 513
+    PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683),
+    # 15 cells: blocks of 7 and 8, one on each thread
+    PipelineConfig.desk(sd=True, sd_layers=2, grid_h=3, grid_w=5),
+], ids=["desk", "full-pair", "2049-cells", "15-cells"])
+def test_the_two_thread_split_gives_the_inline_bits(monkeypatch, cfg):
+    weights = init_model_weights(cfg, seed=4)
+    b, e_s, e_p = random_sd_inputs(cfg, seed=9)
+    threaded = sd_interact(b, e_s, e_p, weights.sd).data
+    monkeypatch.setattr(sdmap, "_run_pair", run_inline)
+    assert np.array_equal(threaded, sd_interact(b, e_s, e_p, weights.sd).data)
+
+
+def test_the_caller_runs_the_even_blocks_and_one_helper_the_odd_ones(monkeypatch):
+    cfg = PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683)
+    weights = init_model_weights(cfg, seed=2)
+    b, e_s, e_p = random_sd_inputs(cfg, seed=5)
+    core = sdmap.deformable_attention_core
+    calls = []
+
+    def spy(q, grid, refs, w):
+        row, col = refs[0]
+        calls.append((threading.get_ident(), int(row) * cfg.grid_w + int(col), len(refs)))
+        return core(q, grid, refs, w)
+
+    monkeypatch.setattr(sdmap, "deformable_attention_core", spy)
+    sd_interact(b, e_s, e_p, weights.sd)
+    # two attentions per block and layer
+    assert len(calls) == 4 * 2 * 3
+    blocks = sorted({(start, n) for _, start, n in calls})
+    assert blocks == [(0, 512), (512, 512), (1024, 512), (1536, 513)]
+    caller = threading.get_ident()
+    helpers = {thread for thread, _, _ in calls} - {caller}
+    assert len(helpers) == 1
+    for thread, start, _ in calls:
+        assert (thread == caller) == (start in (0, 1024)), (thread, start)
+
+
+def test_an_overflow_on_the_helper_thread_keeps_sd_features_quiet():
+    # the helper runs in the caller's context, so sd_features' errstate
+    # reaches it: every block overflows, and none warns
+    cfg = PipelineConfig.desk(sd=True)
+    weights = init_model_weights(cfg, seed=3)
+    layer = weights.sd.layers[0]
+    layer.ffn = MlpWeights([(w * 1e200, bias * 1e200, act) for w, bias, act in layer.ffn.layers])
+    scene = synth_scene(3)
+    b = render_bev_features(scene, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^sd_interact layer 0 produced non-finite"):
+            sd_features(b, scene, weights)
+
+
+class HalfFailed(Exception):
+    pass
+
+
+def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
+    cfg = PipelineConfig.desk(sd=True)
+    weights = init_model_weights(cfg, seed=2)
+    b, e_s, e_p = random_sd_inputs(cfg, seed=1)
+    caller = threading.get_ident()
+    mlp = sdmap.mlp_forward
+
+    def failing_on_the_helper(w, x):
+        if threading.get_ident() != caller:
+            raise HalfFailed("helper")
+        return mlp(w, x)
+
+    monkeypatch.setattr(sdmap, "mlp_forward", failing_on_the_helper)
+    with pytest.raises(HalfFailed, match="helper"):
+        sd_interact(b, e_s, e_p, weights.sd)
+
+
+def test_an_error_in_the_callers_half_is_raised_after_the_helpers_half_ends():
+    started = threading.Event()
+    finished = []
+
+    def caller_half():
+        assert started.wait(30)
+        raise HalfFailed("caller")
+
+    def helper_half():
+        started.set()
+        time.sleep(0.2)
+        finished.append(threading.get_ident())
+
+    with pytest.raises(HalfFailed, match="caller"):
+        sdmap._run_pair(caller_half, helper_half)
+    assert len(finished) == 1 and finished[0] != threading.get_ident()
+
+
+def test_callers_on_several_threads_share_the_helper_and_keep_their_bits(monkeypatch):
+    # 480 cells in 16 blocks of 30; six callers queue their halves on one helper
+    monkeypatch.setattr(sdmap, "ROW_BLOCK", 64)
+    cfg = PipelineConfig.desk(sd=True, sd_layers=2, grid_h=12, grid_w=40)
+    weights = init_model_weights(cfg, seed=6)
+    inputs = [random_sd_inputs(cfg, seed) for seed in range(6)]
+    with monkeypatch.context() as inline:
+        inline.setattr(sdmap, "_run_pair", run_inline)
+        expected = [sd_interact(*grids, weights.sd).data for grids in inputs]
+    got = [[] for _ in inputs]
+
+    def call(k):
+        for _ in range(3):
+            got[k].append(sd_interact(*inputs[k], weights.sd).data)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, outs in enumerate(got):
+        assert len(outs) == 3 and all(np.array_equal(out, expected[k]) for out in outs), k
+
+
+FORKED_RUN = """
+import os, signal, sys, time
+import numpy as np
+from lanetopo.bev import BevGrid, GridSpec, sinusoidal_pe_2d
+from lanetopo.config import PipelineConfig
+from lanetopo.sdmap import sd_interact
+from lanetopo.weights import init_model_weights
+cfg = PipelineConfig.desk(sd=True, grid_h=4, grid_w=6)
+spec = GridSpec(h=4, w=6, x_min=0.0, y_min=0.0, resolution=1.0)
+rng = np.random.default_rng(0)
+grids = [BevGrid(rng.normal(size=(4, 6, cfg.channels)), spec) for _ in range(2)]
+args = (*grids, sinusoidal_pe_2d(spec, cfg.channels), init_model_weights(cfg, 0).sd)
+before = sd_interact(*args).data
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(sd_interact(*args).data, before) else 1)
+deadline = time.monotonic() + 60
+while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        sys.exit("the forked child hung")
+    time.sleep(0.05)
+sys.exit(os.waitstatus_to_exitcode(done[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper():
+    # the parent's helper thread is not copied into a forked child
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FORKED_RUN], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_sd_features_memory_stays_bounded_at_full_pair_size():
