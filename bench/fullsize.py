@@ -1,4 +1,5 @@
-"""Full-size probe: traced ops of the full-size config, sd off and sd on.
+"""Full-size probe: traced ops of the desk config and of the full-size
+config, sd off and sd on.
 
 Run from the root of a checkout:
 
@@ -40,7 +41,12 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = ROOT / "bench" / "BENCH_fullsize.json"
 PROBE_TIMEOUT_S = 600
 RUNS = 3
-CONFIGS = {"sd_off": {}, "sd_on": {"sd": True}}
+# each probed config, built from the PipelineConfig class
+CONFIGS = {
+    "desk": lambda config: config.desk(),
+    "sd_off": lambda config: config(),
+    "sd_on": lambda config: config(sd=True),
+}
 
 
 def child(cfg_fields: dict, spawned: float) -> dict:
@@ -147,8 +153,8 @@ def main(argv=None) -> int:
     from lanetopo.config import PipelineConfig
 
     runs = {}
-    for name, overrides in CONFIGS.items():
-        cfg = PipelineConfig(**overrides)
+    for name, make in CONFIGS.items():
+        cfg = make(PipelineConfig)
         r = runs[name] = {**median_record([probe(cfg) for _ in range(RUNS)]), "runs": RUNS}
         print(f"{name}: import {r['import_s']:.3f} s  init {r['init_s']:.3f} s  "
               f"op {r['op_s']:.3f} s  CPU {r['cpu_s']:.3f} s  "

@@ -3,16 +3,26 @@
 Grids, small MLPs, stabilized softmax, bilinear sampling, 2D sinusoidal
 position encodings, layer normalization, and a central-difference gradient
 harness. All math is 64-bit floating point and deterministic; there is no
-autodiff and no GPU path.
+autodiff and no GPU path. Large products run half their rows on one helper
+thread (:func:`_run_rows`), with the bits of one thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 LN_EPS = 1e-5
+
+# rows x cells from which _run_rows splits a product's rows over two threads:
+# the full-pair shapes (48 or 24 rows x 20,000 cells) split, the desk ones
+# (32 or 16 rows x 5,000 cells) stay on one, where the hand-off costs more
+# than the second core saves
+ROW_SPLIT = 2**18
 
 
 # SciPy loads on the first call of each wrapper, not at import: scipy.sparse
@@ -30,6 +40,49 @@ def sigmoid(x):
     from scipy.special import expit
 
     return expit(x)
+
+
+@functools.cache
+def _helper():
+    """The one helper thread :func:`_run_pair` runs its second half on."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanetopo-helper")
+
+
+# a forked child has no helper thread, though the parent's executor says it has
+os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def _run_pair(first, second) -> None:
+    """Run ``first()`` on this thread and ``second()`` on the helper thread.
+
+    ``second`` runs in a copy of this thread's context, which holds the
+    caller's ``np.errstate``. This returns or raises only once both are done;
+    an error in ``first`` wins over one in ``second``.
+    """
+    second_done = _helper().submit(contextvars.copy_context().run, second)
+    try:
+        first()
+    finally:
+        second_done.exception()
+    second_done.result()
+
+
+def _run_rows(run, n: int, cells: int) -> None:
+    """Call ``run(rows)`` over row slices that cover an n-row product, each
+    row costing ``cells`` cells of work.
+
+    From :data:`ROW_SPLIT` rows x cells on, this thread runs the first
+    ceil(n / 2) rows and the helper thread the rest; below it ``run`` gets
+    ``slice(None)``. Each half's rows come out with the bits of the whole
+    product at one BLAS thread.
+    """
+    if n < 2 or n * cells < ROW_SPLIT:
+        run(slice(None))
+        return
+    half = (n + 1) // 2
+    _run_pair(functools.partial(run, slice(0, half)), functools.partial(run, slice(half, n)))
 
 
 class NonFiniteError(ValueError):

@@ -18,6 +18,7 @@ import numpy as np
 from .bev import (
     BevGrid,
     MlpWeights,
+    _run_rows,
     bilinear_sample_batch,
     binarize_logits,
     layer_norm,
@@ -60,28 +61,39 @@ def masked_cross_attention(q: np.ndarray, b: BevGrid, m: np.ndarray | None) -> n
     goes through :func:`_kept_softmax` instead. Above that sum the shift by
     the maximum over all cells in place of the kept maximum adds at most
     about ``ln(h*w / MIN_KEPT_SUM) * 2**-53`` of rounding to a weight.
+
+    Large calls split their rows over two threads (:func:`~lanetopo.bev._run_rows`).
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
         raise ValueError("query and BEV channel dimensions differ")
     if m is not None and (m.shape != (q.shape[0], cells.shape[0]) or m.dtype != bool):
         raise ValueError(f"mask must be boolean (n_queries, h*w), got {m.dtype} {m.shape}")
-    scores = q @ cells.T
-    # a row whose maximum is NaN or +-inf turns NaN here, which fails the
-    # sum test below; the exact path redoes it with the usual warnings
-    with np.errstate(invalid="ignore"):
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        if m is not None:
-            scores *= m
-        total = scores.sum(axis=1, keepdims=True)
-    # one row at a time, so that a row's bits do not depend on how many
-    # other rows take the exact path
-    for r in np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM)):
-        keep = None if m is None else m[r:r + 1]
-        scores[r] = _kept_softmax(q[r:r + 1] @ cells.T, keep)[0]
-        total[r] = 1.0
-    return q + (scores @ cells) / total
+    # the caller allocates the (n, h*w) scores, so the helper thread's half
+    # allocates nothing large in a malloc arena of its own
+    out, all_scores = np.empty(q.shape), np.empty((len(q), len(cells)))
+
+    def run(rows):
+        qr, mr = q[rows], None if m is None else m[rows]
+        scores = np.matmul(qr, cells.T, out=all_scores[rows])
+        # a row whose maximum is NaN or +-inf turns NaN here, which fails the
+        # sum test below; the exact path redoes it with the usual warnings
+        with np.errstate(invalid="ignore"):
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            if mr is not None:
+                scores *= mr
+            total = scores.sum(axis=1, keepdims=True)
+        # one row at a time, so that a row's bits do not depend on how many
+        # other rows take the exact path
+        for r in np.flatnonzero(~(total[:, 0] >= MIN_KEPT_SUM)):
+            keep = None if mr is None else mr[r:r + 1]
+            scores[r] = _kept_softmax(qr[r:r + 1] @ cells.T, keep)[0]
+            total[r] = 1.0
+        out[rows] = qr + (scores @ cells) / total
+
+    _run_rows(run, len(q), len(cells))
+    return out
 
 
 def _kept_softmax(scores: np.ndarray, m: np.ndarray | None) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, mlp_forward, sigmoid, softmax
+from .bev import BevGrid, GridSpec, _run_rows, mlp_forward, sigmoid, softmax
 from .geometry import Polyline, filter_outliers, resample_points
 from .weights import MaskHeadWeights
 
@@ -68,12 +68,20 @@ def encode_mask_query(q: np.ndarray, pts: np.ndarray, w: MaskHeadWeights) -> np.
 def generate_mask(b: BevGrid, q_prime: np.ndarray) -> np.ndarray:
     """Dot-product mask head: per-cell logit = cell feature . mask query.
 
-    ``q_prime`` (n, c) gives (n, h, w) logits from one (n, c) @ (c, h*w) GEMM.
+    ``q_prime`` (n, c) gives (n, h, w) logits from one (n, c) @ (c, h*w) GEMM,
+    whose rows split over two threads when it is large.
     """
     q_prime = np.asarray(q_prime, dtype=np.float64)
     if q_prime.shape[-1:] != (b.c,):
         raise ValueError(f"mask queries must be (..., {b.c}), got {q_prime.shape}")
-    return (q_prime @ b.flat().T).reshape(*q_prime.shape[:-1], b.h, b.w)
+    queries, cells = q_prime.reshape(-1, b.c), b.flat()
+    out = np.empty((len(queries), len(cells)))
+
+    def run(rows):
+        np.matmul(queries[rows], cells.T, out=out[rows])
+
+    _run_rows(run, len(queries), len(cells))
+    return out.reshape(*q_prime.shape[:-1], b.h, b.w)
 
 
 def sample_mask_points(m: np.ndarray, axis: str) -> np.ndarray:
@@ -81,7 +89,8 @@ def sample_mask_points(m: np.ndarray, axis: str) -> np.ndarray:
 
     ``m`` is (n, h, w). Columns axis: coordinate j of instance i is
     sum_r r * softmax(m[i, :, j])[r], giving (n, w) values in [0, h-1]. Rows
-    axis is the symmetric per-row readout, (n, h).
+    axis is the symmetric per-row readout, (n, h). Large calls split the
+    instances over two threads.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
@@ -90,19 +99,35 @@ def sample_mask_points(m: np.ndarray, axis: str) -> np.ndarray:
     if axis == AXIS_COLUMNS:
         if h < 2:
             raise ValueError("columns readout needs at least 2 rows")
-        return np.arange(h, dtype=np.float64) @ softmax(m, axis=-2)
-    if axis == AXIS_ROWS:
+        size = w
+
+        def readout(masks):
+            return np.arange(h, dtype=np.float64) @ softmax(masks, axis=-2)
+    elif axis == AXIS_ROWS:
         if w < 2:
             raise ValueError("rows readout needs at least 2 columns")
-        return softmax(m, axis=-1) @ np.arange(w, dtype=np.float64)
-    raise ValueError(f"unknown axis {axis!r}")
+        size = h
+
+        def readout(masks):
+            return softmax(masks, axis=-1) @ np.arange(w, dtype=np.float64)
+    else:
+        raise ValueError(f"unknown axis {axis!r}")
+    masks = m.reshape(-1, h, w)
+    out = np.empty((len(masks), size))
+
+    def run(rows):
+        out[rows] = readout(masks[rows])
+
+    _run_rows(run, len(masks), h * w)
+    return out.reshape(*m.shape[:-2], size)
 
 
 def predict_existence(m: np.ndarray, phi1, axis: str) -> np.ndarray:
     """Per-column (or per-row) existence probabilities from the flattened masks.
 
     ``m`` (n, h, w) gives (n, w) for columns or (n, h) for rows: the head is
-    one GEMM over all instances.
+    one GEMM over all instances, whose rows split over two threads when it is
+    large.
     """
     m = np.asarray(m, dtype=np.float64)
     h, w = m.shape[-2:]
@@ -111,7 +136,14 @@ def predict_existence(m: np.ndarray, phi1, axis: str) -> np.ndarray:
         raise ValueError(f"existence head expects input dim {h * w}, got {phi1.in_dim}")
     if phi1.out_dim != expected:
         raise ValueError(f"existence head for {axis} must output {expected} values")
-    return sigmoid(mlp_forward(phi1, m.reshape(*m.shape[:-2], h * w)))
+    masks = m.reshape(-1, h * w)
+    out = np.empty((len(masks), expected))
+
+    def run(rows):
+        out[rows] = sigmoid(mlp_forward(phi1, masks[rows]))
+
+    _run_rows(run, len(masks), h * w)
+    return out.reshape(*m.shape[:-2], expected)
 
 
 def predict_direction(q_prime: np.ndarray, phi2) -> np.ndarray:

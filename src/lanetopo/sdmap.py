@@ -9,14 +9,12 @@ features attend into the semantic-plus-positional SD grid.
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, NonFiniteError, layer_norm, mlp_forward
+from .bev import BevGrid, GridSpec, NonFiniteError, _run_pair, layer_norm, mlp_forward
 from .config import N_SEMANTIC_TYPES
 from .decoder import deformable_attention_core
 from .geometry import Polyline, integer_crossings
@@ -93,33 +91,6 @@ def rasterize_sdmap(instances: list[SdMapInstance], spec: GridSpec, table: np.nd
         row, col = supercover_cells(inst.polyline, spec).T
         claim[row, col] = np.where(claim[row, col] == 0, inst.semantic_type, claim[row, col])
     return BevGrid(table[claim], spec)
-
-
-@functools.cache
-def _helper():
-    """The one helper thread :func:`_run_pair` runs its second half on."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanetopo-sd")
-
-
-# a forked child has no helper thread, though the parent's executor says it has
-os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
-def _run_pair(first, second) -> None:
-    """Run ``first()`` on this thread and ``second()`` on the helper thread.
-
-    ``second`` runs in a copy of this thread's context, which holds the
-    caller's ``np.errstate``. This returns or raises only once both are done;
-    an error in ``first`` wins over one in ``second``.
-    """
-    second_done = _helper().submit(contextvars.copy_context().run, second)
-    try:
-        first()
-    finally:
-        second_done.exception()
-    second_done.result()
 
 
 def sd_interact(

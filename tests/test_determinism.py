@@ -68,6 +68,42 @@ np.savez(sys.argv[1], **arrays)
 """
 
 
+# infer + fuse for each config given as JSON, on synth_scene(cfg.seed), with
+# the shipped row split and with ROW_SPLIT above every shape, so no row
+# splits; saves the predictions JSON text, mask logits and all-row readouts
+# of both
+SPLIT_CHILD = """
+import json
+import sys
+import numpy as np
+from lanetopo import bev
+from lanetopo.config import PipelineConfig
+from lanetopo.pipeline import dump_predictions_json, fuse, infer, sd_features
+from lanetopo.scene import render_bev_features, synth_scene
+from lanetopo.weights import init_model_weights
+
+split = bev.ROW_SPLIT
+arrays = {}
+for k, fields in enumerate(json.loads(sys.argv[2])):
+    cfg = PipelineConfig.from_dict(fields)
+    scene, weights = synth_scene(cfg.seed), init_model_weights(cfg)
+    b = render_bev_features(scene, cfg)
+    if cfg.sd:
+        b = sd_features(b, scene, weights)
+    for name, threshold in (("split", split), ("whole", 2**62)):
+        bev.ROW_SPLIT = threshold
+        out = infer(b, cfg, weights)
+        text = dump_predictions_json(fuse(out))
+        arrays[f"{name}_{k}_json"] = np.frombuffer(text.encode(), dtype=np.uint8)
+        arrays[f"{name}_{k}_logits"] = out.mask_logits
+        for axis, seq in (("col", out.col_readouts), ("row", out.row_readouts)):
+            for field in ("coords", "existence", "direction"):
+                arrays[f"{name}_{k}_{axis}_{field}"] = np.array(
+                    [getattr(r, field) for r in seq])
+np.savez(sys.argv[1], **arrays)
+"""
+
+
 def run_fresh(code: str, threads: int, *args: str) -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -141,3 +177,22 @@ def test_real_row_readouts_keep_the_bits_at_one_thread(tmp_path):
     assert len(real) == len(configs) * 2 * 3
     for key in real:
         assert np.array_equal(arrays[key], arrays["all_" + key[len("real_"):]]), key
+
+
+def test_the_row_split_keeps_the_unsplit_bits_at_one_thread(tmp_path):
+    """The full-pair shape, sd off and on, and an odd split of its rows split
+    the decoder's and mask heads' rows over two threads; at one BLAS thread
+    the predictions, mask logits and readouts equal a run that splits none."""
+    full_pair = partial(PipelineConfig, n_real=24, n_virtual=24, channels=32, ffn_dim=64)
+    configs = [
+        full_pair(seed=7),
+        full_pair(seed=7, sd=True),
+        PipelineConfig(n_real=25, n_virtual=22, channels=32, ffn_dim=64, seed=0),
+    ]
+    out = tmp_path / "split.npz"
+    run_fresh(SPLIT_CHILD, 1, str(out), json.dumps([c.to_dict() for c in configs]))
+    arrays = np.load(out)
+    split = [key for key in arrays.files if key.startswith("split_")]
+    assert len(split) == len(configs) * (2 + 2 * 3)
+    for key in split:
+        assert np.array_equal(arrays[key], arrays["whole_" + key[len("split_"):]]), key

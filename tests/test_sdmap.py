@@ -324,16 +324,17 @@ class TestSdInteract:
 
     @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
     def test_row_blocks_give_the_same_features(self, monkeypatch, row_block):
-        # 1200 cells: 344 blocks of 3 or 4 cells and 6 of 200 (below about
-        # 40 cells OpenBLAS switches kernels), the others make two of 600
-        cfg = PipelineConfig.desk(grid_h=30, grid_w=40, sd=True)
+        # 2,500 cells: 4 blocks of 625 at the default 2048, against 716 of 3
+        # or 4 cells (below about 40 cells OpenBLAS switches kernels), 10 of
+        # 250, 6 of 416 or 417 and 2 of 1,250
+        cfg = PipelineConfig.desk(grid_h=50, grid_w=50, sd=True)
         weights = init_model_weights(cfg, seed=2)
         rng = np.random.default_rng(4)
-        spec = GridSpec(h=30, w=40, x_min=0.0, y_min=0.0, resolution=1.0)
-        b = BevGrid(rng.normal(size=(30, 40, cfg.channels)), spec)
-        e_s = BevGrid(rng.normal(size=(30, 40, cfg.channels)), spec)
+        spec = GridSpec(h=50, w=50, x_min=0.0, y_min=0.0, resolution=1.0)
+        b = BevGrid(rng.normal(size=(50, 50, cfg.channels)), spec)
+        e_s = BevGrid(rng.normal(size=(50, 50, cfg.channels)), spec)
         e_p = sinusoidal_pe_2d(spec, cfg.channels)
-        assert sdmap.ROW_BLOCK >= 1200
+        assert sdmap.ROW_BLOCK == 2048
         whole = sd_interact(b, e_s, e_p, weights.sd).data
         monkeypatch.setattr(sdmap, "ROW_BLOCK", row_block)
         out = sd_interact(b, e_s, e_p, weights.sd).data
@@ -507,6 +508,8 @@ import os, signal, sys, time
 import numpy as np
 from lanetopo.bev import BevGrid, GridSpec, sinusoidal_pe_2d
 from lanetopo.config import PipelineConfig
+from lanetopo.pipeline import infer
+from lanetopo.scene import render_bev_features, synth_scene
 from lanetopo.sdmap import sd_interact
 from lanetopo.weights import init_model_weights
 cfg = PipelineConfig.desk(sd=True, grid_h=4, grid_w=6)
@@ -514,10 +517,17 @@ spec = GridSpec(h=4, w=6, x_min=0.0, y_min=0.0, resolution=1.0)
 rng = np.random.default_rng(0)
 grids = [BevGrid(rng.normal(size=(4, 6, cfg.channels)), spec) for _ in range(2)]
 args = (*grids, sinusoidal_pe_2d(spec, cfg.channels), init_model_weights(cfg, 0).sd)
+# the full-pair shape, whose decoder and mask heads split their rows
+full_pair = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64)
+model = (render_bev_features(synth_scene(0), full_pair), full_pair,
+         init_model_weights(full_pair, 0))
 before = sd_interact(*args).data
+logits = infer(*model).mask_logits
 pid = os.fork()
 if pid == 0:
-    os._exit(0 if np.array_equal(sd_interact(*args).data, before) else 1)
+    same = (np.array_equal(sd_interact(*args).data, before)
+            and np.array_equal(infer(*model).mask_logits, logits))
+    os._exit(0 if same else 1)
 deadline = time.monotonic() + 60
 while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
     if time.monotonic() > deadline:
@@ -530,7 +540,8 @@ sys.exit(os.waitstatus_to_exitcode(done[1]))
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helper():
-    # the parent's helper thread is not copied into a forked child
+    # the parent's helper thread is not copied into a forked child; the child
+    # runs the SD layer and a decoder whose rows split, and must not hang
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", FORKED_RUN], env=env, capture_output=True,
