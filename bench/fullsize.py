@@ -1,19 +1,23 @@
 """Full-size probe: traced ops of the desk config and of the full-size
-config, sd off and sd on.
+config, sd off and sd on, with BLAS at one thread and at its default.
 
 Run from the root of a checkout:
 
     python3 bench/fullsize.py [--out bench/BENCH_fullsize.json]
 
-Each config runs in ``RUNS`` fresh processes, one after another, with BLAS
-at one thread. The op is ``init_model_weights(cfg, 0)``, ``synth_scene(0)``,
-``run_pipeline`` and ``dump_predictions_json``, traced by
-``perfbench/spans.Tracer``. Per config the output holds the median over the
-processes of each number: ``import_s`` (process start to ``import lanetopo``
-done), ``init_s`` (the weight init), ``op_s`` (the scene, the run and the
-dump), ``cpu_s`` (the op's process CPU time, user plus system: above
-``op_s`` when a second core worked on it), ``ru_maxrss_kb``, each span's
-``s``/``self_s``/``calls`` and the counters. The op is the process's first
+Each row runs in ``RUNS`` fresh processes, one after another. The ``desk``,
+``sd_off`` and ``sd_on`` rows pin BLAS to one thread; the
+``sd_off_default_blas`` and ``sd_on_default_blas`` rows run the full-size
+configs with no BLAS variable set, so numpy's OpenBLAS picks its own thread
+count, and record ``blas_threads`` as null. The op is
+``init_model_weights(cfg, 0)``, ``synth_scene(0)``, ``run_pipeline`` and
+``dump_predictions_json``, traced by ``perfbench/spans.Tracer``. Per row
+the output holds the median over the processes of each number:
+``import_s`` (process start to ``import lanetopo`` done), ``init_s`` (the
+weight init), ``op_s`` (the scene, the run and the dump), ``cpu_s`` (the
+op's process CPU time, user plus system: above ``op_s`` when a second core
+worked on it), ``ru_maxrss_kb``, each span's ``s``/``self_s``/``calls``
+and the counters. The op is the process's first
 run, so it includes loading ``scipy.sparse`` and ``scipy.special``, which
 load on first use. This is a probe, not a gated benchmark: each process
 peaks at about 0.3–0.4 GB.
@@ -32,8 +36,8 @@ import sys
 import time
 from pathlib import Path
 
-# each probe process starts with BLAS pinned, so numpy loads with it: the
-# output bytes depend on the thread count
+# a pinned probe process starts with these variables, so numpy loads with
+# them: the output bytes depend on the thread count
 BLAS_THREADS = 1
 BLAS_ENV = {var: str(BLAS_THREADS) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                "MKL_NUM_THREADS")}
@@ -41,11 +45,14 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = ROOT / "bench" / "BENCH_fullsize.json"
 PROBE_TIMEOUT_S = 600
 RUNS = 3
-# each probed config, built from the PipelineConfig class
+# each probed row: its config, built from the PipelineConfig class, and
+# whether its processes pin BLAS to BLAS_THREADS
 CONFIGS = {
-    "desk": lambda config: config.desk(),
-    "sd_off": lambda config: config(),
-    "sd_on": lambda config: config(sd=True),
+    "desk": (lambda config: config.desk(), True),
+    "sd_off": (lambda config: config(), True),
+    "sd_on": (lambda config: config(sd=True), True),
+    "sd_off_default_blas": (lambda config: config(), False),
+    "sd_on_default_blas": (lambda config: config(sd=True), False),
 }
 
 
@@ -102,7 +109,8 @@ def child(cfg_fields: dict, spawned: float) -> dict:
         "spans": per_span,
         "counters": counters,
         "counter_errors": tracer.counter_errors,
-        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "blas_threads": (int(os.environ["OPENBLAS_NUM_THREADS"])
+                         if "OPENBLAS_NUM_THREADS" in os.environ else None),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -110,13 +118,17 @@ def child(cfg_fields: dict, spawned: float) -> dict:
     }
 
 
-def probe(cfg) -> dict:
+def probe(cfg, pin_blas: bool = True) -> dict:
     """:func:`child`'s record for the :class:`~lanetopo.config.PipelineConfig`
-    ``cfg``, run in a fresh process."""
+    ``cfg``, run in a fresh process with BLAS at one thread, or with no BLAS
+    variable set when ``pin_blas`` is false."""
+    env = {var: value for var, value in os.environ.items() if var not in BLAS_ENV}
+    if pin_blas:
+        env.update(BLAS_ENV)
     done = subprocess.run(
         [sys.executable, __file__, "--child", json.dumps(cfg.to_dict()),
          "--spawned", repr(time.time())],
-        env={**os.environ, **BLAS_ENV}, capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
         timeout=PROBE_TIMEOUT_S, check=False,
     )
     if done.returncode != 0:
@@ -153,9 +165,9 @@ def main(argv=None) -> int:
     from lanetopo.config import PipelineConfig
 
     runs = {}
-    for name, make in CONFIGS.items():
+    for name, (make, pin_blas) in CONFIGS.items():
         cfg = make(PipelineConfig)
-        r = runs[name] = {**median_record([probe(cfg) for _ in range(RUNS)]), "runs": RUNS}
+        r = runs[name] = {**median_record([probe(cfg, pin_blas) for _ in range(RUNS)]), "runs": RUNS}
         print(f"{name}: import {r['import_s']:.3f} s  init {r['init_s']:.3f} s  "
               f"op {r['op_s']:.3f} s  CPU {r['cpu_s']:.3f} s  "
               f"peak RSS {r['ru_maxrss_kb'] / 1024:.0f} MB  "

@@ -1,4 +1,10 @@
-"""Pipeline configuration: model sizes, grid layout, toggles, loss weights."""
+"""Pipeline configuration: model sizes, grid layout and toggles.
+
+The values the method fixes are module constants, not fields: the working
+area, the z range, the SD road-type count and the deformable sampling
+points. Loss weights are :class:`LossCoefficients`, passed to
+:func:`lanetopo.losses.total_loss`.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +13,19 @@ import json
 import math
 import numbers
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bev import GridSpec
 
 # The BEV working area (meters) that every scene lies in and every grid starts
-# from, the z range of decoded points, and the number of SD road types.
+# from, the z range of decoded points, the number of SD road types, and the
+# sampling points per head of every deformable attention (Deformable DETR's 4).
 X_MIN, X_MAX = -50.0, 50.0
 Y_MIN, Y_MAX = -25.0, 25.0
 Z_MIN, Z_MAX = -5.0, 5.0
 N_SEMANTIC_TYPES = 3
+SAMPLE_POINTS = 4
 
 
 class ConfigError(ValueError):
@@ -35,7 +43,8 @@ class LossCoefficients:
 
 @dataclass
 class PipelineConfig:
-    """Everything the pipeline needs besides the scene and the weights.
+    """Everything the pipeline needs besides the scene and the weights; loss
+    weights are :class:`LossCoefficients`, passed to ``total_loss``.
 
     Defaults are the full-size model configuration; :meth:`desk` returns a
     small configuration suited to fast tests.
@@ -48,7 +57,6 @@ class PipelineConfig:
     layers: int = 4
     heads: int = 8
     ffn_dim: int = 512
-    sample_points: int = 4
 
     grid_h: int = 100
     grid_w: int = 200
@@ -56,7 +64,6 @@ class PipelineConfig:
 
     sd_layers: int = 1
     sd_heads: int = 8
-    sd_sample_points: int = 4
 
     pgm: bool = True
     pmf: bool = True
@@ -66,16 +73,12 @@ class PipelineConfig:
 
     noise_sigma: float = 0.05
     seed: int = 0
-    loss: LossCoefficients = field(default_factory=LossCoefficients)
 
     def __post_init__(self):
-        if isinstance(self.loss, dict):
-            self.loss = LossCoefficients(**self.loss)
         self.validate()
 
     def validate(self) -> None:
-        loss = {f"loss.{k}": v for k, v in vars(self.loss).items()}
-        for name, value in {**vars(self), **loss}.items():
+        for name, value in vars(self).items():
             if not _finite(value):
                 raise ConfigError(f"{name} must be a finite number")
         if self.k < 2:
@@ -94,8 +97,6 @@ class PipelineConfig:
             raise ConfigError("resolution must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be at least 0")
-        if self.sample_points < 1 or self.sd_sample_points < 1:
-            raise ConfigError("sample_points and sd_sample_points must be at least 1")
         if self.ffn_dim < 1:
             raise ConfigError("ffn_dim must be at least 1")
         if self.channels < 4:
@@ -181,28 +182,21 @@ _TYPE_NAMES = {
 
 def _fits(value, kind) -> bool:
     """Whether a document value fits a declared field type: ``bool``,
-    ``int`` (not a bool), ``float`` (an int is accepted) or a dataclass
-    instance."""
-    if dataclasses.is_dataclass(kind):
-        return isinstance(value, kind)
+    ``int`` (not a bool) or ``float`` (an int is accepted)."""
     if kind is bool:
         return isinstance(value, bool)
     number = numbers.Integral if kind is int else numbers.Real
     return isinstance(value, number) and not isinstance(value, bool)
 
 
-def _check_fields(d: dict, cls: type, path: str = "") -> None:
+def _check_fields(d: dict, cls: type) -> None:
     """Raise ConfigError for the first key of ``d`` that is not a field of
-    the dataclass ``cls`` or whose value does not fit the field's type; a
-    dataclass-typed field also takes an object of its own fields."""
+    the dataclass ``cls`` or whose value does not fit the field's type."""
     types = typing.get_type_hints(cls)
     unknown = set(d) - types.keys()
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(path + k for k in unknown)}")
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     for key, value in d.items():
-        kind, name = types[key], path + key
-        if dataclasses.is_dataclass(kind) and isinstance(value, dict):
-            _check_fields(value, kind, f"{name}.")
-        elif not _fits(value, kind):
-            what = _TYPE_NAMES.get(kind, "an object")
-            raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+        kind = types[key]
+        if not _fits(value, kind):
+            raise ConfigError(f"config field {key} must be {_TYPE_NAMES[kind]}, got {value!r}")

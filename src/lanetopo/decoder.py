@@ -18,6 +18,7 @@ import numpy as np
 from .bev import (
     BevGrid,
     MlpWeights,
+    NonFiniteError,
     _run_rows,
     bilinear_sample_batch,
     binarize_logits,
@@ -142,6 +143,9 @@ def rvs_self_attention(qr: np.ndarray, qv: np.ndarray) -> tuple[np.ndarray, np.n
     return out_r, out_v
 
 
+_ALL_POINTS_MASKED = "softmax over a fully masked row in the deformable attention"
+
+
 def softmax_over_points(logits: np.ndarray) -> np.ndarray:
     """Softmax over axis 1 of (n, points, heads) logits, returned as an
     (n, heads, points) view.
@@ -150,16 +154,20 @@ def softmax_over_points(logits: np.ndarray) -> np.ndarray:
     logits laid out contiguously as (n, heads, points): the max is
     elementwise over the point slices, and the sum adds them in order, which
     is how numpy sums fewer than 8 contiguous values. From 8 points on numpy
-    sums pairwise, so those logits go through ``softmax`` itself.
+    sums pairwise, so those logits go through ``softmax`` itself. A slice
+    of all -inf logits (huge weights overflow to it) raises NonFiniteError.
     """
     points = logits.shape[1]
     if points >= 8:
-        return softmax(np.ascontiguousarray(logits.transpose(0, 2, 1)), axis=-1)
+        try:
+            return softmax(np.ascontiguousarray(logits.transpose(0, 2, 1)), axis=-1)
+        except ValueError:
+            raise NonFiniteError(_ALL_POINTS_MASKED) from None
     top = logits[:, 0]
     for p in range(1, points):
         top = np.maximum(top, logits[:, p])
     if np.any(np.isneginf(top)):
-        raise ValueError("softmax over a fully masked row")
+        raise NonFiniteError(_ALL_POINTS_MASKED)
     e = logits - top[:, None]
     np.exp(e, out=e)
     total = e[:, 0].copy()

@@ -354,71 +354,68 @@ def _softargmax_grad(logits: np.ndarray) -> np.ndarray:
     return p * (np.arange(logits.size, dtype=np.float64) - c)
 
 
-GRAD_CHECK_TERMS = ("focal", "bce", "l1", "dice", "softargmax")
+def _binary(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.integers(0, 2, size=shape).astype(np.float64)
+
+
+def _draw_l1(rng: np.random.Generator) -> dict:
+    target = rng.normal(0.0, 1.0, size=6)
+    offset = rng.uniform(0.2, 1.0, size=6) * rng.choice([-1.0, 1.0], size=6)
+    return {"pred": target + offset, "target": target}
+
+
+# term -> (draw a point, the loss at x, its gradient at x): x takes the place
+# of the point's first entry, and the other entries stay fixed
+GRAD_CHECK_TERMS = {
+    "focal": (
+        lambda rng: {"p": rng.uniform(0.05, 0.95, size=6), "y": _binary(rng, 6),
+                     "alpha": 0.25, "gamma": 2.0},
+        lambda x, pt: float(np.sum(focal_loss(x, pt["y"], pt["alpha"], pt["gamma"]))),
+        lambda x, pt: focal_grad(x, pt["y"], pt["alpha"], pt["gamma"]),
+    ),
+    "bce": (
+        lambda rng: {"p": rng.uniform(0.05, 0.95, size=6), "t": _binary(rng, 6)},
+        lambda x, pt: bce_loss(x, pt["t"]),
+        lambda x, pt: bce_grad(x, pt["t"]),
+    ),
+    "l1": (
+        _draw_l1,
+        lambda x, pt: l1_loss(x, pt["target"]),
+        lambda x, pt: l1_grad(x, pt["target"]),
+    ),
+    "dice": (
+        lambda rng: {"pred": rng.uniform(0.1, 0.9, size=(3, 3)), "gt": _binary(rng, (3, 3))},
+        lambda x, pt: dice_loss(x, pt["gt"]),
+        lambda x, pt: dice_grad(x, pt["gt"]),
+    ),
+    "softargmax": (
+        lambda rng: {"logits": rng.normal(0.0, 3.0, size=8)},
+        lambda x, pt: _softargmax_coord(x),
+        lambda x, pt: _softargmax_grad(x),
+    ),
+}
+
+
+def _grad_check_term(term: str) -> tuple:
+    try:
+        return GRAD_CHECK_TERMS[term]
+    except KeyError:
+        raise ValueError(f"unknown term {term!r}") from None
 
 
 def random_grad_check_point(term: str, rng: np.random.Generator) -> dict:
     """Random evaluation point kept away from clamps and kinks."""
-    if term == "focal":
-        return {
-            "p": rng.uniform(0.05, 0.95, size=6),
-            "y": rng.integers(0, 2, size=6).astype(np.float64),
-            "alpha": 0.25,
-            "gamma": 2.0,
-        }
-    if term == "bce":
-        return {
-            "p": rng.uniform(0.05, 0.95, size=6),
-            "t": rng.integers(0, 2, size=6).astype(np.float64),
-        }
-    if term == "l1":
-        target = rng.normal(0.0, 1.0, size=6)
-        offset = rng.uniform(0.2, 1.0, size=6) * rng.choice([-1.0, 1.0], size=6)
-        return {"pred": target + offset, "target": target}
-    if term == "dice":
-        return {
-            "pred": rng.uniform(0.1, 0.9, size=(3, 3)),
-            "gt": rng.integers(0, 2, size=(3, 3)).astype(np.float64),
-        }
-    if term == "softargmax":
-        return {"logits": rng.normal(0.0, 3.0, size=8)}
-    raise ValueError(f"unknown term {term!r}")
+    return _grad_check_term(term)[0](rng)
 
 
 def analytic_grad_check(term: str, point: dict, eps: float = 1e-6) -> float:
     """Max relative error between the hand-derived gradient and central
     finite differences, normalized by the largest numeric component."""
-    if term == "focal":
-        p, y = point["p"], point["y"]
-        alpha, gamma = point["alpha"], point["gamma"]
-        f = lambda x: float(np.sum(focal_loss(x, y, alpha, gamma)))
-        analytic = focal_grad(p, y, alpha, gamma)
-        x0 = p
-    elif term == "bce":
-        p, t = point["p"], point["t"]
-        f = lambda x: bce_loss(x, t)
-        analytic = bce_grad(p, t)
-        x0 = p
-    elif term == "l1":
-        pred, target = point["pred"], point["target"]
-        f = lambda x: l1_loss(x, target)
-        analytic = l1_grad(pred, target)
-        x0 = pred
-    elif term == "dice":
-        pred, gt = point["pred"], point["gt"]
-        f = lambda x: dice_loss(x, gt)
-        analytic = dice_grad(pred, gt)
-        x0 = pred
-    elif term == "softargmax":
-        logits = point["logits"]
-        f = _softargmax_coord
-        analytic = _softargmax_grad(logits)
-        x0 = logits
-    else:
-        raise ValueError(f"unknown term {term!r}")
-    numeric = finite_diff_grad(f, np.asarray(x0, dtype=np.float64), eps=eps)
+    _, loss, gradient = _grad_check_term(term)
+    x0 = np.asarray(next(iter(point.values())), dtype=np.float64)
+    numeric = finite_diff_grad(lambda x: loss(x, point), x0, eps=eps)
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
-    return float(np.max(np.abs(analytic - numeric))) / scale
+    return float(np.max(np.abs(gradient(x0, point) - numeric))) / scale
 
 
 def run_grad_checks(seed: int = 0, n_points: int = 50) -> dict[str, float]:

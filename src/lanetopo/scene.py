@@ -25,6 +25,9 @@ from .sdmap import SdMapInstance, trace_cells
 
 GT_POINTS = 201
 ADJACENCY_GAP = 0.5  # max end-to-start distance for a generated edge, meters
+# radius range of an arc road, meters; below 60 m an arc leaves the working area
+ARC_RADIUS_RANGE = (150.0, 600.0)
+SD_POINTS = 15  # points per SD map polyline
 SCENE_SCHEMA_VERSION = 1
 _NOISE_STREAM = 0xBEF
 
@@ -52,13 +55,11 @@ class Scene:
 
 @dataclass
 class SceneParams:
-    """Knobs for the scene generator."""
+    """Knobs for the scene generator; ``ARC_RADIUS_RANGE`` and ``SD_POINTS`` are fixed."""
 
     n_lanes: int = 3
     lane_spacing: float = 3.5
     intersections: int = 1
-    radius_range: tuple[float, float] = (150.0, 600.0)
-    sd_points: int = 15
 
     def __post_init__(self):
         if self.n_lanes < 1:
@@ -67,8 +68,6 @@ class SceneParams:
             raise ValueError("intersections must be 0 or 1")
         if not self.lane_spacing > 0:
             raise ValueError("lane spacing must be positive")
-        if self.radius_range[0] < 60.0:
-            raise ValueError("road radius below 60 m does not fit the working area")
         if self.n_lanes * self.lane_spacing > 18.0:
             raise ValueError("lane stack too wide for the working area")
 
@@ -107,7 +106,7 @@ def _base_curve(rng: np.random.Generator, x_lo, x_hi, params: SceneParams):
         slope = float(rng.uniform(-0.08, 0.08))
         return style, lambda x: y0 + slope * (x - xm), lambda x: np.full_like(x, slope)
     if style == "arc":
-        radius = float(rng.uniform(*params.radius_range))
+        radius = float(rng.uniform(*ARC_RADIUS_RANGE))
         sign = float(rng.choice([-1.0, 1.0]))
 
         def f(x):
@@ -159,7 +158,7 @@ def _group_lanes(rng, x_lo, x_hi, params: SceneParams):
         resample_polyline(Polyline(_lane_points(f, df, x_lo, x_hi, off, grade)), GT_POINTS)
         for off in offsets
     ]
-    sd_x = np.linspace(x_lo, x_hi, params.sd_points)
+    sd_x = np.linspace(x_lo, x_hi, SD_POINTS)
     sd_pts = np.stack([sd_x, f(sd_x), np.zeros_like(sd_x)], axis=-1)
     return lanes, Polyline(sd_pts)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bev import LayerNormWeights, MlpWeights
-from .config import N_SEMANTIC_TYPES, PipelineConfig
+from .config import N_SEMANTIC_TYPES, SAMPLE_POINTS, PipelineConfig
 
 WEIGHTS_FORMAT = "lanetopo-weights-v1"
 
@@ -132,12 +132,12 @@ def _layout(cfg: PipelineConfig) -> list[tuple]:
             ("tensor", f"{name}.shift", (c,), "zeros"),
         ]
 
-    def deformable(name: str, heads: int, points: int) -> list[tuple]:
+    def deformable(name: str, heads: int) -> list[tuple]:
         return [
-            ("tensor", f"{name}.w_offset", (heads, 2 * points, c), "fan_in"),
-            ("tensor", f"{name}.b_offset", (heads, 2 * points), "zeros"),
-            ("tensor", f"{name}.w_attn", (heads, points, c), "fan_in"),
-            ("tensor", f"{name}.b_attn", (heads, points), "zeros"),
+            ("tensor", f"{name}.w_offset", (heads, 2 * SAMPLE_POINTS, c), "fan_in"),
+            ("tensor", f"{name}.b_offset", (heads, 2 * SAMPLE_POINTS), "zeros"),
+            ("tensor", f"{name}.w_attn", (heads, SAMPLE_POINTS, c), "fan_in"),
+            ("tensor", f"{name}.b_attn", (heads, SAMPLE_POINTS), "zeros"),
             ("tensor", f"{name}.w_out", (c, c), "fan_in"),
             ("tensor", f"{name}.b_out", (c,), "zeros"),
         ]
@@ -146,7 +146,7 @@ def _layout(cfg: PipelineConfig) -> list[tuple]:
     for i in range(cfg.layers):
         p = f"decoder.layers.{i}"
         layout += layer_norm(f"{p}.masked_ln")
-        layout += deformable(f"{p}.deform", cfg.heads, cfg.sample_points)
+        layout += deformable(f"{p}.deform", cfg.heads)
         layout += layer_norm(f"{p}.deform_ln") + layer_norm(f"{p}.self_ln")
         layout.append(("mlp", f"{p}.ffn", *ffn))
         layout += layer_norm(f"{p}.ffn_ln")
@@ -170,9 +170,9 @@ def _layout(cfg: PipelineConfig) -> list[tuple]:
     for i in range(cfg.sd_layers):
         p = f"sd.layers.{i}"
         layout += layer_norm(f"{p}.self_ln")
-        layout += deformable(f"{p}.self_deform", cfg.sd_heads, cfg.sd_sample_points)
+        layout += deformable(f"{p}.self_deform", cfg.sd_heads)
         layout += layer_norm(f"{p}.cross_ln")
-        layout += deformable(f"{p}.cross_deform", cfg.sd_heads, cfg.sd_sample_points)
+        layout += deformable(f"{p}.cross_deform", cfg.sd_heads)
         layout += layer_norm(f"{p}.ffn_ln")
         layout.append(("mlp", f"{p}.ffn", *ffn))
     layout.append(("tensor", "semantic_table", (N_SEMANTIC_TYPES + 1, c), "normal"))

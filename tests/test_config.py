@@ -10,7 +10,8 @@ from lanetopo.config import ConfigError, LossCoefficients, PipelineConfig
 
 # fields an older PipelineConfig carried, at their old defaults; the thresholds
 # are now fixed constants of the method and the scoring protocol, the working
-# area, the z range and the SD type count constants of lanetopo.config
+# area, the z range, the SD type count and the sampling points constants of
+# lanetopo.config, and the loss weights LossCoefficients passed to total_loss
 REMOVED_FIELDS = {
     "mask_threshold": 0.5,
     "validity_threshold": 0.5,
@@ -23,6 +24,9 @@ REMOVED_FIELDS = {
     "z_min": -5.0,
     "z_max": 5.0,
     "n_semantic_types": 3,
+    "loss": {"top": 5.0, "cls": 1.5, "det": 0.025, "mask": 1.0, "mp": 7.0},
+    "sample_points": 4,
+    "sd_sample_points": 4,
 }
 
 
@@ -31,8 +35,9 @@ def test_full_size_defaults():
     assert (cfg.n_real, cfg.n_virtual, cfg.k) == (150, 150, 11)
     assert (cfg.channels, cfg.layers, cfg.heads, cfg.ffn_dim) == (256, 4, 8, 512)
     assert (cfg.grid_h, cfg.grid_w, cfg.resolution) == (100, 200, 0.5)
-    assert cfg.loss == LossCoefficients(top=5.0, cls=1.5, det=0.025, mask=1.0, mp=7.0)
-    assert len(dataclasses.fields(cfg)) == 22
+    assert LossCoefficients() == LossCoefficients(top=5.0, cls=1.5, det=0.025, mask=1.0, mp=7.0)
+    assert len(dataclasses.fields(cfg)) == 19
+    assert config.SAMPLE_POINTS == 4
     assert (config.X_MIN, config.X_MAX, config.Y_MIN, config.Y_MAX) == (-50.0, 50.0, -25.0, 25.0)
     assert (config.Z_MIN, config.Z_MAX, config.N_SEMANTIC_TYPES) == (-5.0, 5.0, 3)
     assert (points_mask.OUTLIER_THRESHOLD, points_mask.VALIDITY_THRESHOLD) == (1.5, 0.5)
@@ -88,24 +93,24 @@ def test_a_config_with_the_removed_threshold_fields_is_refused(tmp_path):
         {"n_real": True},
         {"seed": 1.5},
         {"channels": 36, "heads": 2, "sd_heads": 8, "sd": True},
-        {"loss": {"zz": 1}},
-        {"loss": {"top": "x"}},
-        {"loss": 5},
+        {"pgm": 1},
+        {"resolution": "0.5"},
+        {"sd": {"on": True}},
         {"grid_h": 0},
         {"resolution": 0.0},
         {"heads": 0},
         {"pgm": "no"},
         {"resolution": float("nan")},
-        {"loss": {"cls": float("nan")}},
+        {"resolution": True},
         {"resolution": float("inf")},
         {"noise_sigma": float("nan")},
-        {"loss": {"top": float("-inf")}},
-        {"sample_points": 0},
-        {"sd_sample_points": 0, "sd": True},
+        {"seed": None},
+        {"layers": -1},
+        {"channels": [32]},
         {"noise_sigma": float("-inf")},
         {"noise_sigma": -1.0},
         {"grid_w": 0},
-        {"loss": {"mask": 10**400}},  # an int beyond the float range
+        {"n_real": 10**400},  # an int beyond the float range
         {"resolution": 10**400},
         {"sd_layers": -1},
         {"ffn_dim": -1},

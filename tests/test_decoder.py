@@ -8,6 +8,7 @@ from lanetopo.bev import (
     BevGrid,
     GridSpec,
     LayerNormWeights,
+    NonFiniteError,
     bilinear_sample_batch,
     layer_norm,
     mlp_forward,
@@ -26,8 +27,14 @@ from lanetopo.decoder import (
     rvs_self_attention,
     softmax_over_points,
 )
-from lanetopo.pipeline import infer
-from lanetopo.weights import DeformableWeights, init_model_weights
+from lanetopo.pipeline import infer, run_pipeline
+from lanetopo.scene import synth_scene
+from lanetopo.weights import (
+    DeformableWeights,
+    init_model_weights,
+    model_weights_from_tensors,
+    model_weights_to_tensors,
+)
 
 
 def unit_grid(rng, h=2, w=2, c=4) -> BevGrid:
@@ -360,8 +367,25 @@ class TestSoftmaxOverPoints:
             expected = softmax(np.ascontiguousarray(logits.transpose(0, 2, 1)), axis=-1)
         assert np.array_equal(out, expected, equal_nan=True)
         logits[5, :, 1] = -np.inf
-        with pytest.raises(ValueError, match="fully masked"):
+        # softmax's error, as a NonFiniteError that names the stage
+        with pytest.raises(
+            NonFiniteError, match="^softmax over a fully masked row in the deformable attention$"
+        ):
             softmax_over_points(logits)
+
+    @pytest.mark.parametrize("sd", [False, True], ids=["sd-off", "sd-on"])
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_deformable_logits_end_the_run_with_a_non_finite_error(self, scale, sd):
+        # at the full-pair shape, decoder weights this large overflow every
+        # deformable logit of a row to -inf; RuntimeWarnings are errors here
+        cfg = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=sd)
+        tensors, meta = model_weights_to_tensors(init_model_weights(cfg, 0))
+        for name in tensors:
+            if name.startswith("decoder."):
+                tensors[name] = tensors[name] * scale
+        weights = model_weights_from_tensors(tensors, meta)
+        with pytest.raises(NonFiniteError, match="^softmax over a fully masked row in the "):
+            run_pipeline(synth_scene(7), cfg, weights)
 
 
 class TestAttentionMaskBuilder:

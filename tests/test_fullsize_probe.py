@@ -26,3 +26,11 @@ def test_the_probe_reports_one_traced_desk_op_in_a_fresh_process():
     assert all(0 <= s["self_s"] <= s["s"] + 1e-9 for s in spans.values())
     assert r["counters"]["pipeline.pred_bytes"] == r["pred_bytes"] > 0
     assert r["counter_errors"] == {}
+
+
+def test_an_unpinned_probe_sets_no_blas_variable(monkeypatch):
+    for var in fullsize.BLAS_ENV:
+        monkeypatch.setenv(var, "1")
+    r = fullsize.probe(PipelineConfig.desk(), pin_blas=False)
+    assert r["blas_threads"] is None
+    assert r["spans"]["pipeline.run_pipeline"]["calls"] == 1

@@ -515,8 +515,8 @@ def test_total_loss_equals_the_per_pair_reference_on_pipeline_outputs(seed, sd):
     for pmf in (False, True):
         run_cfg = PipelineConfig.desk(sd=sd, seed=seed, pmf=pmf)
         outputs = run_pipeline(scene, run_cfg, weights).outputs
-        got = total_loss(outputs, scene, cfg.loss)
-        assert got == total_loss_per_pair(outputs, scene, cfg.loss), f"pmf={pmf}"
+        got = total_loss(outputs, scene, LossCoefficients())
+        assert got == total_loss_per_pair(outputs, scene, LossCoefficients()), f"pmf={pmf}"
 
 
 class TestGradChecks:

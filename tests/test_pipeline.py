@@ -15,7 +15,7 @@ from scipy.special import logit
 
 from lanetopo import pipeline
 from lanetopo.bev import GridSpec, MlpWeights, sigmoid
-from lanetopo.config import Z_MAX, Z_MIN, ConfigError, PipelineConfig
+from lanetopo.config import Z_MAX, Z_MIN, ConfigError, LossCoefficients, PipelineConfig
 from lanetopo.decoder import CenterlinePrediction
 from lanetopo.geometry import Polyline, resample_polyline
 from lanetopo.losses import ModelOutputs, total_loss
@@ -120,9 +120,9 @@ class TestRunPipeline:
         cfg = desk_cfg()
         scene = synth_scene(26)
         result = run_pipeline(scene, cfg, init_model_weights(cfg))
-        breakdown = total_loss(result.outputs, scene, cfg.loss)
+        breakdown = total_loss(result.outputs, scene, LossCoefficients())
         assert np.isfinite(breakdown.total)
-        assert abs(breakdown.total - breakdown.recombine(cfg.loss)) < 1e-9
+        assert abs(breakdown.total - breakdown.recombine(LossCoefficients())) < 1e-9
 
 
 class TestOracleWeights:
