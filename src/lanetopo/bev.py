@@ -4,7 +4,7 @@ Grids, small MLPs, stabilized softmax, bilinear sampling, 2D sinusoidal
 position encodings, layer normalization, and a central-difference gradient
 harness. All math is 64-bit floating point and deterministic; there is no
 autodiff and no GPU path. Large products run half their rows on one helper
-thread (:func:`_run_rows`), with the bits of one thread.
+thread (:func:`_run_halves`), with the bits of one thread.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 LN_EPS = 1e-5
 
-# rows x cells from which _run_rows splits a product's rows over two threads:
+# rows x cells from which _run_halves splits a product over two threads:
 # the full-pair shapes (48 or 24 rows x 20,000 cells) split, the desk ones
 # (32 or 16 rows x 5,000 cells) stay on one, where the hand-off costs more
 # than the second core saves
@@ -69,20 +69,21 @@ def _run_pair(first, second) -> None:
     second_done.result()
 
 
-def _run_rows(run, n: int, cells: int) -> None:
-    """Call ``run(rows)`` over row slices that cover an n-row product, each
-    row costing ``cells`` cells of work.
+def _run_halves(run, parts: int, work: int) -> None:
+    """Call ``run(part)`` over slices that cover the ``parts`` independent
+    parts of a product, rows or output columns, that costs ``work`` cells
+    of work (rows x cells).
 
-    From :data:`ROW_SPLIT` rows x cells on, this thread runs the first
-    ceil(n / 2) rows and the helper thread the rest; below it ``run`` gets
-    ``slice(None)``. Each half's rows come out with the bits of the whole
+    From :data:`ROW_SPLIT` cells of work on, this thread runs the first
+    ceil(parts / 2) parts and the helper thread the rest; below it ``run``
+    gets ``slice(None)``. Each half comes out with the bits of the whole
     product at one BLAS thread.
     """
-    if n < 2 or n * cells < ROW_SPLIT:
+    if parts < 2 or work < ROW_SPLIT:
         run(slice(None))
         return
-    half = (n + 1) // 2
-    _run_pair(functools.partial(run, slice(0, half)), functools.partial(run, slice(half, n)))
+    half = (parts + 1) // 2
+    _run_pair(functools.partial(run, slice(0, half)), functools.partial(run, slice(half, parts)))
 
 
 class NonFiniteError(ValueError):

@@ -19,7 +19,7 @@ from .bev import (
     BevGrid,
     MlpWeights,
     NonFiniteError,
-    _run_rows,
+    _run_halves,
     bilinear_sample_batch,
     binarize_logits,
     layer_norm,
@@ -63,7 +63,7 @@ def masked_cross_attention(q: np.ndarray, b: BevGrid, m: np.ndarray | None) -> n
     the maximum over all cells in place of the kept maximum adds at most
     about ``ln(h*w / MIN_KEPT_SUM) * 2**-53`` of rounding to a weight.
 
-    Large calls split their rows over two threads (:func:`~lanetopo.bev._run_rows`).
+    Large calls split their rows over two threads (:func:`~lanetopo.bev._run_halves`).
     """
     cells = b.flat()
     if q.shape[1] != cells.shape[1]:
@@ -93,7 +93,7 @@ def masked_cross_attention(q: np.ndarray, b: BevGrid, m: np.ndarray | None) -> n
             total[r] = 1.0
         out[rows] = qr + (scores @ cells) / total
 
-    _run_rows(run, len(q), len(cells))
+    _run_halves(run, len(q), len(q) * len(cells))
     return out
 
 
@@ -303,7 +303,9 @@ def decoder_forward(
             centroids = pts[:, :, :2].mean(axis=1)
             refs = b.spec.metric_to_cell(centroids)
             if cfg.hybrid_attention:
-                mask_logits, _ = instance_mask_logits(q, pts, b, weights, cfg.pgm)
-                attn_mask = attention_mask_from_instance_masks(mask_logits)
+                # the (n, h, w) logits are freed here, before the next
+                # layer's masked attention allocates its (n, h*w) scores
+                attn_mask = attention_mask_from_instance_masks(
+                    instance_mask_logits(q, pts, b, weights, cfg.pgm)[0])
     scores = sigmoid(mlp_forward(dec.score_head, q))[:, 0]
     return q, pts, scores

@@ -73,6 +73,12 @@ class PipelineResult:
     report: EvalReport
 
 
+# Huge finite weights overflow inside these stages; their finiteness checks
+# turn that into one NonFiniteError, so numpy does not warn first.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def _readouts(
     q_prime: np.ndarray,
     mask_logits: np.ndarray,
@@ -86,6 +92,8 @@ def _readouts(
     a view of them. The direction head runs over all n mask queries q', and
     the rows are taken from its output: a subset product can round
     differently from the all-row one, and the head costs one (n, c) MLP.
+    Non-finite coordinates, existence or directions raise
+    :class:`~lanetopo.bev.NonFiniteError`.
     """
     mh = weights.mask_head
     exist, direction = (mh.exist_col, mh.dir_col) if axis == AXIS_COLUMNS else (
@@ -93,6 +101,10 @@ def _readouts(
     directions = predict_direction(q_prime, direction)[rows]
     coords = sample_mask_points(mask_logits[rows], axis)
     existence = predict_existence(mask_logits[rows], exist, axis)
+    for name, values in (("coordinates", coords), ("existence", existence),
+                         ("directions", directions)):
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"the {axis} mask readouts produced non-finite {name}")
     return [
         MaskPointReadout(axis=axis, coords=c, existence=e, direction=float(d))
         for c, e, d in zip(coords, existence, directions)
@@ -124,18 +136,13 @@ class LazyReadouts(Sequence):
         return self._all[i]
 
 
-# Huge finite weights overflow inside these stages; their finiteness checks
-# turn that into one NonFiniteError, so numpy does not warn first.
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
-
-
 @_QUIET_OVERFLOW
 def sd_features(b: BevGrid, scene: Scene, weights: ModelWeights) -> BevGrid:
     """BEV features augmented with the scene's SD map: rasterize it, add the
-    position encoding, and run the SD interaction."""
-    e_s = rasterize_sdmap(scene.sd_instances, b.spec, weights.semantic_table)
-    e_p = sinusoidal_pe_2d(b.spec, b.c)
-    return sd_interact(b, e_s, e_p, weights.sd)
+    position encoding into the rasterized grid, and run the SD interaction."""
+    sd_grid = rasterize_sdmap(scene.sd_instances, b.spec, weights.semantic_table)
+    sd_grid.data += sinusoidal_pe_2d(b.spec, b.c).data
+    return sd_interact(b, sd_grid, weights.sd)
 
 
 @_QUIET_OVERFLOW
@@ -214,7 +221,10 @@ def run_pipeline(
     cfg.check_runnable()
     if bev is None:
         bev = render_bev_features(scene, cfg)
-    outputs = infer(sd_features(bev, scene, weights) if cfg.sd else bev, cfg, weights)
+    if cfg.sd:
+        # rebound, so the raw features are not kept alive while infer runs
+        bev = sd_features(bev, scene, weights)
+    outputs = infer(bev, cfg, weights)
     if cfg.pmf:
         outputs = fuse(outputs)
     report = evaluate_outputs(outputs, scene)

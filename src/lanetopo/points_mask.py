@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bev import BevGrid, GridSpec, _run_rows, mlp_forward, sigmoid, softmax
+from .bev import (
+    BevGrid,
+    GridSpec,
+    MlpWeights,
+    _run_halves,
+    activate,
+    mlp_forward,
+    sigmoid,
+    softmax,
+)
 from .geometry import Polyline, filter_outliers, resample_points
 from .weights import MaskHeadWeights
 
@@ -80,7 +89,7 @@ def generate_mask(b: BevGrid, q_prime: np.ndarray) -> np.ndarray:
     def run(rows):
         np.matmul(queries[rows], cells.T, out=out[rows])
 
-    _run_rows(run, len(queries), len(cells))
+    _run_halves(run, len(queries), len(queries) * len(cells))
     return out.reshape(*q_prime.shape[:-1], b.h, b.w)
 
 
@@ -118,16 +127,19 @@ def sample_mask_points(m: np.ndarray, axis: str) -> np.ndarray:
     def run(rows):
         out[rows] = readout(masks[rows])
 
-    _run_rows(run, len(masks), h * w)
+    _run_halves(run, len(masks), len(masks) * h * w)
     return out.reshape(*m.shape[:-2], size)
 
 
-def predict_existence(m: np.ndarray, phi1, axis: str) -> np.ndarray:
+def predict_existence(m: np.ndarray, phi1: MlpWeights, axis: str) -> np.ndarray:
     """Per-column (or per-row) existence probabilities from the flattened masks.
 
-    ``m`` (n, h, w) gives (n, w) for columns or (n, h) for rows: the head is
-    one GEMM over all instances, whose rows split over two threads when it is
-    large.
+    ``m`` (n, h, w) gives (n, w) for columns or (n, h) for rows: the head's
+    first layer is one GEMM over all instances. From
+    :data:`~lanetopo.bev.ROW_SPLIT` instances x cells on, its output columns
+    split over two threads, so each thread reads half of the (out, h*w)
+    weight, the read that bounds the product; each column keeps the bits of
+    the whole product at one BLAS thread.
     """
     m = np.asarray(m, dtype=np.float64)
     h, w = m.shape[-2:]
@@ -137,13 +149,16 @@ def predict_existence(m: np.ndarray, phi1, axis: str) -> np.ndarray:
     if phi1.out_dim != expected:
         raise ValueError(f"existence head for {axis} must output {expected} values")
     masks = m.reshape(-1, h * w)
-    out = np.empty((len(masks), expected))
+    (mat, bias, act), *rest = phi1.layers
+    x = np.empty((len(masks), len(mat)))
 
-    def run(rows):
-        out[rows] = sigmoid(mlp_forward(phi1, masks[rows]))
+    def run(cols):
+        x[:, cols] = activate(masks @ mat[cols].T + bias[cols], act)
 
-    _run_rows(run, len(masks), h * w)
-    return out.reshape(*m.shape[:-2], expected)
+    _run_halves(run, len(mat), len(masks) * h * w)
+    if rest:
+        x = mlp_forward(MlpWeights(rest), x)
+    return sigmoid(x).reshape(*m.shape[:-2], expected)
 
 
 def predict_direction(q_prime: np.ndarray, phi2) -> np.ndarray:

@@ -4,7 +4,7 @@ Road-level SD map polylines are traced into the BEV grid with a supercover
 line rasterization, each touched cell taking the instance's semantic type
 embedding (first instance wins on overlap, all other cells take the default
 embedding). A small pre-norm transformer decoder then lets the sensor BEV
-features attend into the semantic-plus-positional SD grid.
+features attend into the SD grid: that semantic grid plus a position encoding.
 """
 
 from __future__ import annotations
@@ -93,16 +93,13 @@ def rasterize_sdmap(instances: list[SdMapInstance], spec: GridSpec, table: np.nd
     return BevGrid(table[claim], spec)
 
 
-def sd_interact(
-    b: BevGrid,
-    e_s: BevGrid,
-    e_p: BevGrid,
-    weights: SdInteractWeights,
-) -> BevGrid:
-    """Augment BEV features by attending into the SD semantic grid.
+def sd_interact(b: BevGrid, sd_grid: BevGrid, weights: SdInteractWeights) -> BevGrid:
+    """Augment BEV features by attending into the SD grid.
 
-    Each layer applies deformable self-attention over the BEV cells, then
-    deformable cross-attention into e_s + e_p, then a feed-forward block.
+    ``sd_grid`` is the semantic grid plus the position encoding, as
+    :func:`~lanetopo.pipeline.sd_features` builds it. Each layer applies
+    deformable self-attention over the BEV cells, then deformable
+    cross-attention into ``sd_grid``, then a feed-forward block.
     Sublayers are pre-norm residual, so zeroing every learned projection
     leaves the input exactly unchanged. Reference points are the cells' own
     integer coordinates. Each layer runs over 2 * ceil(h*w / ``ROW_BLOCK``)
@@ -111,13 +108,15 @@ def sd_interact(
     thread the odd ones, so about ``ROW_BLOCK`` cells are live at once. The
     bits are those of one thread running every block in turn, and no block
     is a short remainder, which OpenBLAS would multiply with another kernel.
-    A layer whose output is not finite raises
+    A non-finite ``sd_grid``, or a layer whose output is not finite, raises
     :class:`~lanetopo.bev.NonFiniteError`.
     """
-    if not (b.data.shape == e_s.data.shape == e_p.data.shape):
-        raise ValueError("BEV, semantic, and positional grids must share h, w, c")
+    if b.data.shape != sd_grid.data.shape:
+        raise ValueError("BEV and SD grids must share h, w, c")
+    # the grid's own check ran before its caller added the position encoding
+    if not np.isfinite(sd_grid.data).all():
+        raise NonFiniteError("sd_interact got a non-finite SD grid")
     h, w = b.h, b.w
-    sd_grid = BevGrid(e_s.data + e_p.data, b.spec)
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     refs = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=-1).astype(np.float64)
     n_blocks = 2 * -(-h * w // ROW_BLOCK)

@@ -733,6 +733,34 @@ def test_overflowing_deformable_logits_at_the_full_pair_shape_exit_2(tmp_path, s
     assert not pred.exists()
 
 
+@pytest.mark.parametrize("sd", [False, True], ids=["sd-off", "sd-on"])
+def test_overflowing_mask_readouts_at_the_full_pair_shape_exit_2(tmp_path, sd):
+    """Mask-head weights scaled by 1e150 leave the mask logits finite but
+    overflow the readout heads; the run stops with the one error line, not
+    with numpy's warnings and a written file."""
+    scene = tmp_path / "scene.json"
+    config = tmp_path / "config.json"
+    weights = tmp_path / "w.json"
+    pred = tmp_path / "pred.json"
+    main(["synth", "--seed", "7", "--out", str(scene)])
+    cfg = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=sd)
+    cfg.save(config)
+    tensors, meta = model_weights_to_tensors(init_model_weights(cfg, 0))
+    scaled = {
+        name: t * 1e150 if name.startswith("mask_head.") else t for name, t in tensors.items()
+    }
+    save_model_weights(model_weights_from_tensors(scaled, meta), weights)
+    done = _run_in_a_fresh_process(
+        ["run", "--scene", str(scene), "--config", str(config), "--weights", str(weights),
+         "--out", str(pred)]
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        "numeric error: the columns mask readouts produced non-finite existence\n"
+    ), done.stderr
+    assert not pred.exists()
+
+
 def test_an_overflowing_sd_interaction_exits_2(tmp_path):
     """Finite SD feed-forward weights that overflow the SD grid stop the run
     with one line naming the stage, not a traceback."""

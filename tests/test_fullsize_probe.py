@@ -15,7 +15,8 @@ def test_the_probe_reports_one_traced_desk_op_in_a_fresh_process():
     assert r["config"] == cfg.to_dict()
     assert r["blas_threads"] == 1
     assert 0 < r["import_s"] and 0 < r["init_s"] and 0 < r["op_s"]
-    assert 0 < r["cpu_s"]
+    assert 0 < r["cpu_s"] and 0 <= r["sys_s"] <= r["cpu_s"]
+    assert isinstance(r["minor_faults"], int) and r["minor_faults"] >= 0
     assert r["ru_maxrss_kb"] > 0
     spans = r["spans"]
     for name in ("weights.init_model_weights", "pipeline.run_pipeline",

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lanetopo.bev import BevGrid, GridSpec, MlpWeights, sigmoid
+from lanetopo import bev
+from lanetopo.bev import BevGrid, GridSpec, MlpWeights, mlp_forward, sigmoid
 from lanetopo.config import PipelineConfig
 from lanetopo.geometry import Polyline
 from lanetopo.points_mask import (
@@ -162,6 +163,18 @@ class TestExistenceDirection:
         expected = sigmoid(wmat @ m.reshape(-1) + b)
         assert np.max(np.abs(out - expected)) < 1e-12
         assert np.all((out > 0) & (out < 1))
+
+    def test_a_deeper_head_splits_its_first_layer_and_runs_the_rest(self, monkeypatch):
+        # every call splits: the first layer's 7 outputs as 4 and 3 columns
+        monkeypatch.setattr(bev, "ROW_SPLIT", 1)
+        rng = np.random.default_rng(12)
+        n, h, w_ = 3, 4, 5
+        m = rng.normal(size=(n, h, w_))
+        phi1 = MlpWeights([(rng.normal(size=(7, h * w_)), rng.normal(size=7), "relu"),
+                           (rng.normal(size=(w_, 7)), rng.normal(size=w_), "none")])
+        expected = sigmoid(mlp_forward(phi1, m.reshape(n, -1)))
+        out = predict_existence(m, phi1, AXIS_COLUMNS)
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_dimension_validation(self):
         rng = np.random.default_rng(11)

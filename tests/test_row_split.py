@@ -1,18 +1,22 @@
 """The decoder's and mask heads' row split over the caller and the helper thread.
 
 From ``bev.ROW_SPLIT`` rows x cells on, ``masked_cross_attention``,
-``generate_mask``, ``sample_mask_points`` and ``predict_existence`` run the
-first half of their rows on the calling thread and the rest on the helper
-thread. These tests pin each half's rows to the bits of both halves run
-inline on one thread, and check that errors and numpy's error state cross
-between the threads. ``tests/test_determinism.py`` pins the split pipeline to
-the unsplit one in a fresh one-BLAS-thread process: at two BLAS threads a
-subset of rows can round differently, so that check cannot run here.
+``generate_mask`` and ``sample_mask_points`` run the first half of their rows
+on the calling thread and the rest on the helper thread; ``predict_existence``
+splits its output columns instead. These tests pin each half to the bits of
+both halves run inline on one thread, and check that errors and numpy's error
+state cross between the threads. ``tests/test_determinism.py`` pins the split
+pipeline to the unsplit one in a fresh one-BLAS-thread process: at two BLAS
+threads a subset of rows can round differently, so that check cannot run
+here, nor the existence head's column check below.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +97,10 @@ def test_the_two_thread_split_gives_the_inline_bits(full_pair, monkeypatch, n):
     splits = run_inline(monkeypatch)
     expected = heads(*args)
     half = (n + 1) // 2
-    assert splits == [(slice(0, half), slice(half, n))] * len(expected)
+    rows = [(slice(0, half), slice(half, n))] * (len(expected) - 2)
+    # the existence heads split their w and h output columns
+    columns = [(slice(0, 100), slice(100, 200)), (slice(0, 50), slice(50, 100))]
+    assert splits == rows + columns
     for name, out in threaded.items():
         assert np.array_equal(out, expected[name]), name
 
@@ -222,8 +229,8 @@ def test_rows_below_the_split_size_run_inline_in_one_call():
     def run(rows):
         calls.append((rows, threading.get_ident()))
 
-    bev._run_rows(run, 1, bev.ROW_SPLIT)
-    bev._run_rows(run, 2, bev.ROW_SPLIT // 2 - 1)
+    bev._run_halves(run, 1, bev.ROW_SPLIT)
+    bev._run_halves(run, 2, 2 * (bev.ROW_SPLIT // 2 - 1))
     assert calls == [(slice(None), threading.get_ident())] * 2
 
 
@@ -237,3 +244,40 @@ def test_leading_axes_are_flattened_for_the_split_and_restored():
     coords = sample_mask_points(out, AXIS_ROWS)
     assert coords.shape == (2, 5, 3)
     assert np.allclose(coords[0, 3], sample_mask_points(out[0, 3], AXIS_ROWS), rtol=0, atol=1e-12)
+
+
+# the existence heads at the full-pair shape, split over their output columns
+# and unsplit, for each instance count given; exits 1 on the first row whose
+# bits differ
+EXISTENCE_COLUMNS = """
+import sys
+import numpy as np
+from lanetopo import bev
+from lanetopo.bev import mlp_forward, sigmoid
+from lanetopo.config import PipelineConfig
+from lanetopo.points_mask import AXIS_COLUMNS, AXIS_ROWS, predict_existence
+from lanetopo.weights import init_model_weights
+
+cfg = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64)
+mh = init_model_weights(cfg, seed=3).mask_head
+rng = np.random.default_rng(4)
+for n in map(int, sys.argv[1:]):
+    logits = rng.normal(0.0, 5.0, size=(n, cfg.grid_h, cfg.grid_w))
+    assert n * cfg.grid_h * cfg.grid_w >= bev.ROW_SPLIT
+    for axis, head in ((AXIS_COLUMNS, mh.exist_col), (AXIS_ROWS, mh.exist_row)):
+        whole = sigmoid(mlp_forward(head, logits.reshape(n, -1)))
+        if not np.array_equal(predict_existence(logits, head, axis), whole):
+            sys.exit(f"{axis} existence of {n} instances differs from the unsplit product")
+"""
+
+
+def test_the_existence_heads_column_halves_give_the_unsplit_bits_at_one_thread():
+    # 24 real rows (fuse), 48 rows (all of the full-pair shape), odd counts
+    # and the full size's 300 queries
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", EXISTENCE_COLUMNS, "24", "48", "25", "15", "300"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -109,6 +109,12 @@ class TestRasterize:
                 SdMapInstance(line, bad)
 
 
+def summed(e_s: BevGrid, e_p: BevGrid) -> BevGrid:
+    """The SD grid that ``sd_features`` passes on: a semantic grid plus a
+    positional one."""
+    return BevGrid(e_s.data + e_p.data, e_s.spec)
+
+
 def zeroed_sd_weights(c: int, heads: int, points: int, layers: int = 1) -> SdInteractWeights:
     def deform():
         return DeformableWeights(
@@ -145,7 +151,7 @@ class TestSdInteract:
         b = BevGrid(rng.normal(size=(4, 6, c)), spec)
         e_s = BevGrid(rng.normal(size=(4, 6, c)), spec)
         e_p = sinusoidal_pe_2d(spec, c)
-        out = sd_interact(b, e_s, e_p, zeroed_sd_weights(c, heads=2, points=2))
+        out = sd_interact(b, summed(e_s, e_p), zeroed_sd_weights(c, heads=2, points=2))
         assert np.array_equal(out.data, b.data)
 
     def test_shape_contract(self):
@@ -156,7 +162,7 @@ class TestSdInteract:
         b = BevGrid(rng.normal(size=(6, 8, cfg.channels)), spec)
         e_s = BevGrid(rng.normal(size=(6, 8, cfg.channels)), spec)
         e_p = sinusoidal_pe_2d(spec, cfg.channels)
-        out = sd_interact(b, e_s, e_p, weights.sd)
+        out = sd_interact(b, summed(e_s, e_p), weights.sd)
         assert out.data.shape == b.data.shape
         assert np.all(np.isfinite(out.data))
 
@@ -258,7 +264,7 @@ class TestSdInteract:
                 (w1, b1, _), (w2, b2, _) = layer.ffn.layers
                 expected[r, col] = after_cross[r, col] + w2 @ np.maximum(w1 @ x + b1, 0) + b2
 
-        out = sd_interact(b, e_s, e_p, w)
+        out = sd_interact(b, summed(e_s, e_p), w)
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -268,11 +274,32 @@ class TestSdInteract:
         e_s = BevGrid(rng.normal(size=(2, 2, 8)), spec)
         e_p = BevGrid(rng.normal(size=(2, 2, 8)), spec)
         with pytest.raises(ValueError):
-            sd_interact(b, e_s, e_p, zeroed_sd_weights(4, 1, 1))
+            sd_interact(b, summed(e_s, e_p), zeroed_sd_weights(4, 1, 1))
+
+    def test_a_non_finite_sd_grid_is_refused(self):
+        rng = np.random.default_rng(3)
+        spec = small_spec(2, 3)
+        b = BevGrid(rng.normal(size=(2, 3, 4)), spec)
+        sd_grid = summed(BevGrid(rng.normal(size=(2, 3, 4)), spec), sinusoidal_pe_2d(spec, 4))
+        # past the grid's own check, as an overflowing in-place sum would be
+        sd_grid.data[1, 2, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="^sd_interact got a non-finite SD grid$"):
+            sd_interact(b, sd_grid, zeroed_sd_weights(4, 1, 1))
+
+    def test_sd_features_adds_the_position_encoding_into_the_semantic_grid(self):
+        cfg = PipelineConfig.desk(sd=True)
+        weights = init_model_weights(cfg, seed=5)
+        table = weights.semantic_table.copy()
+        scene = synth_scene(5)
+        b = render_bev_features(scene, cfg)
+        e_s = rasterize_sdmap(scene.sd_instances, b.spec, weights.semantic_table)
+        expected = sd_interact(b, summed(e_s, sinusoidal_pe_2d(b.spec, cfg.channels)), weights.sd)
+        assert np.array_equal(sd_features(b, scene, weights).data, expected.data)
+        assert np.array_equal(weights.semantic_table, table)
 
     def test_each_layer_output_is_scanned_once(self, monkeypatch):
-        # the SD grid e_s + e_p and each layer's output are checked once; the
-        # input grid is checked already and is not scanned again
+        # the SD grid and each layer's output are checked once; the input
+        # grid is checked already and is not scanned again
         c, layers = 8, 3
         cfg = PipelineConfig.desk(grid_h=6, grid_w=5, channels=c, sd=True, sd_layers=layers)
         weights = init_model_weights(cfg, seed=3)
@@ -280,7 +307,7 @@ class TestSdInteract:
         spec = small_spec(6, 5)
         b = BevGrid(rng.normal(size=(6, 5, c)), spec)
         e_s = BevGrid(rng.normal(size=(6, 5, c)), spec)
-        e_p = sinusoidal_pe_2d(spec, c)
+        sd_grid = summed(e_s, sinusoidal_pe_2d(spec, c))
         isfinite = np.isfinite
         grid_scans = []
 
@@ -290,7 +317,7 @@ class TestSdInteract:
             return isfinite(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", counting_isfinite)
-        out = sd_interact(b, e_s, e_p, weights.sd)
+        out = sd_interact(b, sd_grid, weights.sd)
         monkeypatch.undo()
         assert len(grid_scans) == 1 + layers
         assert np.isfinite(out.data).all()
@@ -307,19 +334,19 @@ class TestSdInteract:
         spec = small_spec(3, 4)
         b = BevGrid(rng.normal(size=(3, 4, c)), spec)
         e_s = BevGrid(rng.normal(size=(3, 4, c)), spec)
-        e_p = sinusoidal_pe_2d(spec, c)
+        sd_grid = summed(e_s, sinusoidal_pe_2d(spec, c))
         with np.errstate(over="ignore", invalid="ignore"):
-            one = sd_interact(b, e_s, e_p, SdInteractWeights(w.layers[:1]))
+            one = sd_interact(b, sd_grid, SdInteractWeights(w.layers[:1]))
             assert np.isfinite(one.data).all()
             with pytest.raises(NonFiniteError, match="^sd_interact layer 1 produced non-finite"):
-                sd_interact(b, e_s, e_p, w)
+                sd_interact(b, sd_grid, w)
 
     def test_no_layers_return_the_input_features(self):
         rng = np.random.default_rng(8)
         spec = small_spec(3, 4)
         b = BevGrid(rng.normal(size=(3, 4, 4)), spec)
         e_s = BevGrid(rng.normal(size=(3, 4, 4)), spec)
-        out = sd_interact(b, e_s, sinusoidal_pe_2d(spec, 4), SdInteractWeights([]))
+        out = sd_interact(b, summed(e_s, sinusoidal_pe_2d(spec, 4)), SdInteractWeights([]))
         assert np.array_equal(out.data, b.data)
 
     @pytest.mark.parametrize("row_block", [7, 500, 1200, 5000])
@@ -333,11 +360,11 @@ class TestSdInteract:
         spec = GridSpec(h=50, w=50, x_min=0.0, y_min=0.0, resolution=1.0)
         b = BevGrid(rng.normal(size=(50, 50, cfg.channels)), spec)
         e_s = BevGrid(rng.normal(size=(50, 50, cfg.channels)), spec)
-        e_p = sinusoidal_pe_2d(spec, cfg.channels)
+        sd_grid = summed(e_s, sinusoidal_pe_2d(spec, cfg.channels))
         assert sdmap.ROW_BLOCK == 2048
-        whole = sd_interact(b, e_s, e_p, weights.sd).data
+        whole = sd_interact(b, sd_grid, weights.sd).data
         monkeypatch.setattr(sdmap, "ROW_BLOCK", row_block)
-        out = sd_interact(b, e_s, e_p, weights.sd).data
+        out = sd_interact(b, sd_grid, weights.sd).data
         assert np.allclose(out, whole, rtol=0, atol=1e-12)
         if row_block >= 40:
             # OpenBLAS multiplies a matrix of fewer rows than about 40 with
@@ -355,20 +382,21 @@ def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
     spec = GridSpec(h=3, w=683, x_min=0.0, y_min=0.0, resolution=1.0)
     b = BevGrid(rng.normal(size=(3, 683, cfg.channels)), spec)
     e_s = BevGrid(rng.normal(size=(3, 683, cfg.channels)), spec)
-    e_p = sinusoidal_pe_2d(spec, cfg.channels)
+    sd_grid = summed(e_s, sinusoidal_pe_2d(spec, cfg.channels))
     assert sdmap.ROW_BLOCK == 2048
-    blocked = sd_interact(b, e_s, e_p, weights.sd).data
+    blocked = sd_interact(b, sd_grid, weights.sd).data
     monkeypatch.setattr(sdmap, "ROW_BLOCK", 2049)
-    assert np.array_equal(blocked, sd_interact(b, e_s, e_p, weights.sd).data)
+    assert np.array_equal(blocked, sd_interact(b, sd_grid, weights.sd).data)
 
 
 def random_sd_inputs(cfg: PipelineConfig, seed: int):
-    """Random BEV and semantic grids of ``cfg``'s shape and the positional grid."""
+    """A random BEV grid of ``cfg``'s shape and the SD grid of a random
+    semantic grid."""
     rng = np.random.default_rng(seed)
     spec = GridSpec(h=cfg.grid_h, w=cfg.grid_w, x_min=0.0, y_min=0.0, resolution=1.0)
     shape = (cfg.grid_h, cfg.grid_w, cfg.channels)
-    return (BevGrid(rng.normal(size=shape), spec), BevGrid(rng.normal(size=shape), spec),
-            sinusoidal_pe_2d(spec, cfg.channels))
+    return (BevGrid(rng.normal(size=shape), spec),
+            summed(BevGrid(rng.normal(size=shape), spec), sinusoidal_pe_2d(spec, cfg.channels)))
 
 
 def run_inline(first, second):
@@ -388,16 +416,16 @@ def run_inline(first, second):
 ], ids=["desk", "full-pair", "2049-cells", "15-cells"])
 def test_the_two_thread_split_gives_the_inline_bits(monkeypatch, cfg):
     weights = init_model_weights(cfg, seed=4)
-    b, e_s, e_p = random_sd_inputs(cfg, seed=9)
-    threaded = sd_interact(b, e_s, e_p, weights.sd).data
+    b, sd_grid = random_sd_inputs(cfg, seed=9)
+    threaded = sd_interact(b, sd_grid, weights.sd).data
     monkeypatch.setattr(sdmap, "_run_pair", run_inline)
-    assert np.array_equal(threaded, sd_interact(b, e_s, e_p, weights.sd).data)
+    assert np.array_equal(threaded, sd_interact(b, sd_grid, weights.sd).data)
 
 
 def test_the_caller_runs_the_even_blocks_and_one_helper_the_odd_ones(monkeypatch):
     cfg = PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683)
     weights = init_model_weights(cfg, seed=2)
-    b, e_s, e_p = random_sd_inputs(cfg, seed=5)
+    b, sd_grid = random_sd_inputs(cfg, seed=5)
     core = sdmap.deformable_attention_core
     calls = []
 
@@ -407,7 +435,7 @@ def test_the_caller_runs_the_even_blocks_and_one_helper_the_odd_ones(monkeypatch
         return core(q, grid, refs, w)
 
     monkeypatch.setattr(sdmap, "deformable_attention_core", spy)
-    sd_interact(b, e_s, e_p, weights.sd)
+    sd_interact(b, sd_grid, weights.sd)
     # two attentions per block and layer
     assert len(calls) == 4 * 2 * 3
     blocks = sorted({(start, n) for _, start, n in calls})
@@ -441,7 +469,7 @@ class HalfFailed(Exception):
 def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
     cfg = PipelineConfig.desk(sd=True)
     weights = init_model_weights(cfg, seed=2)
-    b, e_s, e_p = random_sd_inputs(cfg, seed=1)
+    b, sd_grid = random_sd_inputs(cfg, seed=1)
     caller = threading.get_ident()
     mlp = sdmap.mlp_forward
 
@@ -452,7 +480,7 @@ def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(sdmap, "mlp_forward", failing_on_the_helper)
     with pytest.raises(HalfFailed, match="helper"):
-        sd_interact(b, e_s, e_p, weights.sd)
+        sd_interact(b, sd_grid, weights.sd)
 
 
 def test_an_error_in_the_callers_half_is_raised_after_the_helpers_half_ends():
@@ -516,7 +544,8 @@ cfg = PipelineConfig.desk(sd=True, grid_h=4, grid_w=6)
 spec = GridSpec(h=4, w=6, x_min=0.0, y_min=0.0, resolution=1.0)
 rng = np.random.default_rng(0)
 grids = [BevGrid(rng.normal(size=(4, 6, cfg.channels)), spec) for _ in range(2)]
-args = (*grids, sinusoidal_pe_2d(spec, cfg.channels), init_model_weights(cfg, 0).sd)
+sd_grid = BevGrid(grids[1].data + sinusoidal_pe_2d(spec, cfg.channels).data, spec)
+args = (grids[0], sd_grid, init_model_weights(cfg, 0).sd)
 # the full-pair shape, whose decoder and mask heads split their rows
 full_pair = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64)
 model = (render_bev_features(synth_scene(0), full_pair), full_pair,
