@@ -1,8 +1,9 @@
-"""Pipeline configuration: model sizes, grid layout and toggles.
+"""Pipeline configuration: model sizes, grid resolution and toggles.
 
 The values the method fixes are module constants, not fields: the working
 area, the z range, the SD road-type count and the deformable sampling
-points. Loss weights are :class:`LossCoefficients`, passed to
+points. The BEV grid is the working area cut into cells of the configured
+resolution. Loss weights are :class:`LossCoefficients`, passed to
 :func:`lanetopo.losses.total_loss`.
 """
 
@@ -18,9 +19,9 @@ from pathlib import Path
 
 from .bev import GridSpec
 
-# The BEV working area (meters) that every scene lies in and every grid starts
-# from, the z range of decoded points, the number of SD road types, and the
-# sampling points per head of every deformable attention (Deformable DETR's 4).
+# The BEV working area (meters) that every scene lies in and every grid spans,
+# the z range of decoded points, the number of SD road types, and the sampling
+# points per head of every deformable attention (Deformable DETR's 4).
 X_MIN, X_MAX = -50.0, 50.0
 Y_MIN, Y_MAX = -25.0, 25.0
 Z_MIN, Z_MAX = -5.0, 5.0
@@ -47,7 +48,8 @@ class PipelineConfig:
     weights are :class:`LossCoefficients`, passed to ``total_loss``.
 
     Defaults are the full-size model configuration; :meth:`desk` returns a
-    small configuration suited to fast tests.
+    small configuration suited to fast tests. The grid follows from
+    ``resolution``, which must cut the working area into whole cells.
     """
 
     n_real: int = 150
@@ -58,8 +60,6 @@ class PipelineConfig:
     heads: int = 8
     ffn_dim: int = 512
 
-    grid_h: int = 100
-    grid_w: int = 200
     resolution: float = 0.5
 
     sd_layers: int = 1
@@ -91,10 +91,14 @@ class PipelineConfig:
             raise ConfigError("heads and sd_heads must be at least 1")
         if self.sd_layers < 0:
             raise ConfigError("sd_layers must be at least 0")
-        if self.grid_h < 2 or self.grid_w < 2:
-            raise ConfigError("grid_h and grid_w must be at least 2 (row and column readouts)")
         if self.resolution <= 0:
             raise ConfigError("resolution must be positive")
+        if self.resolution > (Y_MAX - Y_MIN) / 2:
+            raise ConfigError("resolution must give at least 2 rows (the row readout)")
+        grid = self.grid
+        if (grid.x_max, grid.y_max) != (X_MAX, Y_MAX):
+            raise ConfigError(f"resolution must cut the {X_MAX - X_MIN:g} x {Y_MAX - Y_MIN:g} m "
+                              "working area into whole cells")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be at least 0")
         if self.ffn_dim < 1:
@@ -119,13 +123,16 @@ class PipelineConfig:
 
     @property
     def grid(self) -> GridSpec:
+        """The working area in square cells of ``resolution`` meters."""
         return GridSpec(
-            h=self.grid_h, w=self.grid_w, x_min=X_MIN, y_min=Y_MIN, resolution=self.resolution
+            h=round((Y_MAX - Y_MIN) / self.resolution), w=round((X_MAX - X_MIN) / self.resolution),
+            x_min=X_MIN, y_min=Y_MIN, resolution=self.resolution,
         )
 
     @classmethod
     def desk(cls, **overrides) -> PipelineConfig:
-        """Small configuration for fast deterministic tests (coarser grid)."""
+        """Small configuration for fast deterministic tests: fewer queries and
+        channels, and 1 m cells (a 50 x 100 grid)."""
         base = dict(
             n_real=16,
             n_virtual=16,
@@ -134,8 +141,6 @@ class PipelineConfig:
             heads=2,
             ffn_dim=64,
             sd_heads=2,
-            grid_h=50,
-            grid_w=100,
             resolution=1.0,
         )
         base.update(overrides)

@@ -8,7 +8,7 @@ import base64
 import json
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -289,9 +289,10 @@ def _masks_from_doc(doc: dict, n: int, grid: GridSpec) -> np.ndarray:
     Inflation stops at the size of n packed masks, so a document cannot make
     the reader allocate more than the masks it claims.
     """
-    doc_grid, masks = doc["grid"], doc["masks"]
-    if not isinstance(doc_grid, dict) or (doc_grid["h"], doc_grid["w"]) != (grid.h, grid.w):
-        raise ValueError(f"masks: the document's grid is not the configured {grid.h}x{grid.w}")
+    masks = doc["masks"]
+    if doc["grid"] != asdict(grid):
+        raise ValueError(f"masks: the document's grid is not the configured {grid.h}x{grid.w} "
+                         f"at {grid.resolution:g} m")
     if not isinstance(masks, dict):
         raise ValueError(f"masks must be an object, got {type(masks).__name__}")
     if masks["encoding"] != MASK_ENCODING:
@@ -326,13 +327,7 @@ def predictions_to_dict(outputs: ModelOutputs) -> dict:
             for p in outputs.predictions
         ],
         "adjacency": outputs.adjacency.tolist(),
-        "grid": {
-            "h": outputs.grid.h,
-            "w": outputs.grid.w,
-            "x_min": outputs.grid.x_min,
-            "y_min": outputs.grid.y_min,
-            "resolution": outputs.grid.resolution,
-        },
+        "grid": asdict(outputs.grid),
     }
     if outputs.mask_logits is not None:
         bits = np.packbits(binarize_logits(outputs.mask_logits))

@@ -123,7 +123,7 @@ def _layout(cfg: PipelineConfig) -> list[tuple]:
     activations)``, whose layer ``i`` maps ``dims[i]`` to ``dims[i + 1]``
     with weight ``name.i.w`` (``fan_in``) and bias ``name.i.b`` (``zeros``).
     """
-    c, k, hw = cfg.channels, cfg.k, cfg.grid_h * cfg.grid_w
+    c, k, grid = cfg.channels, cfg.k, cfg.grid
     ffn = ((c, cfg.ffn_dim, c), ("relu", "none"))
 
     def layer_norm(name: str) -> list[tuple]:
@@ -159,8 +159,8 @@ def _layout(cfg: PipelineConfig) -> list[tuple]:
         ("mlp", "mask_head.point_mlp", (3, c), ("relu",)),
         ("mlp", "mask_head.concat_mlp", (k * c, c), ("none",)),
         ("mlp", "mask_head.query_mlp", (c, c), ("none",)),
-        ("mlp", "mask_head.exist_col", (hw, cfg.grid_w), ("none",)),
-        ("mlp", "mask_head.exist_row", (hw, cfg.grid_h), ("none",)),
+        ("mlp", "mask_head.exist_col", (grid.h * grid.w, grid.w), ("none",)),
+        ("mlp", "mask_head.exist_row", (grid.h * grid.w, grid.h), ("none",)),
         ("mlp", "mask_head.dir_col", (c, 1), ("none",)),
         ("mlp", "mask_head.dir_row", (c, 1), ("none",)),
         ("mlp", "topology.query_mlp", (c, c), ("none",)),

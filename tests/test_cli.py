@@ -535,12 +535,12 @@ def test_run_rejects_a_weights_file_whose_tensors_are_a_list(tmp_path, desk_conf
      '{"sd_sample_points": 0, "sd": true}', '{"det_thresholds": []}',
      '{"det_thresholds": [1%s]}' % ("0" * 400), '{"resolution": 1%s}' % ("0" * 400),
      '{"sd_layers": -1}', '{"ffn_dim": -1}', '{"ffn_dim": 0}', '{"channels": 0}',
-     '{"grid_h": 1}', '{"grid_w": 1}'],
+     '{"grid_h": 1}', '{"grid_w": 1}', '{"resolution": 0.3}', '{"resolution": 50.0}'],
     ids=["malformed-json", "list", "string-int", "string-bool", "unknown-loss-key", "empty-grid",
          "nan-resolution", "nan-x-min", "no-sample-points", "no-sd-sample-points",
          "no-det-thresholds", "huge-int-det-threshold", "huge-int-resolution",
          "negative-sd-layers", "negative-ffn-dim", "no-ffn-dim", "no-channels", "one-row",
-         "one-column"],
+         "one-column", "uneven-resolution", "one-row-resolution"],
 )
 @pytest.mark.parametrize("command", ["run", "eval", "render-bev"])
 def test_a_bad_config_file_exits_2(tmp_path, desk_config_path, capsys, command, content):

@@ -419,13 +419,13 @@ class TestDecoderForward:
     def _setup(self, **overrides):
         base = dict(
             n_real=4, n_virtual=3, channels=16, layers=2, heads=2,
-            ffn_dim=24, grid_h=8, grid_w=12,
+            ffn_dim=24, resolution=6.25,
         )
         base.update(overrides)
         cfg = PipelineConfig.desk(**base)
         weights = init_model_weights(cfg)
         rng = np.random.default_rng(13)
-        b = BevGrid(rng.normal(size=(8, 12, 16)), cfg.grid)
+        b = BevGrid(rng.normal(size=(cfg.grid.h, cfg.grid.w, 16)), cfg.grid)
         return cfg, weights, b
 
     def test_output_counts_and_ranges(self):

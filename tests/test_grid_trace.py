@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanetopo.bev import GridSpec, sigmoid
-from lanetopo.config import N_SEMANTIC_TYPES, X_MIN, Y_MIN, PipelineConfig
+from lanetopo.config import N_SEMANTIC_TYPES, PipelineConfig
 from lanetopo.geometry import Polyline, integer_crossings
 from lanetopo.losses import mask_point_targets
 from lanetopo.metrics import mask_iou, mask_iou_matrix
@@ -238,19 +238,22 @@ def test_mask_iou_matrix_matches_pairwise():
 
 # --- edge geometry -----------------------------------------------------------------
 
-SMALL = GridSpec(h=5, w=7, x_min=X_MIN, y_min=Y_MIN, resolution=0.5)
+# the working area in 4 x 8 cells of 12.5 m, whose four edges the polylines cross
+EDGE_CFG = PipelineConfig.desk(resolution=12.5, channels=4)
+SMALL = EDGE_CFG.grid
 # whole and half cells from two cells before the grid to two cells past it,
 # so vertices land on grid lines and on cell centers
-ON_LINES_X = [SMALL.x_min + 0.25 * k for k in range(-8, 4 * SMALL.w + 9)]
-ON_LINES_Y = [SMALL.y_min + 0.25 * k for k in range(-8, 4 * SMALL.h + 9)]
+HALF = SMALL.resolution / 2
+ON_LINES_X = [SMALL.x_min + HALF * k for k in range(-4, 2 * SMALL.w + 5)]
+ON_LINES_Y = [SMALL.y_min + HALF * k for k in range(-4, 2 * SMALL.h + 5)]
 
 
 @st.composite
 def edge_polylines(draw) -> Polyline:
     """Polylines whose steps stay put, move along one axis or move freely,
     with coordinates on grid lines or anywhere, inside or outside the grid."""
-    coord_x = st.one_of(st.sampled_from(ON_LINES_X), st.floats(X_MIN - 3.0, X_MIN + 5.0))
-    coord_y = st.one_of(st.sampled_from(ON_LINES_Y), st.floats(Y_MIN - 2.5, Y_MIN + 3.5))
+    coord_x = st.one_of(st.sampled_from(ON_LINES_X), st.floats(ON_LINES_X[0], ON_LINES_X[-1]))
+    coord_y = st.one_of(st.sampled_from(ON_LINES_Y), st.floats(ON_LINES_Y[0], ON_LINES_Y[-1]))
     pts = [(draw(coord_x), draw(coord_y))]
     for step in draw(st.lists(st.sampled_from(["stay", "x", "y", "xy"]), min_size=1, max_size=8)):
         x, y = pts[-1]
@@ -267,15 +270,12 @@ def edge_polylines(draw) -> Polyline:
 @given(edge_polylines())
 def test_edge_polylines_match_references(lane):
     assert_lane_equal(lane, SMALL)
-    cfg = PipelineConfig.desk(
-        grid_h=SMALL.h, grid_w=SMALL.w, resolution=SMALL.resolution, channels=4,
-    )
     for real in (True, False):
         scene = Scene(
             centerlines=[lane, lane.reversed()], is_real=[real, True],
             adjacency=np.zeros((2, 2)), sd_instances=[SdMapInstance(lane, 1)], seed=0,
         )
-        assert_scene_equal(scene, cfg)
+        assert_scene_equal(scene, EDGE_CFG)
 
 
 def test_integer_crossings_enumerates_each_segment_in_bounds():

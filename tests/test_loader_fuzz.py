@@ -37,7 +37,7 @@ from lanetopo.weights import (
 
 TINY = PipelineConfig.desk(
     n_real=2, n_virtual=1, k=3, channels=8, heads=2, sd_heads=2, ffn_dim=8, layers=1,
-    grid_h=4, grid_w=6,
+    resolution=12.5,
 )
 ODD_VALUES = [None, True, False, 0, -1, 7, 2.5, math.nan, math.inf, "x", "", [], [1, 2], {}]
 FUZZ = settings(derandomize=True, deadline=None, max_examples=120)

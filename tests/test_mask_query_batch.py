@@ -115,7 +115,7 @@ def test_mask_queries_and_logits_match_the_loops(inferred):
     q_prime_ref = mask_queries_loop(q, pts, weights.mask_head, cfg.pgm)
     assert q_prime.shape == (cfg.n_queries, cfg.channels)
     assert np.allclose(q_prime, q_prime_ref, rtol=0.0, atol=ATOL)
-    assert logits.shape == (cfg.n_queries, cfg.grid_h, cfg.grid_w)
+    assert logits.shape == (cfg.n_queries, cfg.grid.h, cfg.grid.w)
     assert np.allclose(logits, logits_loop(b, q_prime_ref), rtol=0.0, atol=ATOL)
     assert np.array_equal(out.mask_logits, logits)
 

@@ -556,6 +556,8 @@ class TestPredictionFileValidation:
             (lambda doc: doc["grid"].update(w=99), "masks: the document's grid is not the "
              "configured 50x100"),
             (lambda doc: doc.update(grid=[50, 100]), "masks: the document's grid"),
+            (lambda doc: doc["grid"].update(resolution=0.5), "masks: the document's grid is "
+             "not the configured 50x100 at 1 m"),
             (lambda doc: doc.update(
                 schema_version=1,
                 masks={"h": 50, "w": 100, "encoding": "rle-0.5", "instances": [[]] * 32},
@@ -565,8 +567,8 @@ class TestPredictionFileValidation:
         ],
         ids=["number-entries", "object-list", "numeric-is-real", "null-points", "list-masks",
              "rle-encoding", "number-data", "not-base64", "not-zlib", "one-byte-too-many",
-             "truncated-stream", "another-grid", "list-grid", "v1-document", "no-version",
-             "version-99"],
+             "truncated-stream", "another-grid", "list-grid", "another-resolution", "v1-document",
+             "no-version", "version-99"],
     )
     def test_malformed_entries_are_one_value_error(self, saved, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
@@ -599,7 +601,7 @@ class TestPredictionFileValidation:
 class TestCheckWeights:
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"layers": 3, "sd_layers": 2, "k": 7}, {"n_virtual": 0, "heads": 4, "grid_h": 20}],
+        [{}, {"layers": 3, "sd_layers": 2, "k": 7}, {"n_virtual": 0, "heads": 4, "resolution": 2.5}],
     )
     def test_shape_table_matches_initialization(self, overrides):
         cfg = desk_cfg(**overrides)
@@ -616,7 +618,7 @@ class TestCheckWeights:
             ({"layers": 1}, r"weights lack decoder\.layers\.1\.\S+, config expects shape"),
             ({"k": 5},
              r"decoder\.points_head has in/out dims \(32, 15\), config expects \(32, 33\)"),
-            ({"grid_h": 40}, r"mask_head\.exist_col has in/out dims \(4000, 100\)"),
+            ({"resolution": 1.25}, r"mask_head\.exist_col has in/out dims \(3200, 80\)"),
         ],
     )
     def test_mismatch_names_tensor_and_both_shapes(self, overrides, message):

@@ -42,7 +42,7 @@ from lanetopo.weights import (
 
 # the full-pair benchmark's shape: 48 queries and 32 channels on 100 x 200
 FULL_PAIR = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64)
-CELLS = FULL_PAIR.grid_h * FULL_PAIR.grid_w
+CELLS = FULL_PAIR.grid.h * FULL_PAIR.grid.w
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def full_pair():
     n = FULL_PAIR.n_queries
     q = rng.normal(size=(n, FULL_PAIR.channels))
     m = rng.random((n, CELLS)) < 0.5
-    logits = rng.normal(size=(n, FULL_PAIR.grid_h, FULL_PAIR.grid_w))
+    logits = rng.normal(size=(n, FULL_PAIR.grid.h, FULL_PAIR.grid.w))
     return b, weights, q, m, logits
 
 
@@ -109,7 +109,7 @@ def test_callers_on_several_threads_share_the_helper_and_keep_their_bits(monkeyp
     # six callers queue their second halves on the one helper thread; a
     # 10 x 20 grid and a low ROW_SPLIT keep the calls small
     monkeypatch.setattr(bev, "ROW_SPLIT", 64)
-    cfg = PipelineConfig.desk(grid_h=10, grid_w=20)
+    cfg = PipelineConfig.desk(resolution=5.0)
     weights = init_model_weights(cfg, seed=5)
     rng = np.random.default_rng(8)
     b = BevGrid(rng.normal(size=(10, 20, cfg.channels)), GridSpec(10, 20, 0.0, 0.0, 1.0))
@@ -214,7 +214,7 @@ def test_a_desk_run_submits_nothing_to_the_helper(monkeypatch):
     cfg = PipelineConfig.desk()
     weights = init_model_weights(cfg)
     b = render_bev_features(synth_scene(7), cfg)
-    assert cfg.n_queries * cfg.grid_h * cfg.grid_w < bev.ROW_SPLIT
+    assert cfg.n_queries * cfg.grid.h * cfg.grid.w < bev.ROW_SPLIT
 
     def no_helper():
         raise AssertionError("a desk run asked for the helper thread")
@@ -262,8 +262,8 @@ cfg = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64)
 mh = init_model_weights(cfg, seed=3).mask_head
 rng = np.random.default_rng(4)
 for n in map(int, sys.argv[1:]):
-    logits = rng.normal(0.0, 5.0, size=(n, cfg.grid_h, cfg.grid_w))
-    assert n * cfg.grid_h * cfg.grid_w >= bev.ROW_SPLIT
+    logits = rng.normal(0.0, 5.0, size=(n, cfg.grid.h, cfg.grid.w))
+    assert n * cfg.grid.h * cfg.grid.w >= bev.ROW_SPLIT
     for axis, head in ((AXIS_COLUMNS, mh.exist_col), (AXIS_ROWS, mh.exist_row)):
         whole = sigmoid(mlp_forward(head, logits.reshape(n, -1)))
         if not np.array_equal(predict_existence(logits, head, axis), whole):

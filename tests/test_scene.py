@@ -256,7 +256,7 @@ class TestRenderBev:
         cfg = PipelineConfig.desk()
         scene = synth_scene(17, SceneParams(intersections=0))
         masks = render_gt_masks(scene, cfg.grid)
-        assert masks.shape == (scene.n_lanes, cfg.grid_h, cfg.grid_w)
+        assert masks.shape == (scene.n_lanes, cfg.grid.h, cfg.grid.w)
         for i, lane in enumerate(scene.centerlines):
             cells = lane_cells(lane, cfg.grid)
             assert {tuple(rc) for rc in np.argwhere(masks[i] > 0)} == cells
@@ -281,7 +281,7 @@ class TestBevContainer:
         grid = render_bev_features(scene, cfg)
         path = tmp_path / "bev.bin"
         save_bev(grid, path)
-        other = PipelineConfig.desk(grid_h=20, grid_w=40).grid
+        other = PipelineConfig.desk(resolution=2.5).grid
         with pytest.raises(ValueError):
             load_bev(path, other)
 

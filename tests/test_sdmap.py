@@ -155,7 +155,7 @@ class TestSdInteract:
         assert np.array_equal(out.data, b.data)
 
     def test_shape_contract(self):
-        cfg = PipelineConfig.desk(grid_h=6, grid_w=8)
+        cfg = PipelineConfig.desk()
         weights = init_model_weights(cfg)
         rng = np.random.default_rng(1)
         spec = GridSpec(h=6, w=8, x_min=0.0, y_min=0.0, resolution=1.0)
@@ -301,7 +301,7 @@ class TestSdInteract:
         # the SD grid and each layer's output are checked once; the input
         # grid is checked already and is not scanned again
         c, layers = 8, 3
-        cfg = PipelineConfig.desk(grid_h=6, grid_w=5, channels=c, sd=True, sd_layers=layers)
+        cfg = PipelineConfig.desk(channels=c, sd=True, sd_layers=layers)
         weights = init_model_weights(cfg, seed=3)
         rng = np.random.default_rng(5)
         spec = small_spec(6, 5)
@@ -354,7 +354,7 @@ class TestSdInteract:
         # 2,500 cells: 4 blocks of 625 at the default 2048, against 716 of 3
         # or 4 cells (below about 40 cells OpenBLAS switches kernels), 10 of
         # 250, 6 of 416 or 417 and 2 of 1,250
-        cfg = PipelineConfig.desk(grid_h=50, grid_w=50, sd=True)
+        cfg = PipelineConfig.desk(sd=True)
         weights = init_model_weights(cfg, seed=2)
         rng = np.random.default_rng(4)
         spec = GridSpec(h=50, w=50, x_min=0.0, y_min=0.0, resolution=1.0)
@@ -376,7 +376,7 @@ def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
     # 2049 cells make four blocks of 512 or 513 cells, and two of 1024 and
     # 1025 at a block of 2049, not 2048 and a 1-cell remainder that OpenBLAS
     # would multiply with another kernel
-    cfg = PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683)
+    cfg = PipelineConfig.desk(sd=True, sd_layers=3)
     weights = init_model_weights(cfg, seed=2)
     rng = np.random.default_rng(5)
     spec = GridSpec(h=3, w=683, x_min=0.0, y_min=0.0, resolution=1.0)
@@ -389,12 +389,12 @@ def test_a_grid_one_cell_past_a_block_gives_the_one_block_features(monkeypatch):
     assert np.array_equal(blocked, sd_interact(b, sd_grid, weights.sd).data)
 
 
-def random_sd_inputs(cfg: PipelineConfig, seed: int):
-    """A random BEV grid of ``cfg``'s shape and the SD grid of a random
-    semantic grid."""
+def random_sd_inputs(cfg: PipelineConfig, h: int, w: int, seed: int):
+    """A random h x w BEV grid of ``cfg``'s channels and the SD grid of a
+    random semantic grid."""
     rng = np.random.default_rng(seed)
-    spec = GridSpec(h=cfg.grid_h, w=cfg.grid_w, x_min=0.0, y_min=0.0, resolution=1.0)
-    shape = (cfg.grid_h, cfg.grid_w, cfg.channels)
+    spec = GridSpec(h=h, w=w, x_min=0.0, y_min=0.0, resolution=1.0)
+    shape = (h, w, cfg.channels)
     return (BevGrid(rng.normal(size=shape), spec),
             summed(BevGrid(rng.normal(size=shape), spec), sinusoidal_pe_2d(spec, cfg.channels)))
 
@@ -404,34 +404,34 @@ def run_inline(first, second):
     second()
 
 
-@pytest.mark.parametrize("cfg", [
+@pytest.mark.parametrize("cfg, h, w", [
     # 5000 cells: 6 blocks of 833 or 834, three on each thread
-    PipelineConfig.desk(sd=True),
+    (PipelineConfig.desk(sd=True), 50, 100),
     # the benchmark's full-pair shape: 20 blocks of 1000 cells
-    PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=True),
+    (PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=True), 100, 200),
     # 2049 cells: 4 blocks of 512 or 513
-    PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683),
+    (PipelineConfig.desk(sd=True, sd_layers=3), 3, 683),
     # 15 cells: blocks of 7 and 8, one on each thread
-    PipelineConfig.desk(sd=True, sd_layers=2, grid_h=3, grid_w=5),
+    (PipelineConfig.desk(sd=True, sd_layers=2), 3, 5),
 ], ids=["desk", "full-pair", "2049-cells", "15-cells"])
-def test_the_two_thread_split_gives_the_inline_bits(monkeypatch, cfg):
+def test_the_two_thread_split_gives_the_inline_bits(monkeypatch, cfg, h, w):
     weights = init_model_weights(cfg, seed=4)
-    b, sd_grid = random_sd_inputs(cfg, seed=9)
+    b, sd_grid = random_sd_inputs(cfg, h, w, seed=9)
     threaded = sd_interact(b, sd_grid, weights.sd).data
     monkeypatch.setattr(sdmap, "_run_pair", run_inline)
     assert np.array_equal(threaded, sd_interact(b, sd_grid, weights.sd).data)
 
 
 def test_the_caller_runs_the_even_blocks_and_one_helper_the_odd_ones(monkeypatch):
-    cfg = PipelineConfig.desk(sd=True, sd_layers=3, grid_h=3, grid_w=683)
+    cfg = PipelineConfig.desk(sd=True, sd_layers=3)
     weights = init_model_weights(cfg, seed=2)
-    b, sd_grid = random_sd_inputs(cfg, seed=5)
+    b, sd_grid = random_sd_inputs(cfg, 3, 683, seed=5)
     core = sdmap.deformable_attention_core
     calls = []
 
     def spy(q, grid, refs, w):
         row, col = refs[0]
-        calls.append((threading.get_ident(), int(row) * cfg.grid_w + int(col), len(refs)))
+        calls.append((threading.get_ident(), int(row) * b.w + int(col), len(refs)))
         return core(q, grid, refs, w)
 
     monkeypatch.setattr(sdmap, "deformable_attention_core", spy)
@@ -469,7 +469,7 @@ class HalfFailed(Exception):
 def test_an_error_in_the_helpers_half_reaches_the_caller(monkeypatch):
     cfg = PipelineConfig.desk(sd=True)
     weights = init_model_weights(cfg, seed=2)
-    b, sd_grid = random_sd_inputs(cfg, seed=1)
+    b, sd_grid = random_sd_inputs(cfg, 50, 100, seed=1)
     caller = threading.get_ident()
     mlp = sdmap.mlp_forward
 
@@ -504,9 +504,9 @@ def test_an_error_in_the_callers_half_is_raised_after_the_helpers_half_ends():
 def test_callers_on_several_threads_share_the_helper_and_keep_their_bits(monkeypatch):
     # 480 cells in 16 blocks of 30; six callers queue their halves on one helper
     monkeypatch.setattr(sdmap, "ROW_BLOCK", 64)
-    cfg = PipelineConfig.desk(sd=True, sd_layers=2, grid_h=12, grid_w=40)
+    cfg = PipelineConfig.desk(sd=True, sd_layers=2)
     weights = init_model_weights(cfg, seed=6)
-    inputs = [random_sd_inputs(cfg, seed) for seed in range(6)]
+    inputs = [random_sd_inputs(cfg, 12, 40, seed) for seed in range(6)]
     with monkeypatch.context() as inline:
         inline.setattr(sdmap, "_run_pair", run_inline)
         expected = [sd_interact(*grids, weights.sd).data for grids in inputs]
@@ -540,7 +540,7 @@ from lanetopo.pipeline import infer
 from lanetopo.scene import render_bev_features, synth_scene
 from lanetopo.sdmap import sd_interact
 from lanetopo.weights import init_model_weights
-cfg = PipelineConfig.desk(sd=True, grid_h=4, grid_w=6)
+cfg = PipelineConfig.desk(sd=True)
 spec = GridSpec(h=4, w=6, x_min=0.0, y_min=0.0, resolution=1.0)
 rng = np.random.default_rng(0)
 grids = [BevGrid(rng.normal(size=(4, 6, cfg.channels)), spec) for _ in range(2)]

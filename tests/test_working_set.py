@@ -20,8 +20,8 @@ from lanetopo.weights import init_model_weights
 
 # the full-pair benchmark's shape: 48 queries and 32 channels on 100 x 200
 FULL_PAIR = PipelineConfig(n_real=24, n_virtual=24, channels=32, ffn_dim=64, sd=True)
-GRID_BYTES = FULL_PAIR.grid_h * FULL_PAIR.grid_w * FULL_PAIR.channels * 8  # 5.1 MB
-STACK_BYTES = FULL_PAIR.n_queries * FULL_PAIR.grid_h * FULL_PAIR.grid_w * 8  # 7.7 MB
+GRID_BYTES = FULL_PAIR.grid.h * FULL_PAIR.grid.w * FULL_PAIR.channels * 8  # 5.1 MB
+STACK_BYTES = FULL_PAIR.n_queries * FULL_PAIR.grid.h * FULL_PAIR.grid.w * 8  # 7.7 MB
 
 
 def traced_peak(fn, *args):
